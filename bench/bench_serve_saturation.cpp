@@ -12,7 +12,7 @@
 ///
 /// Two segments per row, separated by a full drain so the allocation
 /// boundary is exact: a warm-up segment sizes every pool (tickets, timer
-/// wheels, in-flight slots, outbox channels), then the measured segment
+/// cores, in-flight slots, outbox channels), then the measured segment
 /// counts wall time, completed queries and heap allocations. The gate
 /// (scripts/check_bench_regression.py --mode serve) requires 0
 /// allocations/query on every row and, on hosts with >= 4 cores, a >= 2x
@@ -121,7 +121,6 @@ ServeRow RunShardCount(uint64_t seed, uint32_t shards, int64_t queries,
   options.query_timeout = 0.25;
   const int64_t options_max_pending = 4096;
   options.max_pending = options_max_pending;  // open loop: shed the excess
-  options.wallclock.wheel_slots = 128;
   Engine engine(std::move(options));
 
   std::vector<model::ConsumerId> consumers;
@@ -154,14 +153,10 @@ ServeRow RunShardCount(uint64_t seed, uint32_t shards, int64_t queries,
   // to its own high-water mark:
   //  - at least 3x max_pending accepted queries, so saturation pins the
   //    in-flight pools (tickets, slots, timers) at the admission cap;
-  //  - at least two full timer-wheel rotations AND timeout windows of
-  //    wall time, so every wheel bucket has held a rotation's worth of
-  //    completion timers and the timeout ring has been swept at its
-  //    steady high-water — a shorter warm-up leaves cold buckets (and a
-  //    short ring) to grow mid-measurement.
-  const double warm_window =
-      std::max(options.wallclock.wheel_slots * options.wallclock.wheel_tick,
-               options.query_timeout);
+  //  - at least two timeout windows of wall time, so the timeout ring has
+  //    been swept at its steady high-water — a shorter warm-up leaves a
+  //    short ring to grow mid-measurement.
+  const double warm_window = options.query_timeout;
   const int64_t warmup_floor =
       std::max<int64_t>(queries / 5, 3 * options_max_pending);
   int64_t warmed = 0;

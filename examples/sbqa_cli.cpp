@@ -9,8 +9,6 @@
 ///            [--env=captive|autonomous] [--mediators=N] [--shards=N]
 ///            [--k=N] [--kn=N] [--omega=adaptive|0..1]
 ///            [--score-kernel=batched|exact]
-///            [--federation-hops=N] [--federation-topology=mesh|ring|kregular]
-///            [--federation-degree=N] [--federation-digest-weight=W]
 ///            [--fault-profile=none|drops|delays|crashes|chaos]
 ///            [--fault-seed=N] [--deadline-ms=N] [--max-retries=N]
 ///            [--churn] [--joins] [--charts] [--json] [--list-methods]
@@ -18,13 +16,9 @@
 /// Defaults reproduce Scenario 3/4 at the paper scale. --shards=N runs
 /// the multi-core sharded engine (one scheduler per shard, epoch-applied
 /// membership); with --mediators=M each shard runs a group of M mediators
-/// behind a shared scheduler (the first is the shard's federation
-/// gateway); every other flag composes with it. --federation-hops=N
-/// (N >= 1) enables multi-hop borrow chains between shard gateways over
-/// the --federation-topology peer graph; hops=1 on the mesh reproduces
-/// the legacy one-hop delegation bit-for-bit, while
-/// --federation-digest-weight > 0 biases donor choice by the
-/// satisfaction digests exchanged at barriers.
+/// behind a shared scheduler (the first is the shard's cross-shard
+/// gateway); every other flag composes with it. A shard whose pool is dry
+/// for a query delegates it one hop to the least-loaded donor shard.
 /// --fault-profile interposes the deterministic fault plane between each
 /// mediator and its scheduler (seeded by --fault-seed, independent of the
 /// run seed); --deadline-ms stamps a per-query deadline and --max-retries
@@ -43,7 +37,6 @@
 #include "experiments/demo_scenarios.h"
 #include "experiments/report.h"
 #include "experiments/runner.h"
-#include "federation/federation.h"
 #include "runtime/fault.h"
 #include "util/string_util.h"
 
@@ -63,10 +56,6 @@ struct Flags {
   size_t kn = 8;
   std::string omega = "adaptive";
   std::string score_kernel = "batched";
-  int federation_hops = 0;  // 0 = federation off (legacy delegation)
-  std::string federation_topology = "mesh";
-  size_t federation_degree = 4;
-  double federation_digest_weight = 0;
   std::string fault_profile = "none";
   uint64_t fault_seed = 1;
   double deadline_ms = 0;
@@ -96,10 +85,6 @@ int Usage() {
       "                [--shards=N]\n"
       "                [--k=N] [--kn=N] [--omega=adaptive|0..1]\n"
       "                [--score-kernel=batched|exact]\n"
-      "                [--federation-hops=N]\n"
-      "                [--federation-topology=mesh|ring|kregular]\n"
-      "                [--federation-degree=N]\n"
-      "                [--federation-digest-weight=W]\n"
       "                [--fault-profile=%s]\n"
       "                [--fault-seed=N] [--deadline-ms=N] [--max-retries=N]\n"
       "                [--churn] [--joins] [--charts] [--json]\n"
@@ -168,14 +153,6 @@ int main(int argc, char** argv) {
       flags.omega = value;
     } else if (ParseFlag(argv[i], "--score-kernel", &value)) {
       flags.score_kernel = value;
-    } else if (ParseFlag(argv[i], "--federation-hops", &value)) {
-      flags.federation_hops = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--federation-topology", &value)) {
-      flags.federation_topology = value;
-    } else if (ParseFlag(argv[i], "--federation-degree", &value)) {
-      flags.federation_degree = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (ParseFlag(argv[i], "--federation-digest-weight", &value)) {
-      flags.federation_digest_weight = std::atof(value.c_str());
     } else if (ParseFlag(argv[i], "--fault-profile", &value)) {
       flags.fault_profile = value;
     } else if (ParseFlag(argv[i], "--fault-seed", &value)) {
@@ -199,9 +176,7 @@ int main(int argc, char** argv) {
     }
   }
   if (flags.volunteers == 0 || flags.duration <= 0 || flags.mediators == 0 ||
-      flags.shards == 0 || flags.deadline_ms < 0 || flags.max_retries < 0 ||
-      flags.federation_hops < 0 || flags.federation_degree < 2 ||
-      flags.federation_digest_weight < 0) {
+      flags.shards == 0 || flags.deadline_ms < 0 || flags.max_retries < 0) {
     return Usage();
   }
 
@@ -217,22 +192,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown score kernel: %s (known: batched, exact)\n",
                  flags.score_kernel.c_str());
     return 2;
-  }
-  if (flags.federation_hops > 0) {
-    config.federation.enabled = true;
-    config.federation.hop_budget =
-        static_cast<uint32_t>(flags.federation_hops);
-    config.federation.degree =
-        static_cast<uint32_t>(flags.federation_degree);
-    config.federation.digest_weight = flags.federation_digest_weight;
-    if (!federation::TopologyFromName(flags.federation_topology.c_str(),
-                                      &config.federation.topology)) {
-      std::fprintf(stderr,
-                   "unknown federation topology: %s "
-                   "(known: mesh, ring, kregular)\n",
-                   flags.federation_topology.c_str());
-      return 2;
-    }
   }
   // The JSON summary carries the per-phase decision timings.
   config.sim.decision_timing = flags.json;

@@ -2,17 +2,15 @@
 /// sbqa_serve — the identical SbQA mediation pipeline serving live
 /// wall-clock traffic: a driver thread submits queries through the
 /// sbqa::Engine facade against rt::WallClockRuntime (steady-clock time,
-/// timer wheel, one service thread), outcomes come back through per-query
-/// callbacks, and the steady-state Submit path performs zero heap
-/// allocations per query (measured live by the counting allocator).
+/// ladder timer core, one service thread), outcomes come back through
+/// per-query callbacks, and the steady-state Submit path performs zero
+/// heap allocations per query (measured live by the counting allocator).
 ///
 ///   sbqa_serve [--queries=N] [--rate=Q_PER_S] [--providers=N]
 ///              [--shards=N] [--method=NAME] [--seed=N]
 ///              [--score-kernel=batched|exact]
 ///              [--fault-profile=none|drops|delays|crashes|chaos]
 ///              [--deadline-ms=N] [--max-retries=N] [--max-pending=N]
-///              [--federation-hops=N] [--federation-topology=mesh|ring|kregular]
-///              [--federation-degree=N] [--federation-digest-weight=W]
 ///              [--json]
 ///
 /// --score-kernel selects the decision-path scoring kernel (the batched
@@ -31,12 +29,8 @@
 /// shard, barrier-connected); while traffic flows the driver prints a
 /// live per-shard stats line — queries/s, pending, shed and cross-shard
 /// borrow counts — read at a quiescent barrier via Engine::ShardStats().
-///
-/// --federation-hops=N (sharded only) enables multi-hop borrow chains: a
-/// dry shard forwards mediator-to-mediator up to N hops instead of the
-/// single-hop delegation. --federation-topology / --federation-degree pick
-/// the peer graph, --federation-digest-weight blends the cross-shard
-/// satisfaction exchange into forward scoring (0 = pure load metric).
+/// A shard whose pool is dry for a query borrows one hop from the
+/// least-loaded peer shard.
 
 #include <algorithm>
 #include <atomic>
@@ -67,10 +61,6 @@ struct Flags {
   double deadline_ms = 0;
   int max_retries = 0;
   long max_pending = 0;
-  int federation_hops = 0;  // 0 = federation off (legacy delegation)
-  std::string federation_topology = "mesh";
-  int federation_degree = 4;
-  double federation_digest_weight = 0;
   bool json = false;
 };
 
@@ -111,14 +101,6 @@ int main(int argc, char** argv) {
       flags.max_retries = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--max-pending", &value)) {
       flags.max_pending = std::atol(value.c_str());
-    } else if (ParseFlag(argv[i], "--federation-hops", &value)) {
-      flags.federation_hops = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--federation-topology", &value)) {
-      flags.federation_topology = value;
-    } else if (ParseFlag(argv[i], "--federation-degree", &value)) {
-      flags.federation_degree = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--federation-digest-weight", &value)) {
-      flags.federation_digest_weight = std::atof(value.c_str());
     } else if (std::strcmp(argv[i], "--json") == 0) {
       flags.json = true;
     } else {
@@ -128,19 +110,14 @@ int main(int argc, char** argv) {
                    "                  [--score-kernel=batched|exact]\n"
                    "                  [--fault-profile=%s]\n"
                    "                  [--deadline-ms=N] [--max-retries=N] "
-                   "[--max-pending=N]\n"
-                   "                  [--federation-hops=N] "
-                   "[--federation-topology=mesh|ring|kregular]\n"
-                   "                  [--federation-degree=N] "
-                   "[--federation-digest-weight=W] [--json]\n",
+                   "[--max-pending=N] [--json]\n",
                    rt::FaultProfileNames().c_str());
       return 2;
     }
   }
   if (flags.queries <= 0 || flags.rate <= 0 || flags.providers <= 0 ||
       flags.shards <= 0 || flags.deadline_ms < 0 || flags.max_retries < 0 ||
-      flags.max_pending < 0 || flags.federation_hops < 0 ||
-      flags.federation_degree < 2 || flags.federation_digest_weight < 0) {
+      flags.max_pending < 0) {
     return 2;
   }
 
@@ -168,8 +145,6 @@ int main(int argc, char** argv) {
   // Short safety-net timeout: the sweep then passes often enough for the
   // FIFO timeout ring to stay compact at steady state.
   options.query_timeout = 2.0;
-  // A small wheel (128 ms rotation) converges each bucket's capacity fast.
-  options.wallclock.wheel_slots = 128;
   if (!rt::FaultProfileByName(flags.fault_profile, &options.fault_plan)) {
     std::fprintf(stderr, "unknown fault profile: %s (known: %s)\n",
                  flags.fault_profile.c_str(),
@@ -190,21 +165,6 @@ int main(int argc, char** argv) {
     }
   }
   options.max_pending = flags.max_pending;
-  if (flags.federation_hops > 0) {
-    options.federation.enabled = true;
-    options.federation.hop_budget =
-        static_cast<uint32_t>(flags.federation_hops);
-    options.federation.degree = static_cast<uint32_t>(flags.federation_degree);
-    options.federation.digest_weight = flags.federation_digest_weight;
-    if (!federation::TopologyFromName(flags.federation_topology.c_str(),
-                                      &options.federation.topology)) {
-      std::fprintf(stderr,
-                   "unknown federation topology: %s "
-                   "(known: mesh, ring, kregular)\n",
-                   flags.federation_topology.c_str());
-      return 2;
-    }
-  }
   Engine engine(std::move(options));
 
   ConsumerOptions consumer_options;
@@ -255,7 +215,7 @@ int main(int argc, char** argv) {
   };
 
   // The driver thread: paced submissions in small bursts. The first fifth
-  // warms every pool (tickets, timer wheel, in-flight slots); the rest is
+  // warms every pool (tickets, timer core, in-flight slots); the rest is
   // the measured steady state.
   const long warmup = flags.queries / 5;
   constexpr int kBurst = 50;
@@ -286,14 +246,8 @@ int main(int argc, char** argv) {
                   static_cast<long long>(row.queries_submitted - finalized));
     }
     long long borrowed = 0;
-    long long forwarded = 0;
-    for (const EngineShardStats& row : rows) {
-      borrowed += row.queries_borrowed;
-      forwarded += row.queries_forwarded;
-    }
-    std::printf(" | shed %ld | borrowed %lld", shed.load(), borrowed);
-    if (forwarded > 0) std::printf(" | forwarded %lld", forwarded);
-    std::printf("\n");
+    for (const EngineShardStats& row : rows) borrowed += row.queries_borrowed;
+    std::printf(" | shed %ld | borrowed %lld\n", shed.load(), borrowed);
     std::fflush(stdout);
   };
 
@@ -369,12 +323,10 @@ int main(int argc, char** argv) {
               "%ld timed out, %ld failed, %ld shed\n",
               satisfied.load(), retried.load(), timed_out.load(),
               failed.load(), shed.load());
-  if (stats.queries_delegated > 0 || stats.queries_forwarded > 0) {
-    std::printf("cross-shard        : %lld delegated, %lld borrowed, "
-                "%lld forwarded\n",
+  if (stats.queries_delegated > 0) {
+    std::printf("cross-shard        : %lld delegated, %lld borrowed\n",
                 static_cast<long long>(stats.queries_delegated),
-                static_cast<long long>(stats.queries_borrowed),
-                static_cast<long long>(stats.queries_forwarded));
+                static_cast<long long>(stats.queries_borrowed));
   }
   if (stats.retry_attempts > 0 || stats.providers_suspected > 0) {
     std::printf("recovery           : %lld retries, %lld suspected, "

@@ -78,31 +78,11 @@ BENCH_scaling.json and fails (exit 1) when
     times the fault-free baseline row of the same run — a same-host
     ratio, so no machine normalization is needed.
 
---mode federation: gates a freshly measured BENCH_federation.json (the
-multi-hop borrow-chain scarcity sweep) and fails (exit 1) when
-
-  * any sweep row is not terminally complete (submitted != finalized), or
-    its chain accounting does not reconcile — every chain that starts
-    consumes exactly one terminal borrow (delegated == borrowed), the
-    summary's hop histogram recomposes the counters
-    (round(mean_borrow_hops * finalized) == delegated + forwarded, within
-    rounding), and multi-hop chains never exceed either relays or started
-    chains, or
-  * the ring/budget-4 row's scarce-class goodput is below
-    --min-goodput-ratio (default 1.5) times the ring/budget-1 row's — the
-    whole point of multi-hop chains is reaching donors beyond the
-    one-hop neighborhood — or the budget-4 row shows no multi-hop chains
-    at all, or
-  * the forward-path allocation audit's steady state allocates (the
-    forwarded + re-homed chain rows must stay at exactly 0 allocs/query),
-    or the audited phase performed no relays (steady_forwarded == 0 would
-    mean the audit measured nothing).
-
 Usage: check_bench_regression.py <fresh.json> [<committed-baseline.json>]
        [--max-regression 2.0]
-       [--mode event_engine|sharding|serve|scaling|chaos|federation]
+       [--mode event_engine|sharding|serve|scaling|chaos]
        [--min-speedup 2.0] [--max-epoch-share 0.05]
-       [--max-fault-degradation 2.0] [--min-goodput-ratio 1.5]
+       [--max-fault-degradation 2.0]
 """
 
 import argparse
@@ -412,79 +392,6 @@ def check_chaos(fresh, max_fault_degradation):
     return failed
 
 
-def check_federation(fresh, min_goodput_ratio):
-    failed = False
-
-    rows = {}
-    for row in fresh.get("sweep", []):
-        rows[str(row["row"])] = row
-        complete = int(row["queries_finalized"]) == int(row["queries"])
-        delegated = int(row["queries_delegated"])
-        borrowed = int(row["queries_borrowed"])
-        forwarded = int(row["queries_forwarded"])
-        multi_hop = int(row["queries_multi_hop"])
-        hop_weight = round(float(row["mean_borrow_hops"]) *
-                           int(row["queries_finalized"]))
-        print(f"{row['row']:>15}: {row['scarce_served']}/"
-              f"{row['scarce_finalized']} scarce served, "
-              f"{delegated} delegated, {forwarded} forwarded, "
-              f"{multi_hop} multi-hop, "
-              f"{row['queries_finalized']}/{row['queries']} finalized")
-        if not complete:
-            print(f"FAIL: row {row['row']} leaked queries "
-                  "(submitted != finalized)")
-            failed = True
-        if delegated != borrowed:
-            print(f"FAIL: row {row['row']} breaks chain accounting "
-                  f"(delegated {delegated} != borrowed {borrowed})")
-            failed = True
-        if abs(hop_weight - (delegated + forwarded)) > 1:
-            print(f"FAIL: row {row['row']}'s hop histogram does not "
-                  f"recompose the counters ({hop_weight} != "
-                  f"{delegated} + {forwarded})")
-            failed = True
-        if multi_hop > forwarded or multi_hop > delegated:
-            print(f"FAIL: row {row['row']} counts more multi-hop chains "
-                  "than relays or started chains")
-            failed = True
-    if not rows:
-        print("FAIL: the federation bench JSON has no sweep rows")
-        return True
-
-    b1 = rows.get("ring-b1")
-    b4 = rows.get("ring-b4")
-    if b1 is None or b4 is None:
-        print("FAIL: the sweep is missing the ring-b1 or ring-b4 row")
-        return True
-    served_b1 = int(b1["scarce_served"])
-    served_b4 = int(b4["scarce_served"])
-    ratio = served_b4 / served_b1 if served_b1 > 0 else float("inf")
-    print(f"scarce-class goodput, ring budget 4 vs budget 1: "
-          f"{served_b4}/{served_b1} = {ratio:.2f}x "
-          f"(bar {min_goodput_ratio:.2f}x)")
-    if ratio < min_goodput_ratio:
-        print("FAIL: multi-hop chains no longer buy the scarce-class "
-              "goodput bar over single-hop delegation")
-        failed = True
-    if int(b4["queries_multi_hop"]) <= 0:
-        print("FAIL: the budget-4 row routed no multi-hop chains")
-        failed = True
-
-    allocs = fresh["allocations"]
-    steady = float(allocs["per_query_steady_state"])
-    relays = int(allocs["steady_forwarded"])
-    print(f"forward-path steady-state allocations/query: {steady:.3f} "
-          f"({relays} relays in the measured phase)")
-    if steady != 0.0:
-        print("FAIL: the forwarded + re-homed chain path is no longer "
-              "allocation-free in steady state")
-        failed = True
-    if relays <= 0:
-        print("FAIL: the allocation audit measured a phase with no relays")
-        failed = True
-    return failed
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("fresh")
@@ -496,7 +403,7 @@ def main():
                              "this factor")
     parser.add_argument("--mode",
                         choices=["event_engine", "sharding", "serve",
-                                 "scaling", "chaos", "federation"],
+                                 "scaling", "chaos"],
                         default="event_engine")
     parser.add_argument("--min-speedup", type=float, default=2.0,
                         help="sharding/serve: minimum 4-shard speedup over "
@@ -510,10 +417,6 @@ def main():
                         help="chaos: maximum ratio of ns/good-query at 5%% "
                              "dropped dispatches over the fault-free "
                              "baseline row")
-    parser.add_argument("--min-goodput-ratio", type=float, default=1.5,
-                        help="federation: minimum scarce-class goodput of "
-                             "the ring/budget-4 row over the ring/budget-1 "
-                             "row")
     args = parser.parse_args()
 
     with open(args.fresh) as f:
@@ -529,8 +432,6 @@ def main():
         failed = check_chaos(fresh, args.max_fault_degradation)
     elif args.mode == "serve":
         failed = check_serve(fresh, args.min_speedup)
-    elif args.mode == "federation":
-        failed = check_federation(fresh, args.min_goodput_ratio)
     elif args.mode == "scaling":
         failed = check_scaling(fresh, args.min_speedup)
     else:

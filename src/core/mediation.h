@@ -42,9 +42,9 @@ struct QueryOutcome {
   /// Mediation attempts consumed (1 = no retry; > 1 means the query was
   /// re-mediated after failed attempts).
   int attempts = 1;
-  /// Cross-shard forwards this query took before being mediated (0 = local
-  /// pool served it; 1 = classic one-hop borrow; > 1 = a federation
-  /// multi-hop chain reached a distant donor).
+  /// Cross-shard hops this query took before being mediated (0 = the local
+  /// pool served it; 1 = a peer shard's pool served it — or reported it
+  /// unallocated — on the one-hop borrow path).
   int hops = 0;
   /// δs(c, q) per Equation 1.
   double satisfaction = 0;

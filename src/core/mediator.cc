@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/shard_directory.h"
-#include "federation/federation.h"
 #include "util/check.h"
 
 namespace sbqa::core {
@@ -77,8 +76,8 @@ void Mediator::ConfigureSharding(rt::ShardFabric* shards, uint32_t shard,
   SBQA_CHECK_EQ(shard_mediators.size(),
                 static_cast<size_t>(shards->shard_count()));
   // shard_mediators[s] is shard s's GATEWAY: the mediator that receives
-  // cross-shard traffic (delegated/forwarded queries, re-homed outcomes)
-  // for that shard. With one mediator per shard that is this mediator;
+  // cross-shard traffic (delegated queries, re-homed outcomes) for that
+  // shard. With one mediator per shard that is this mediator;
   // in a per-shard mediator group only the first group member is the
   // gateway and the others still delegate THROUGH the gateway list.
   SBQA_CHECK(shard_mediators[shard] != nullptr);
@@ -86,49 +85,6 @@ void Mediator::ConfigureSharding(rt::ShardFabric* shards, uint32_t shard,
   shard_id_ = shard;
   directory_ = directory;
   shard_mediators_ = std::move(shard_mediators);
-}
-
-void Mediator::ConfigureFederation(const federation::Federation* federation) {
-  SBQA_CHECK(federation != nullptr);
-  SBQA_CHECK(shard_set_ != nullptr);  // sharding must be wired first
-  SBQA_CHECK_EQ(federation->peers().shard_count(),
-                static_cast<uint32_t>(shard_mediators_.size()));
-  federation_ = federation;
-}
-
-void Mediator::PublishFederationDigest(
-    federation::SatisfactionDigest* digest) const {
-  // Shard-level mean over everything this shard mediated (the fallback
-  // for classes without their own row), then the per-class rows.
-  double sum = 0;
-  int64_t count = 0;
-  for (const ClassSatisfaction& acc : class_satisfaction_) {
-    sum += acc.sum;
-    count += acc.count;
-  }
-  const double shard_satisfaction =
-      count > 0 ? sum / static_cast<double>(count)
-                : federation::SatisfactionDigest::kNeutral;
-  digest->BeginShard(shard_id_, shard_satisfaction);
-  for (size_t c = 0; c < class_satisfaction_.size(); ++c) {
-    const ClassSatisfaction& acc = class_satisfaction_[c];
-    if (acc.count > 0) {
-      digest->RecordClass(shard_id_, static_cast<model::QueryClassId>(c),
-                          acc.sum / static_cast<double>(acc.count));
-    }
-  }
-}
-
-void Mediator::RecordClassSatisfaction(model::QueryClassId query_class,
-                                       double satisfaction) {
-  if (federation_ == nullptr || query_class < 0) return;
-  const size_t index = static_cast<size_t>(query_class);
-  if (class_satisfaction_.size() <= index) {
-    class_satisfaction_.resize(index + 1);
-  }
-  ClassSatisfaction& acc = class_satisfaction_[index];
-  acc.sum += satisfaction;
-  ++acc.count;
 }
 
 void Mediator::ScheduleDepartureSweep() {
@@ -181,7 +137,6 @@ Mediator::InflightHandle Mediator::AcquireInflight() {
   f.attempt = 1;
   f.abs_deadline = kNoDeadline;
   f.tried.clear();
-  f.route = nullptr;
   return h;
 }
 
@@ -261,10 +216,6 @@ void Mediator::ProvisionInflight(size_t slots) {
   // (timeout window x arrival rate), which steady traffic pins during
   // warm-up once the capacity survives compaction (erase/clear keep it).
   timeout_ring_.reserve(2 * slots);
-  // Federation: every chain this shard originates holds one route ticket
-  // until its outcome re-homes, and a query is a chain at most once — the
-  // in-flight cap bounds live routes too.
-  if (federation_ != nullptr) route_pool_.Provision(slots);
 }
 
 void Mediator::LinkProviderInflight(model::ProviderId provider,
@@ -325,60 +276,8 @@ bool Mediator::TryDelegate(const model::Query& query) {
   return true;
 }
 
-federation::RouteState* Mediator::AcquireRoute() {
-  const uint64_t handle = route_pool_.Acquire();
-  const uint32_t slot =
-      util::StableSlotPool<federation::RouteState>::SlotOf(handle);
-  federation::RouteState& route = route_pool_.at(slot);
-  route.Begin(shard_id_, federation_->hop_budget());
-  route.slot = slot;
-  return &route;
-}
-
-void Mediator::ReleaseRoute(federation::RouteState* route) {
-  SBQA_DCHECK(route->origin_shard == shard_id_);
-  route_pool_.ReleaseSlot(route->slot);
-}
-
-bool Mediator::TryForward(const model::Query& query,
-                          federation::RouteState* route) {
-  if (federation_ == nullptr) return false;
-  if (route != nullptr && route->hops >= route->hop_budget) return false;
-  const uint64_t visited =
-      route != nullptr ? route->visited : (uint64_t{1} << shard_id_);
-  const uint32_t target =
-      federation_->PickNextHop(shard_id_, query.query_class, visited);
-  if (target == federation::Federation::kNoShard) return false;
-  if (route == nullptr) {
-    // Chain start: this shard is the origin and owns the ticket until the
-    // outcome re-homes. Counted as delegated — with hop_budget=1 the chain
-    // IS the legacy one-hop borrow, stats included.
-    route = AcquireRoute();
-    ++stats_.queries_delegated;
-  } else {
-    // Mid-chain relay at a dry intermediate.
-    ++stats_.queries_forwarded;
-  }
-  route->AdvanceTo(target);
-  Mediator* peer = shard_mediators_[target];
-  federation::RouteState* r = route;
-  // {peer, 48-byte query, route*} fills the EventFn inline buffer exactly;
-  // the static_assert keeps the forward path heap-free by construction.
-  auto forward = [peer, query, r] { peer->OnForwardedQuery(query, r); };
-  static_assert(sizeof(forward) <= util::EventFn::kInlineSize);
-  shard_set_->PostTo(shard_id_, target, rt_->now() + OneWayLatency(),
-                     rt::TaskFn(std::move(forward)));
-  return true;
-}
-
-void Mediator::OnForwardedQuery(model::Query query,
-                                federation::RouteState* route) {
-  Mediate(std::move(query), route->origin_shard, route);
-}
-
 void Mediator::RouteOutcomeHome(uint32_t origin_shard,
-                                const QueryOutcome& outcome,
-                                federation::RouteState* route) {
+                                const QueryOutcome& outcome) {
   Mediator* home = shard_mediators_[origin_shard];
   // The outcome rides home in a pooled slab slot owned by this (the
   // performing) shard: the mailbox closure carries {home, this, payload,
@@ -391,18 +290,6 @@ void Mediator::RouteOutcomeHome(uint32_t origin_shard,
   const uint32_t slot = AcquireOutboundOutcome(outcome);
   const QueryOutcome* payload = &outbound_outcomes_[slot];
   Mediator* self = this;
-  if (route != nullptr) {
-    // Federation chain: the outcome re-homes DIRECTLY to the origin (one
-    // mailbox hop — the full mesh of the fabric's mailboxes makes relaying
-    // back along the recorded path pure latency), carrying the route so
-    // the origin can release the ticket from its own pool.
-    federation::RouteState* r = route;
-    shard_set_->PostTo(shard_id_, origin_shard, rt_->now() + OneWayLatency(),
-                       rt::TaskFn([home, self, payload, slot, r] {
-                         home->OnForwardedOutcome(*payload, self, slot, r);
-                       }));
-    return;
-  }
   shard_set_->PostTo(shard_id_, origin_shard, rt_->now() + OneWayLatency(),
                      rt::TaskFn([home, self, payload, slot] {
                        home->OnDelegatedOutcome(*payload, self, slot);
@@ -449,59 +336,25 @@ void Mediator::OnDelegatedOutcome(const QueryOutcome& outcome,
                      }));
 }
 
-void Mediator::OnForwardedOutcome(const QueryOutcome& outcome,
-                                  Mediator* performer, uint32_t slot,
-                                  federation::RouteState* route) {
-  // Same shape as OnDelegatedOutcome, plus retiring the chain's ticket:
-  // this is the origin shard, so the route slot goes back to the local
-  // pool — the free list is only ever touched on its owning context.
-  outcome_scratch_ = outcome;
-  ReleaseRoute(route);
-  FinalizeOutcome(shard_id_, &outcome_scratch_);
-  shard_set_->PostTo(shard_id_, performer->shard_id_, rt_->now(),
-                     rt::TaskFn([performer, slot] {
-                       performer->ReleaseOutboundOutcome(slot);
-                     }));
-}
-
-void Mediator::Mediate(model::Query query, uint32_t origin_shard,
-                       federation::RouteState* route) {
+void Mediator::Mediate(model::Query query, uint32_t origin_shard) {
   // Index-backed Pq view over this shard's partition: O(1) to build and to
   // test for emptiness; the method decides whether to sample it (O(k)) or
   // materialize it (full-scan baselines, into the reused scratch buffer).
   const CandidateSet candidates =
       registry_->CandidatesForShard(shard_id_, query, &candidate_scratch_);
   if (candidates.empty()) {
-    if (route != nullptr) {
-      // Mid-chain and dry here too: relay onward while the hop budget
-      // lasts; otherwise this shard is the chain's terminal and reports
-      // unallocated home (counted as the borrow it consumed).
-      if (TryForward(query, route)) return;
-      ++stats_.queries_borrowed;
-      FinalizeUnallocated(query, origin_shard, route);
-      return;
-    }
     // Borrow path — only for this shard's own queries: a borrowed query
     // whose target pool went dry since the directory snapshot reports
     // unallocated at home rather than bouncing between shards.
-    if (origin_shard == shard_id_) {
-      if (federation_ != nullptr ? TryForward(query, nullptr)
-                                 : TryDelegate(query)) {
-        return;
-      }
-    }
+    if (origin_shard == shard_id_ && TryDelegate(query)) return;
     FinalizeUnallocated(query, origin_shard);
     return;
   }
 
-  // A chain ends where candidates exist: this shard mediates on the
-  // origin's behalf.
-  if (route != nullptr) ++stats_.queries_borrowed;
   const InflightHandle h = AcquireInflight();
   InFlight& f = inflight_pool_.at(SlotOf(h));
   f.query = query;
   f.origin_shard = origin_shard;
-  f.route = route;
   if (query.deadline > 0) f.abs_deadline = query.issued_at + query.deadline;
   Allocate(h, candidates);
 }
@@ -592,9 +445,8 @@ void Mediator::Dispatch(InflightHandle h) {
     // economic mediation with no affordable bid.
     const model::Query query = f->query;
     const uint32_t origin_shard = f->origin_shard;
-    federation::RouteState* route = f->route;
     ReleaseInflight(h);
-    FinalizeUnallocated(query, origin_shard, route);
+    FinalizeUnallocated(query, origin_shard);
     return;
   }
 
@@ -854,17 +706,13 @@ QueryOutcome& Mediator::BeginOutcome(const model::Query& query) {
   return outcome;
 }
 
-void Mediator::FinalizeOutcome(uint32_t origin_shard, QueryOutcome* outcome,
-                               federation::RouteState* route) {
+void Mediator::FinalizeOutcome(uint32_t origin_shard, QueryOutcome* outcome) {
   outcome->completed_at = rt_->now();
   outcome->response_time = rt_->now() - outcome->query.issued_at;
   if (origin_shard == shard_id_) {
-    // Chains never revisit their origin (visited bitmap), so a route here
-    // would mean the ticket leaked past its release.
-    SBQA_DCHECK(route == nullptr);
     RecordConsumerOutcome(outcome);
   } else {
-    RouteOutcomeHome(origin_shard, *outcome, route);
+    RouteOutcomeHome(origin_shard, *outcome);
   }
 }
 
@@ -885,12 +733,7 @@ void Mediator::Finalize(InflightHandle h, bool timed_out) {
   QueryOutcome& outcome = BeginOutcome(f->query);
   outcome.timed_out = timed_out;
   outcome.attempts = f->attempt;
-  // Hop count of the borrow that brought the query here: a federation
-  // chain knows its length; the legacy delegation path is one hop by
-  // construction.
-  outcome.hops = f->route != nullptr
-                     ? static_cast<int>(f->route->hops)
-                     : (f->origin_shard != shard_id_ ? 1 : 0);
+  outcome.hops = f->origin_shard != shard_id_ ? 1 : 0;
 
   performer_intentions_scratch_.clear();
   for (Instance& inst : f->instances) {
@@ -919,29 +762,19 @@ void Mediator::Finalize(InflightHandle h, bool timed_out) {
       outcome.satisfaction, f->decision.consumer_intentions,
       f->query.n_results);
 
-  // This shard did the mediating, so this shard's digest row learns from
-  // the result — regardless of which shard the query came from.
-  RecordClassSatisfaction(f->query.query_class, outcome.satisfaction);
-
   const uint32_t origin_shard = f->origin_shard;
-  federation::RouteState* route = f->route;
   ReleaseInflight(h);
-  FinalizeOutcome(origin_shard, &outcome, route);
+  FinalizeOutcome(origin_shard, &outcome);
 }
 
 void Mediator::FinalizeUnallocated(const model::Query& query,
-                                   uint32_t origin_shard,
-                                   federation::RouteState* route) {
+                                   uint32_t origin_shard) {
   ++stats_.queries_unallocated;
   QueryOutcome& outcome = BeginOutcome(query);
   outcome.unallocated = true;
   outcome.allocation_satisfaction = 1;  // nothing was achievable
-  outcome.hops = route != nullptr ? static_cast<int>(route->hops)
-                                  : (origin_shard != shard_id_ ? 1 : 0);
-  // A dry finalization is the strongest negative signal the digest can
-  // carry for this class.
-  RecordClassSatisfaction(query.query_class, 0.0);
-  FinalizeOutcome(origin_shard, &outcome, route);
+  outcome.hops = origin_shard != shard_id_ ? 1 : 0;
+  FinalizeOutcome(origin_shard, &outcome);
 }
 
 // --- Retry & health ----------------------------------------------------------
@@ -1063,10 +896,7 @@ void Mediator::ProbeProvider(model::ProviderId provider) {
 
 void Mediator::RecordConsumerOutcome(QueryOutcome* outcome) {
   ++stats_.queries_finalized;
-  // Hops histogram over every finalized query (0 = served from the local
-  // pool); rows sum to queries_finalized by construction.
-  ++stats_.borrow_hops[std::min<size_t>(static_cast<size_t>(outcome->hops),
-                                        federation::kMaxHopBudget)];
+  if (outcome->hops > 0) ++stats_.queries_rehomed;
   switch (ClassifyOutcome(*outcome)) {
     case OutcomeKind::kSatisfied:
       ++stats_.queries_satisfied;
@@ -1094,6 +924,7 @@ void Mediator::RecordConsumerOutcome(QueryOutcome* outcome) {
   consumer.satisfaction_tracker().RecordQuery(
       outcome->satisfaction, outcome->adequation,
       outcome->allocation_satisfaction);
+  registry_->MarkConsumerSatisfactionChanged(consumer.id());
   consumer.OnQueryCompleted();
 
   NotifyCompleted(*outcome);

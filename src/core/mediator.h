@@ -27,7 +27,6 @@
 /// inflight lists, the steady-state simulate-one-query path performs no
 /// heap allocation and no hashing.
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -39,7 +38,6 @@
 #include "core/registry.h"
 #include "core/satisfaction.h"
 #include "core/score_kernel.h"
-#include "federation/route_state.h"
 #include "model/query.h"
 #include "model/reputation.h"
 #include "runtime/runtime.h"
@@ -51,11 +49,6 @@
 namespace sbqa::sim {
 class Simulation;
 }  // namespace sbqa::sim
-
-namespace sbqa::federation {
-class Federation;
-class SatisfactionDigest;
-}  // namespace sbqa::federation
 
 namespace sbqa::core {
 
@@ -118,16 +111,10 @@ struct MediatorStats {
   /// the class was dry, and queries it mediated on behalf of a peer.
   int64_t queries_delegated = 0;
   int64_t queries_borrowed = 0;
-  /// Federation multi-hop chains: queries this mediator relayed onward
-  /// mid-chain (its own pool was dry for a query it did not originate).
-  /// A chain of h hops counts 1 delegated at the origin, h-1 forwarded at
-  /// intermediates and 1 borrowed at the terminal shard.
-  int64_t queries_forwarded = 0;
-  /// Histogram of hop counts over finalized queries (consumer-side, like
-  /// queries_finalized): borrow_hops[0] are locally-mediated queries,
-  /// borrow_hops[h] queries that travelled h cross-shard forwards. Sums to
-  /// queries_finalized; index is capped at kMaxHopBudget.
-  std::array<int64_t, federation::kMaxHopBudget + 1> borrow_hops{};
+  /// Finalized queries whose outcome a peer shard re-homed here
+  /// (consumer-side, like queries_finalized): the delegated queries that
+  /// have landed. Each took exactly one cross-shard hop.
+  int64_t queries_rehomed = 0;
   /// Terminal outcome taxonomy (consumer-side: counted where the outcome
   /// lands, like queries_finalized). kShed is facade-level and stays 0
   /// here; kTimedOut is queries_timed_out above; kFailed splits into
@@ -178,11 +165,11 @@ class Mediator {
   /// Optional hooks.
   void AddObserver(MediationObserver* observer);
   /// Enables the departure model; `run_sweep` additionally schedules the
-  /// periodic whole-population evaluation (in a federation exactly one
-  /// mediator should run the sweep).
+  /// periodic whole-population evaluation (in a mediator group exactly
+  /// one mediator should run the sweep).
   void SetDepartureModel(const DepartureConfig& config, bool run_sweep = true);
 
-  /// Federation: mediators sharing one registry split the consumer
+  /// Mediator groups: mediators sharing one registry split the consumer
   /// population. Peers get their in-flight instances failed when this
   /// mediator takes a provider out (departure or churn). `peers` may
   /// contain `this`; it is ignored.
@@ -193,31 +180,16 @@ class Mediator {
   /// pool becomes registry partition `shard`, its
   /// departure sweep covers only shard-owned participants, and a dry
   /// candidate pool triggers the cross-shard borrow path: the query is
-  /// forwarded over the mailbox to the first shard (fixed wrap-around
-  /// order, per `directory`) that has candidates for the class, mediated
-  /// there against that shard's providers, and the outcome is routed back
-  /// here for the consumer-side bookkeeping — so provider state is only
-  /// ever touched by its owning shard, and consumer state by its own.
-  /// `shards` and `directory` must outlive the mediator;
-  /// `shard_mediators[s]` is shard s's mediator (including this one).
+  /// forwarded over the mailbox to the least-loaded shard that has
+  /// candidates for the class (per `directory`), mediated there against
+  /// that shard's providers, and the outcome is routed back here for the
+  /// consumer-side bookkeeping — so provider state is only ever touched by
+  /// its owning shard, and consumer state by its own. `shards` and
+  /// `directory` must outlive the mediator; `shard_mediators[s]` is shard
+  /// s's mediator (including this one).
   void ConfigureSharding(rt::ShardFabric* shards, uint32_t shard,
                          const ShardDirectory* directory,
                          std::vector<Mediator*> shard_mediators);
-
-  /// Federation mode (requires ConfigureSharding first): a dry pool routes
-  /// queries through `federation`'s peer topology as multi-hop borrow
-  /// chains instead of the single-hop TryDelegate, scored by the
-  /// barrier-published satisfaction digest. `federation` must outlive the
-  /// mediator and is shared read-only by every shard's mediator during
-  /// windows. With hop_budget=1 on the full mesh (digest_weight 0) the
-  /// chain path is behaviorally identical to legacy delegation.
-  void ConfigureFederation(const federation::Federation* federation);
-
-  /// Writes this shard's row of the cross-mediator satisfaction exchange:
-  /// its overall satisfaction mean plus one entry per query class it has
-  /// mediated. Runs on the barrier driver while workers are parked (the
-  /// ShardDirectory publish contract).
-  void PublishFederationDigest(federation::SatisfactionDigest* digest) const;
 
   /// This mediator's shard id (0 when unsharded).
   uint32_t shard() const { return shard_id_; }
@@ -237,18 +209,6 @@ class Mediator {
   /// Mailbox return hop of the outcome slab: hands a slot whose outcome the
   /// home shard consumed back to this (the owning) mediator's free list.
   void ReleaseOutboundOutcome(uint32_t slot);
-
-  /// A federation peer forwarded `query` here on a multi-hop borrow chain;
-  /// `route` lives in the origin shard's route pool (stable address,
-  /// sequentially owned — only the shard currently holding the query
-  /// touches it, with the barrier drain as the happens-before edge).
-  void OnForwardedQuery(model::Query query, federation::RouteState* route);
-  /// Terminal hop of a chain re-homed its outcome here (this is the origin
-  /// shard): record the consumer-side outcome, release the route slot
-  /// (owned by this shard's pool), and mail the slab slot back to
-  /// `performer` like OnDelegatedOutcome does.
-  void OnForwardedOutcome(const QueryOutcome& outcome, Mediator* performer,
-                          uint32_t slot, federation::RouteState* route);
 
   /// Entry point: the consumer issues `query` at the current simulation
   /// time (query.issued_at is stamped here). The mediation proceeds through
@@ -382,10 +342,6 @@ class Mediator {
   size_t timeout_ring_size() const { return timeout_ring_.size(); }
   size_t timeout_ring_head() const { return timeout_head_; }
   size_t timeout_ring_capacity() const { return timeout_ring_.capacity(); }
-  /// Route-pool slots ever created (the forward path's high-water mark).
-  size_t route_slot_capacity() const { return route_pool_.size(); }
-  /// Routes currently in flight (acquired at this origin, not yet homed).
-  size_t route_live_count() const { return route_pool_.live_count(); }
   /// Whether the health detector currently suspects `provider` (false
   /// when the detector is disabled or the provider is unknown).
   bool provider_suspected(model::ProviderId provider) const {
@@ -434,10 +390,6 @@ class Mediator {
     /// Providers whose instances failed in earlier attempts; retries never
     /// select them again. Pooled — capacity survives slot reuse.
     std::vector<model::ProviderId> tried;
-    /// Federation borrow chain this query arrived on (null for local and
-    /// legacy-delegated queries). Lives in the origin shard's route pool;
-    /// finalization routes it home where it is released.
-    federation::RouteState* route = nullptr;
   };
 
   /// One pending query timeout. The timeout duration is a mediator
@@ -486,10 +438,8 @@ class Mediator {
 
   void OnQueryArrival(model::Query query);
   /// The shared mediation body: allocates `query` against this shard's
-  /// candidate pool on behalf of `origin_shard`. `route` is non-null
-  /// exactly when the query arrived over a federation borrow chain.
-  void Mediate(model::Query query, uint32_t origin_shard,
-               federation::RouteState* route = nullptr);
+  /// candidate pool on behalf of `origin_shard`.
+  void Mediate(model::Query query, uint32_t origin_shard);
   /// Runs the allocation method for the query's current attempt and
   /// schedules its dispatch (shared by first attempts and retries).
   void Allocate(InflightHandle h, const CandidateSet& candidates);
@@ -497,24 +447,10 @@ class Mediator {
   /// with candidates (per the directory). False when unsharded or nobody
   /// has candidates.
   bool TryDelegate(const model::Query& query);
-  /// Federation forward: routes a locally unallocatable query one hop
-  /// along its borrow chain. With `route` null this is a chain *start*
-  /// (acquire a RouteState from the pool, counts as delegated); non-null
-  /// it relays an in-flight chain (counts as forwarded). False when the
-  /// budget is spent or the scorer finds no eligible next hop.
-  bool TryForward(const model::Query& query, federation::RouteState* route);
-  /// Pool plumbing for the borrow-chain tickets. Acquire arms the state
-  /// for a chain starting here; Release must run on this (the origin)
-  /// shard's context — the free list is never touched remotely.
-  federation::RouteState* AcquireRoute();
-  void ReleaseRoute(federation::RouteState* route);
   /// Sends a borrowed query's outcome back to its origin shard through a
   /// pooled slab slot (0 heap allocations per delegated query at steady
   /// state — the mailbox closure carries a pointer, not the outcome).
-  /// `route` non-null selects the federation return hop (the origin also
-  /// releases the chain's route slot).
-  void RouteOutcomeHome(uint32_t origin_shard, const QueryOutcome& outcome,
-                        federation::RouteState* route);
+  void RouteOutcomeHome(uint32_t origin_shard, const QueryOutcome& outcome);
   /// Copies `outcome` into a free outbound slab slot (growing the slab only
   /// until its high-water mark) and returns the slot index.
   uint32_t AcquireOutboundOutcome(const QueryOutcome& outcome);
@@ -554,10 +490,8 @@ class Mediator {
   void ProbeProvider(model::ProviderId provider);
   void Finalize(InflightHandle handle, bool timed_out);
   /// Finalizes a query that never got any provider, routing the outcome to
-  /// `origin_shard`'s mediator when the query was borrowed. `route` is the
-  /// query's borrow chain (null off the federation path).
-  void FinalizeUnallocated(const model::Query& query, uint32_t origin_shard,
-                           federation::RouteState* route = nullptr);
+  /// `origin_shard`'s mediator when the query was borrowed.
+  void FinalizeUnallocated(const model::Query& query, uint32_t origin_shard);
 
   /// Resets the reusable outcome scratch and stamps the query-derived
   /// fields every finalization path shares (query, results_required).
@@ -565,19 +499,12 @@ class Mediator {
   /// Shared finalization tail: stamps completion timing (completed_at /
   /// response_time as of now) and delivers the outcome — consumer-side
   /// stats at home, or routed to `origin_shard`'s mediator over the
-  /// mailbox when the query was borrowed (`route` rides the federation
-  /// return hop).
-  void FinalizeOutcome(uint32_t origin_shard, QueryOutcome* outcome,
-                       federation::RouteState* route = nullptr);
+  /// mailbox when the query was borrowed.
+  void FinalizeOutcome(uint32_t origin_shard, QueryOutcome* outcome);
 
   /// Records the consumer-side satisfaction values for a finalized query
   /// and runs the consumer departure check.
   void RecordConsumerOutcome(QueryOutcome* outcome);
-
-  /// Feeds the per-class digest accumulators at the MEDIATING shard (the
-  /// one whose pool served — or failed — the query). No-op off federation.
-  void RecordClassSatisfaction(model::QueryClassId query_class,
-                               double satisfaction);
 
   /// Fails every pending instance held by `provider` (departure or churn),
   /// finalizing queries whose last instance died.
@@ -593,7 +520,7 @@ class Mediator {
 
   void NotifyCompleted(const QueryOutcome& outcome);
 
-  /// Fails the pending instances of `provider` on every federation peer.
+  /// Fails the pending instances of `provider` on every group peer.
   void NotifyPeersProviderGone(model::ProviderId provider);
 
   rt::Runtime* rt_;
@@ -616,23 +543,6 @@ class Mediator {
   const ShardDirectory* directory_ = nullptr;
   std::vector<Mediator*> shard_mediators_;
   uint32_t shard_id_ = 0;
-
-  /// Federation wiring (null = legacy single-hop delegation).
-  const federation::Federation* federation_ = nullptr;
-  /// Borrow-chain tickets for chains ORIGINATING here. Deque-backed
-  /// (stable addresses): the raw RouteState* rides cross-shard closures
-  /// while this pool may grow for other queries. Provisioned alongside the
-  /// in-flight pool so the forward path never allocates at steady state.
-  util::StableSlotPool<federation::RouteState> route_pool_;
-  /// Per-class satisfaction accumulators feeding the digest exchange
-  /// (dense by class id; only touched when federation_ is set). Recorded
-  /// at the MEDIATING shard — the digest advertises how well this shard's
-  /// pool serves each class, which is what forward scoring needs.
-  struct ClassSatisfaction {
-    double sum = 0;
-    int64_t count = 0;
-  };
-  std::vector<ClassSatisfaction> class_satisfaction_;
 
   /// Outbound outcome slab for the borrow path's re-homing hop: a deque so
   /// entries have stable addresses the home shard can read while this shard

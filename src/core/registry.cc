@@ -36,6 +36,13 @@ model::ConsumerId Registry::AddConsumer(const ConsumerParams& params) {
   consumers_.emplace_back(id, params);
   consumers_.back().set_observer(this);
   ++active_consumers_[ConsumerShard(id)];  // consumers start active
+  published_consumers_.emplace_back();
+  if (shard_count_ > 1) {
+    // A runtime join: keep the owner's change list able to hold every
+    // consumer it owns (SetShardCount reserved it for the initial ones).
+    marked_consumers_[ConsumerShard(id)].ids.reserve(
+        consumers_.size() / shard_count_ + 1);
+  }
   return id;
 }
 
@@ -95,13 +102,52 @@ void Registry::SetShardCount(uint32_t shard_count) {
   }
 
   active_consumers_.assign(shard_count, 0);
+  marked_consumers_.clear();
+  marked_consumers_.resize(shard_count);
+  for (MarkedConsumers& marked : marked_consumers_) {
+    marked.ids.reserve(consumers_.size() / shard_count + 1);
+  }
   for (const Consumer& c : consumers_) {
     if (c.active()) ++active_consumers_[ConsumerShard(c.id())];
+    published_consumers_[static_cast<size_t>(c.id())] = PublishedConsumer{
+        {c.satisfaction(), c.satisfaction_tracker().sample_count()}, false};
   }
   pending_membership_.clear();
   pending_membership_.resize(shard_count);
   apply_scratch_.clear();
   apply_scratch_.resize(shard_count);
+}
+
+// --- Barrier-published consumer satisfaction ---------------------------------
+
+void Registry::MarkConsumerSatisfactionChanged(model::ConsumerId id) {
+  if (shard_count_ <= 1) return;
+  PublishedConsumer& slot = published_consumers_[static_cast<size_t>(id)];
+  if (slot.marked) return;
+  slot.marked = true;
+  marked_consumers_[ConsumerShard(id)].ids.push_back(id);
+}
+
+void Registry::PublishConsumerSatisfaction() {
+  for (MarkedConsumers& marked : marked_consumers_) {
+    for (model::ConsumerId id : marked.ids) {
+      const Consumer& c = consumers_[static_cast<size_t>(id)];
+      PublishedConsumer& slot = published_consumers_[static_cast<size_t>(id)];
+      slot.published = {c.satisfaction(),
+                        c.satisfaction_tracker().sample_count()};
+      slot.marked = false;
+    }
+    marked.ids.clear();
+  }
+}
+
+Registry::ConsumerSatisfaction Registry::ConsumerSatisfactionFor(
+    model::ConsumerId id, uint32_t reader) const {
+  if (ConsumerShard(id) != reader) {
+    return published_consumers_[static_cast<size_t>(id)].published;
+  }
+  const Consumer& c = consumer(id);
+  return {c.satisfaction(), c.satisfaction_tracker().sample_count()};
 }
 
 // --- Elastic membership (epoch protocol) -------------------------------------

@@ -38,6 +38,14 @@
 /// rerun reproduces the same assignment bit for bit. Every applied epoch
 /// bumps membership_epoch(), which ShardDirectory snapshots to skip
 /// refreshes when nothing changed.
+///
+/// Consumer satisfaction crosses shards the same way: a borrowed query is
+/// scored on the donor shard with its consumer's Definition-1 satisfaction
+/// (Equation 2's δs(c)), while the consumer's home shard keeps recording
+/// outcomes into that memory. The home shard marks each consumer whose
+/// memory changed; at every barrier pass the driver copies the marked ones
+/// into a published slot (PublishConsumerSatisfaction), and a decision on
+/// any other shard reads that copy (ConsumerSatisfactionFor).
 
 #include <cstdint>
 #include <functional>
@@ -117,6 +125,32 @@ class Registry : private ProviderObserver, private ConsumerObserver {
   uint32_t ConsumerShard(model::ConsumerId id) const {
     return static_cast<uint32_t>(id) % shard_count_;
   }
+
+  // --- Barrier-published consumer satisfaction ------------------------------
+
+  /// Definition-1 satisfaction of one consumer plus the number of queries
+  /// in its memory (0 selects the scorer's cold-start stand-in).
+  struct ConsumerSatisfaction {
+    double satisfaction = 0;
+    size_t sample_count = 0;
+  };
+
+  /// Notes that `id`'s satisfaction memory changed. Owning shard's context
+  /// only (each shard's change list is single-writer); no-op unsharded.
+  void MarkConsumerSatisfactionChanged(model::ConsumerId id);
+
+  /// Copies every consumer marked since the last call into its published
+  /// slot. Barrier driver only, workers parked — call it after the
+  /// membership phase, which can finalize queries too. O(marked consumers),
+  /// and allocation-free: a change list never outgrows its shard's
+  /// consumers, which it is reserved for.
+  void PublishConsumerSatisfaction();
+
+  /// The satisfaction a decision on shard `reader` scores `id` with: the
+  /// live memory when `reader` owns the consumer, else the copy published
+  /// at the last barrier (the owner may be writing the live one).
+  ConsumerSatisfaction ConsumerSatisfactionFor(model::ConsumerId id,
+                                               uint32_t reader) const;
 
   // --- Elastic membership (epoch protocol) ----------------------------------
 
@@ -260,6 +294,20 @@ class Registry : private ProviderObserver, private ConsumerObserver {
   std::vector<uint32_t> provider_shard_;
   /// Active-consumer count per owning shard.
   std::vector<int64_t> active_consumers_;
+  /// Per consumer: the barrier-published satisfaction, and whether the
+  /// consumer sits on its owner's change list. The owner writes `marked`
+  /// mid-window while other shards read `published` — distinct fields.
+  struct PublishedConsumer {
+    ConsumerSatisfaction published;
+    bool marked = false;
+  };
+  std::vector<PublishedConsumer> published_consumers_;
+  /// Consumers marked since the last publish, per owning shard (single
+  /// writer; padded like the membership log).
+  struct alignas(64) MarkedConsumers {
+    std::vector<model::ConsumerId> ids;
+  };
+  std::vector<MarkedConsumers> marked_consumers_;
   /// Membership log, indexed by source shard (size shard_count_).
   std::vector<MembershipOps> pending_membership_;
   /// Apply-time scratch (same shape as the log): AdvanceEpoch swaps the

@@ -269,11 +269,14 @@ void ScoreKernel::ScoreAndSelect(Mediator& mediator, const model::Query& query,
   const Registry& registry = mediator.registry();
   const Consumer& consumer = registry.consumer(query.consumer);
   // Equation 2's delta_s(c), with the configured cold-start stand-in
-  // before any query completed.
+  // before any query completed. A borrowed query's consumer lives on
+  // another shard, which may be recording outcomes into it right now: the
+  // registry hands this shard the copy published at the last barrier.
+  const Registry::ConsumerSatisfaction seen =
+      registry.ConsumerSatisfactionFor(query.consumer, mediator.shard());
   const double consumer_satisfaction =
-      consumer.satisfaction_tracker().sample_count() == 0
-          ? spec.cold_start_consumer_satisfaction
-          : consumer.satisfaction();
+      seen.sample_count == 0 ? spec.cold_start_consumer_satisfaction
+                             : seen.satisfaction;
   const bool batched = kind_ == ScoreKernelKind::kBatched;
 
   int64_t t = TimingNow();

@@ -24,6 +24,9 @@ namespace sbqa {
 
 namespace {
 
+/// Manual-clock step of WaitIdle on the single-runtime engine.
+constexpr double kManualIdleStep = 0.001;
+
 /// Epoch applier of the sharded engine: routes each membership op applied
 /// by Registry::AdvanceEpoch to the owning shard's mediator and grows the
 /// reputation registry for joins. Runs on the barrier leader with every
@@ -84,10 +87,7 @@ void MergeMediatorStats(core::MediatorStats* into,
   into->consumer_retirements += s.consumer_retirements;
   into->queries_delegated += s.queries_delegated;
   into->queries_borrowed += s.queries_borrowed;
-  into->queries_forwarded += s.queries_forwarded;
-  for (size_t i = 0; i < into->borrow_hops.size(); ++i) {
-    into->borrow_hops[i] += s.borrow_hops[i];
-  }
+  into->queries_rehomed += s.queries_rehomed;
   into->queries_satisfied += s.queries_satisfied;
   into->queries_recovered += s.queries_recovered;
   into->queries_failed += s.queries_failed;
@@ -128,9 +128,6 @@ struct Engine::Impl final : core::MediationObserver {
   std::vector<std::unique_ptr<core::Mediator>> mediators;
   std::vector<core::Mediator*> mediator_ptrs;
   core::ShardDirectory directory;
-  /// Multi-hop borrow routing planes (sharded engines with
-  /// options.federation.enabled only; see src/federation/README.md).
-  federation::Federation federation;
   std::unique_ptr<EngineMembership> membership;
   /// Serializes Start/Stop against Stats/Snapshot: a probe posted to the
   /// executor is only awaited while this lock keeps Stop from joining the
@@ -308,7 +305,6 @@ struct Engine::Impl final : core::MediationObserver {
     }
     out.queries_delegated = s.queries_delegated;
     out.queries_borrowed = s.queries_borrowed;
-    out.queries_forwarded = s.queries_forwarded;
     if (shard_set != nullptr) {
       out.shard_barriers = static_cast<int64_t>(shard_set->barriers());
       out.shard_early_barriers =
@@ -330,7 +326,6 @@ struct Engine::Impl final : core::MediationObserver {
       row.queries_finalized = m.queries_finalized;
       row.queries_delegated = m.queries_delegated;
       row.queries_borrowed = m.queries_borrowed;
-      row.queries_forwarded = m.queries_forwarded;
       const rt::WallClockRuntime& rt = shard_set->runtime(s);
       row.pending_timers = static_cast<int64_t>(rt.pending_timers());
       row.tasks_executed = static_cast<int64_t>(rt.tasks_executed());
@@ -515,8 +510,9 @@ void Engine::Start() {
     // Thread-per-shard wiring: partition the registry, build one mediator
     // (optionally behind a per-shard fault injector whose streams derive
     // from (fault_plan.seed, shard)) on each shard's runtime, and wire the
-    // barrier phases — epoch membership application, then the cross-shard
-    // directory refresh. This mirrors the sharded simulation runner.
+    // barrier phases — epoch membership application and the consumer
+    // satisfaction publish, then the cross-shard directory refresh. This
+    // mirrors the sharded simulation runner.
     const uint32_t n = impl.shard_set->shard_count();
     impl.registry.SetShardCount(n);
     impl.mediators.reserve(n);
@@ -546,25 +542,12 @@ void Engine::Start() {
     Impl* im = &impl;
     impl.shard_set->SetMembershipHook([im](rt::Time) {
       im->registry.AdvanceEpoch(im->membership.get());
+      im->registry.PublishConsumerSatisfaction();
     });
     impl.shard_set->AddBarrierHook([im](rt::Time) {
       im->directory.RefreshIfChanged(im->registry);
     });
     impl.directory.Refresh(impl.registry);
-    if (impl.options.federation.enabled && n > 1) {
-      impl.federation.Build(impl.options.federation, n, &impl.directory);
-      for (core::Mediator* m : impl.mediator_ptrs) {
-        m->ConfigureFederation(&impl.federation);
-      }
-      // Satisfaction exchange: every barrier republishes each shard's
-      // per-(shard, class) digest row while the workers are parked; the
-      // next window's forwards read the refreshed rows.
-      impl.shard_set->AddBarrierHook([im](rt::Time) {
-        for (core::Mediator* m : im->mediator_ptrs) {
-          m->PublishFederationDigest(&im->federation.digest());
-        }
-      });
-    }
   } else {
     // Interpose the fault plane before any destination is registered so
     // the mediator's whole runtime view (sends, latency samples) goes
@@ -689,14 +672,14 @@ bool Engine::WaitIdle(double budget_seconds) {
           std::min(deadline, impl.shard_set->now() + step));
     }
   } else if (impl.options.wallclock.manual_clock) {
-    // Step at wheel-tick granularity: a single clock jump would stamp
-    // queued submissions at the end of the window, leaving their
-    // completion timers beyond it.
+    // Step in small increments: a single clock jump would stamp queued
+    // submissions at the end of the window, leaving their completion
+    // timers beyond it.
     const double deadline = impl.wall->now() + budget_seconds;
-    const double step = impl.options.wallclock.wheel_tick;
     while (impl.tickets_live.load(std::memory_order_acquire) > 0 &&
            impl.wall->now() < deadline) {
-      impl.wall->AdvanceTo(std::min(deadline, impl.wall->now() + step));
+      impl.wall->AdvanceTo(
+          std::min(deadline, impl.wall->now() + kManualIdleStep));
     }
   } else {
     const auto deadline = std::chrono::steady_clock::now() +

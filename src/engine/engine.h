@@ -41,7 +41,6 @@
 #include "core/mediation.h"
 #include "core/provider.h"
 #include "core/score_kernel.h"
-#include "federation/federation.h"
 #include "model/types.h"
 #include "runtime/fault.h"
 #include "runtime/wallclock_runtime.h"
@@ -122,7 +121,7 @@ struct EngineOptions {
 
   // --- kWallClock only -------------------------------------------------------
 
-  /// Timer-wheel / service-thread tuning. `wallclock.seed` is overridden
+  /// Timer / service-thread tuning. `wallclock.seed` is overridden
   /// by `seed`; `wallclock.manual_clock` turns the engine into a
   /// caller-driven replay executor (AdvanceTo instead of a service
   /// thread) — the deterministic-test seam.
@@ -147,14 +146,6 @@ struct EngineOptions {
   /// letting buffered cross-shard traffic ripen a whole tick (0 = barriers
   /// fire on time only).
   size_t shard_outbox_fill = 64;
-  /// Multi-hop borrow federation between shards (sharded engines only;
-  /// ignored at shards == 1). When enabled, a dry shard's query carries a
-  /// pooled RouteState along a chain of mediator forwards instead of the
-  /// single-hop delegation, scored from the barrier-refreshed directory
-  /// and (with digest_weight > 0) the cross-shard satisfaction exchange.
-  /// hop_budget = 1 on the default full mesh with digest_weight = 0 is
-  /// behaviorally identical to the legacy delegation.
-  federation::FederationConfig federation;
 };
 
 /// One query submission.
@@ -232,8 +223,6 @@ struct EngineStats {
   // Sharded serving (all zero when shards == 1).
   int64_t queries_delegated = 0;    ///< cross-shard borrows forwarded
   int64_t queries_borrowed = 0;     ///< queries mediated for a peer shard
-  /// Mid-chain federation relays (0 unless federation with hop_budget > 1).
-  int64_t queries_forwarded = 0;
   int64_t shard_barriers = 0;       ///< barrier rendezvous performed
   int64_t shard_early_barriers = 0; ///< barriers pulled by outbox fill
   double mean_response_time = 0;    ///< queries with >= 1 result
@@ -249,8 +238,7 @@ struct EngineShardStats {
   int64_t queries_finalized = 0;
   int64_t queries_delegated = 0;  ///< borrows this shard sent to peers
   int64_t queries_borrowed = 0;   ///< borrows this shard served for peers
-  int64_t queries_forwarded = 0;  ///< chain relays this shard passed on
-  int64_t pending_timers = 0;     ///< live timers on the shard's wheel
+  int64_t pending_timers = 0;     ///< live timers on the shard's runtime
   int64_t tasks_executed = 0;     ///< tasks the shard's executor ran
 };
 

@@ -200,8 +200,6 @@ void AppendRunSummaryJson(const RunResult& result, int indent,
   obj.Field("queries_timed_out", s.queries_timed_out);
   obj.Field("queries_delegated", s.queries_delegated);
   obj.Field("queries_borrowed", s.queries_borrowed);
-  obj.Field("queries_forwarded", s.queries_forwarded);
-  obj.Field("queries_multi_hop", s.queries_multi_hop);
   obj.Field("mean_borrow_hops", s.mean_borrow_hops);
   obj.Field("queries_satisfied", s.queries_satisfied);
   obj.Field("queries_recovered", s.queries_recovered);

@@ -5,7 +5,6 @@
 
 #include "core/sbqa.h"
 #include "core/shard_directory.h"
-#include "federation/federation.h"
 #include "metrics/collector.h"
 #include "model/reputation.h"
 #include "runtime/fault.h"
@@ -53,7 +52,7 @@ core::MediatorConfig StampedMediator(const ScenarioConfig& config) {
 }
 
 /// Harvests scoring-kernel telemetry from the mediators' methods into the
-/// result (aggregating across shards / federation peers; non-SbQA methods
+/// result (aggregating across shards and mediator groups; non-SbQA methods
 /// leave it empty).
 void HarvestDecisionPhases(
     const std::vector<std::unique_ptr<core::Mediator>>& mediators,
@@ -189,7 +188,6 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
   std::vector<core::Mediator*> mediator_ptrs;  // all, shard-major
   std::vector<core::Mediator*> gateways;       // first of each group
   core::ShardDirectory directory;
-  federation::Federation federation;
   mediators.reserve(shard_count * group);
   for (uint32_t s = 0; s < shard_count; ++s) {
     rt::Runtime* runtime = &shards.shard(s).runtime();
@@ -220,7 +218,7 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
   }
   if (group > 1) {
     // In-shard peer propagation (provider failures reach every group
-    // member's in-flight instances), as in the unsharded federation path.
+    // member's in-flight instances), as in the unsharded mediator group.
     for (uint32_t s = 0; s < shard_count; ++s) {
       std::vector<core::Mediator*> in_shard(
           mediator_ptrs.begin() + static_cast<long>(s * group),
@@ -228,16 +226,6 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
       for (core::Mediator* mediator : in_shard) {
         mediator->SetPeers(in_shard);
       }
-    }
-  }
-  if (config.federation.enabled && shard_count > 1) {
-    federation.Build(config.federation, shard_count, &directory);
-    // Gateways only: a chain's RouteState ticket must re-home to the pool
-    // it was acquired from, and re-homed outcomes always land on the
-    // origin shard's gateway. Non-gateway group members keep the legacy
-    // single-hop delegation (which is group-safe).
-    for (core::Mediator* gateway : gateways) {
-      gateway->ConfigureFederation(&federation);
     }
   }
   if (config.departure.providers_can_leave ||
@@ -345,15 +333,18 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
   }
 
   // Membership phase of the barrier sequence (drain mailboxes -> apply
-  // membership log -> refresh directory -> resume): the driver applies
-  // every queued op through the owning shard's mediator while all workers
-  // are parked. Initial ops (churn's "start offline" draws) are applied
+  // membership log -> publish consumer satisfaction -> refresh directory
+  // -> resume): the driver applies every queued op through the owning
+  // shard's mediator while all workers are parked, then publishes the
+  // consumer satisfaction that borrowed queries are scored with on their
+  // donor shards. Initial ops (churn's "start offline" draws) are applied
   // right here so the t = 0 population state matches the classic engine.
   RunnerMembership membership(&registry, &shards, gateways, mediator_ptrs,
                               &reputation, config.churn);
   if (shard_count > 1) {
     shards.SetMembershipHook([&registry, &membership](double) {
       registry.AdvanceEpoch(&membership);
+      registry.PublishConsumerSatisfaction();
     });
     if (registry.HasPendingMembershipOps()) {
       registry.AdvanceEpoch(&membership);
@@ -370,17 +361,6 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
     shards.AddBarrierHook([&directory, &registry](double) {
       directory.RefreshIfChanged(registry);
     });
-    if (config.federation.enabled) {
-      // Satisfaction exchange: each gateway republishes its shard's
-      // per-(shard, class) digest row while every worker is parked; the
-      // next window's RouteScorer reads the refreshed rows. Shard order is
-      // fixed, so the exchange is deterministic.
-      shards.AddBarrierHook([&federation, &gateways](double) {
-        for (core::Mediator* gateway : gateways) {
-          gateway->PublishFederationDigest(&federation.digest());
-        }
-      });
-    }
   }
   if (collector.has_shared_observers()) {
     shards.AddBarrierHook(
@@ -439,7 +419,7 @@ RunResult RunScenario(const ScenarioConfig& config) {
 
   model::ReputationRegistry reputation(registry.provider_count());
 
-  // Mediator federation with the method under test (each mediator gets its
+  // Mediator group with the method under test (each mediator gets its
   // own method instance so per-method state like round-robin cursors stays
   // local, as it would on separate machines).
   const size_t mediator_count = std::max<size_t>(config.mediator_count, 1);
@@ -483,7 +463,7 @@ RunResult RunScenario(const ScenarioConfig& config) {
     }
   }
 
-  // Workload: one generator per project, sharded over the federation.
+  // Workload: one generator per project, sharded over the group.
   workload::QueryIdSource ids;
   std::vector<std::unique_ptr<workload::QueryGenerator>> generators;
   SBQA_CHECK_EQ(population.projects.size(), config.population.projects.size());

@@ -51,9 +51,9 @@ RunResult RunScenario(const ScenarioConfig& config);
 /// barrier-applied epoch ops of the registry's membership log, and shared
 /// observers are replayed through the collector's deterministic
 /// cross-shard mux. mediator_count > 1 runs a mediator GROUP per shard
-/// (the first member is the shard's cross-shard gateway), and
-/// config.federation enables multi-hop borrow chains between shard
-/// gateways (see src/federation/README.md).
+/// (the first member is the shard's cross-shard gateway). A shard whose
+/// pool is dry for a query delegates it one hop to the least-loaded donor
+/// shard (see src/core/README.md, "Cross-shard delegation").
 RunResult RunShardedScenario(const ScenarioConfig& config);
 
 /// Runs the same scenario once per method, holding everything else equal

@@ -13,7 +13,6 @@
 #include "core/departure.h"
 #include "core/mediator.h"
 #include "experiments/methods.h"
-#include "federation/federation.h"
 #include "runtime/fault.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
@@ -66,13 +65,6 @@ struct ScenarioConfig {
   /// gateway for cross-shard traffic (delegation targets, membership ops,
   /// departure sweeps).
   size_t mediator_count = 1;
-
-  /// Multi-hop borrow federation (sharded runs only; ignored at
-  /// shard_count <= 1). Off by default: a dry shard falls back to the
-  /// classic single-hop delegation. When enabled with hop_budget = 1 on
-  /// the default full mesh with digest_weight = 0, runs are bit-identical
-  /// to the classic delegation path.
-  federation::FederationConfig federation;
 
   /// Captive (disabled) vs autonomous (enabled) environment.
   core::DepartureConfig departure;

@@ -153,10 +153,7 @@ core::MediatorStats Collector::AggregateStats() const {
     total.consumer_retirements += s.consumer_retirements;
     total.queries_delegated += s.queries_delegated;
     total.queries_borrowed += s.queries_borrowed;
-    total.queries_forwarded += s.queries_forwarded;
-    for (size_t i = 0; i < total.borrow_hops.size(); ++i) {
-      total.borrow_hops[i] += s.borrow_hops[i];
-    }
+    total.queries_rehomed += s.queries_rehomed;
     total.queries_satisfied += s.queries_satisfied;
     total.queries_recovered += s.queries_recovered;
     total.queries_failed += s.queries_failed;
@@ -330,21 +327,10 @@ RunSummary Collector::Summarize(double duration) const {
   s.queries_timed_out = ms.queries_timed_out;
   s.queries_delegated = ms.queries_delegated;
   s.queries_borrowed = ms.queries_borrowed;
-  s.queries_forwarded = ms.queries_forwarded;
-  {
-    int64_t hop_weight = 0;
-    int64_t multi_hop = 0;
-    for (size_t h = 0; h < ms.borrow_hops.size(); ++h) {
-      hop_weight += static_cast<int64_t>(h) * ms.borrow_hops[h];
-      if (h > 1) multi_hop += ms.borrow_hops[h];
-    }
-    s.queries_multi_hop = multi_hop;
-    s.mean_borrow_hops =
-        ms.queries_finalized
-            ? static_cast<double>(hop_weight) /
-                  static_cast<double>(ms.queries_finalized)
-            : 0.0;
-  }
+  s.mean_borrow_hops = ms.queries_finalized
+                           ? static_cast<double>(ms.queries_rehomed) /
+                                 static_cast<double>(ms.queries_finalized)
+                           : 0.0;
   s.queries_satisfied = ms.queries_satisfied;
   s.queries_recovered = ms.queries_recovered;
   s.queries_failed = ms.queries_failed;

@@ -37,7 +37,7 @@
 
 namespace sbqa::metrics {
 
-/// Observes one mediator (or a federation / shard set of them) for the
+/// Observes one mediator (or a mediator group / shard set of them) for the
 /// duration of a run.
 class Collector {
  public:
@@ -47,7 +47,7 @@ class Collector {
   Collector(sim::Simulation* sim, core::Registry* registry,
             core::Mediator* mediator, double sample_interval = 10.0);
 
-  /// Federation flavour: observes several mediators sharing one registry
+  /// Mediator-group flavour: observes several mediators sharing one registry
   /// and aggregates their statistics.
   Collector(sim::Simulation* sim, core::Registry* registry,
             std::vector<core::Mediator*> mediators,

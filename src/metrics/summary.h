@@ -43,12 +43,9 @@ struct RunSummary {
   /// on behalf of a peer.
   int64_t queries_delegated = 0;
   int64_t queries_borrowed = 0;
-  /// Federation borrow chains (0 unless federation with hop_budget > 1):
-  /// mid-chain relays at dry intermediate shards, queries whose terminal
-  /// shard was more than one hop from home, and the mean chain length over
-  /// every finalized query (0 = all served locally).
-  int64_t queries_forwarded = 0;
-  int64_t queries_multi_hop = 0;
+  /// Mean cross-shard hops over every finalized query: the share of
+  /// finalized queries a peer shard mediated, since a borrow is one hop
+  /// (0 = all served locally).
   double mean_borrow_hops = 0;
   double fully_served_fraction = 0;
 

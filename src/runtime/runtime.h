@@ -14,7 +14,7 @@
 /// Execution model (all implementations): tasks are run-to-completion on
 /// ONE logical executor thread, in a deterministic order for deterministic
 /// runtimes — (time, submission order) for the simulation, (deadline,
-/// submission order) per service pass for the wall-clock timer wheel. A
+/// submission order) per service pass for the wall-clock timer core. A
 /// task never runs re-entrantly inside Schedule/SendTo; zero-delay work is
 /// deferred to the next dispatch, exactly like the simulator's zero-delay
 /// events. Every method except Post must be called from the executor

@@ -9,10 +9,6 @@ namespace sbqa::rt {
 
 WallClockRuntime::WallClockRuntime(const WallClockOptions& options)
     : options_(options), rng_(options.seed) {
-  // Retired wheel knobs: still validated so misconfigurations surface, but
-  // the unified timer core fires timers exactly and sizes itself.
-  SBQA_CHECK_GT(options_.wheel_tick, 0);
-  SBQA_CHECK_GT(options_.wheel_slots, 0u);
   // Executor scratch: sized for a healthy burst up front so the
   // steady-state service pass never grows them.
   immediate_.reserve(256);

@@ -41,14 +41,6 @@ namespace sbqa::rt {
 struct WallClockOptions {
   /// Seed of the runtime's root RNG stream (SplitRng derivations).
   uint64_t seed = 42;
-  /// Retired: granularity knob of the pre-ladder hashed timer wheel. The
-  /// unified timer core fires timers exactly (no tick quantization), so
-  /// this is validated (> 0) but otherwise ignored. Kept so existing
-  /// option literals keep compiling.
-  double wheel_tick = 0.001;
-  /// Retired alongside wheel_tick (bucket count of the old hashed wheel);
-  /// the ladder queue sizes its own rungs. Validated (> 0), ignored.
-  uint32_t wheel_slots = 4096;
   /// Test/replay seam: no service thread, no steady clock — the caller is
   /// the executor and drives time with AdvanceTo().
   bool manual_clock = false;

@@ -30,7 +30,7 @@
 /// function of the Post sequence. See src/runtime/README.md.
 ///
 /// The steady state is allocation-free per message: outbox vectors,
-/// per-shard wheels and the control queue all retain their capacity.
+/// per-shard timer cores and the control queue all retain their capacity.
 
 #include <atomic>
 #include <chrono>

@@ -10,8 +10,8 @@
 /// dispatch: with a positive `NetworkConfig::batch_tick`, deliveries to the
 /// same destination that land in the same tick are coalesced into ONE
 /// scheduler event (fired at the tick's upper boundary, messages delivered
-/// in send order). Multi-result queries and federation fan-in then cost one
-/// event per (destination, tick) batch instead of one per message. With
+/// in send order). Multi-result queries and multi-mediator fan-in then cost
+/// one event per (destination, tick) batch instead of one per message. With
 /// batch_tick == 0 (the default) every message schedules its own event and
 /// timing is exact.
 

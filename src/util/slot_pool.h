@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "util/check.h"
@@ -148,112 +147,6 @@ class SlotPool {
   }
 
   std::vector<Entry> entries_;
-  uint32_t free_head_ = kNoSlot;
-  size_t live_ = 0;
-};
-
-/// StableSlotPool<T>: SlotPool's deque-backed sibling for payloads whose
-/// *addresses* escape the owning context — e.g. the mediator's federation
-/// RouteState, where a raw T* rides a cross-shard closure while the origin
-/// shard may concurrently grow the pool for another query. SlotPool's
-/// vector storage reallocates on growth, invalidating every outstanding
-/// pointer; the deque grows in chunks and never moves an existing Entry,
-/// so `&at(slot)` stays valid for the payload's whole acquired life.
-///
-/// Everything else matches SlotPool: (generation << 32) | slot handles
-/// (never 0), payloads stay constructed across Release for capacity
-/// retention, Provision() pre-creates slots so a liveness-bounded caller
-/// never allocates at steady state, single-threaded owner contract.
-template <typename T>
-class StableSlotPool {
- public:
-  using Handle = uint64_t;
-
-  static constexpr uint32_t kNoSlot = UINT32_MAX;
-  static constexpr uint32_t kGenerationMask = 0x7FFFFFFF;
-
-  static uint32_t SlotOf(Handle handle) {
-    return static_cast<uint32_t>(handle);
-  }
-  static uint32_t GenerationOf(Handle handle) {
-    return static_cast<uint32_t>(handle >> 32) & kGenerationMask;
-  }
-
-  Handle Acquire() {
-    uint32_t slot;
-    if (free_head_ != kNoSlot) {
-      slot = free_head_;
-      free_head_ = entries_[slot].next_free;
-      entries_[slot].next_free = kNoSlot;
-    } else {
-      entries_.emplace_back();
-      slot = static_cast<uint32_t>(entries_.size() - 1);
-    }
-    Entry& entry = entries_[slot];
-    entry.live = true;
-    ++live_;
-    return MakeHandle(entry.generation, slot);
-  }
-
-  T* Resolve(Handle handle) {
-    const uint32_t slot = SlotOf(handle);
-    if (slot >= entries_.size()) return nullptr;
-    Entry& entry = entries_[slot];
-    if (!entry.live || entry.generation != GenerationOf(handle)) {
-      return nullptr;
-    }
-    return &entry.value;
-  }
-  const T* Resolve(Handle handle) const {
-    return const_cast<StableSlotPool*>(this)->Resolve(handle);
-  }
-
-  void Release(Handle handle) { ReleaseSlot(SlotOf(handle)); }
-
-  void ReleaseSlot(uint32_t slot) {
-    Entry& entry = entries_[slot];
-    SBQA_CHECK(entry.live);
-    entry.live = false;
-    if ((++entry.generation & kGenerationMask) == 0) entry.generation = 1;
-    entry.generation &= kGenerationMask;
-    entry.next_free = free_head_;
-    free_head_ = slot;
-    --live_;
-  }
-
-  /// Stable for the payload's whole acquired life — deque chunks never
-  /// move existing entries on growth.
-  T& at(uint32_t slot) { return entries_[slot].value; }
-  const T& at(uint32_t slot) const { return entries_[slot].value; }
-  bool live(uint32_t slot) const {
-    return slot < entries_.size() && entries_[slot].live;
-  }
-
-  void Provision(size_t n) {
-    while (entries_.size() < n) {
-      entries_.emplace_back();
-      const uint32_t slot = static_cast<uint32_t>(entries_.size() - 1);
-      entries_[slot].next_free = free_head_;
-      free_head_ = slot;
-    }
-  }
-
-  size_t size() const { return entries_.size(); }
-  size_t live_count() const { return live_; }
-
- private:
-  struct Entry {
-    T value{};
-    uint32_t generation = 1;
-    uint32_t next_free = kNoSlot;
-    bool live = false;
-  };
-
-  static Handle MakeHandle(uint32_t generation, uint32_t slot) {
-    return (static_cast<Handle>(generation & kGenerationMask) << 32) | slot;
-  }
-
-  std::deque<Entry> entries_;
   uint32_t free_head_ = kNoSlot;
   size_t live_ = 0;
 };

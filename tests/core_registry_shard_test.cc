@@ -3,7 +3,7 @@
 // epoch-based membership mutation log (fixed apply order, deterministic
 // join owner-shard hash, in-place partition growth) and the
 // barrier-refreshed cross-shard candidate directory with its load-aware
-// donor selection.
+// donor selection, and the barrier-published consumer satisfaction.
 
 #include <algorithm>
 #include <string>
@@ -389,6 +389,42 @@ TEST(ShardDirectoryTest, RefreshTracksChurn) {
   registry.provider(1).set_alive(false);
   directory.Refresh(registry);
   EXPECT_EQ(directory.FindShardWith(0, 1), ShardDirectory::kNoShard);
+}
+
+TEST(RegistryShardTest, ConsumerSatisfactionPublishesAtBarriers) {
+  Registry registry;
+  Populate(&registry, 4, 2);
+  // Memory recorded before sharding is the initial published copy.
+  registry.consumer(1).satisfaction_tracker().RecordQuery(0.2, 0.5, 1.0);
+  registry.SetShardCount(2);  // consumer 0 on shard 0, consumer 1 on 1
+  EXPECT_EQ(registry.ConsumerSatisfactionFor(1, 0).sample_count, 1u);
+  EXPECT_DOUBLE_EQ(registry.ConsumerSatisfactionFor(1, 0).satisfaction, 0.2);
+
+  // The home shard records two outcomes for consumer 0 mid-window.
+  for (const double satisfaction : {0.9, 0.7}) {
+    registry.consumer(0).satisfaction_tracker().RecordQuery(satisfaction, 0.5,
+                                                            1.0);
+    registry.MarkConsumerSatisfactionChanged(0);
+  }
+  // The owner reads its live memory; the other shard still sees the last
+  // barrier's copy (no samples yet).
+  EXPECT_EQ(registry.ConsumerSatisfactionFor(0, 0).sample_count, 2u);
+  EXPECT_DOUBLE_EQ(registry.ConsumerSatisfactionFor(0, 0).satisfaction, 0.8);
+  EXPECT_EQ(registry.ConsumerSatisfactionFor(0, 1).sample_count, 0u);
+
+  // The barrier publishes the window's changes.
+  registry.PublishConsumerSatisfaction();
+  EXPECT_EQ(registry.ConsumerSatisfactionFor(0, 1).sample_count, 2u);
+  EXPECT_DOUBLE_EQ(registry.ConsumerSatisfactionFor(0, 1).satisfaction, 0.8);
+
+  // An unmarked change stays unpublished: only marked consumers are
+  // copied, which is what keeps a publish O(changed consumers).
+  registry.consumer(0).satisfaction_tracker().RecordQuery(0.0, 0.5, 1.0);
+  registry.PublishConsumerSatisfaction();
+  EXPECT_EQ(registry.ConsumerSatisfactionFor(0, 1).sample_count, 2u);
+  registry.MarkConsumerSatisfactionChanged(0);
+  registry.PublishConsumerSatisfaction();
+  EXPECT_EQ(registry.ConsumerSatisfactionFor(0, 1).sample_count, 3u);
 }
 
 }  // namespace

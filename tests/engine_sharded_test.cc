@@ -154,7 +154,6 @@ EngineOptions ShardedManualOptions(uint64_t seed, uint32_t shards) {
   EngineOptions options;
   options.mode = EngineMode::kWallClock;
   options.wallclock.manual_clock = true;
-  options.wallclock.wheel_slots = 64;
   options.seed = seed;
   options.shards = shards;
   options.shard_barrier_tick = 0.005;

@@ -1,20 +1,20 @@
-// Scenario-level tests of the federation subsystem — the acceptance
-// gates of multi-hop borrow chains:
+// Scenario-level tests of cross-shard delegation — the one path a query
+// takes when its origin shard's candidate pool is dry for its class:
 //
-//   1. hop_budget = 1 on the full mesh with digest_weight = 0 is
-//      behaviorally identical to the legacy one-hop delegation: same
-//      allocation traces, bit-identical summaries, same borrow counters
-//      (the golden-seed equality requirement);
-//   2. multi-hop routing over a ring reproduces bit-for-bit per (seed,
-//      shard_count), threaded or serial;
-//   3. borrow-chain stats invariants: every chain that starts consumes
-//      exactly one terminal borrow, the hops histogram folded into the
-//      summary reconciles with the delegated/forwarded counters, and no
-//      chain exceeds its budget;
-//   4. when every shard is dry for a class, chains terminate (terminal
-//      completeness) instead of looping;
-//   5. per-shard mediator groups (mediator_count > 1 with shard_count >
-//      1) complete every query and reproduce run-over-run.
+//   1. delegation stats invariants: every delegated query is borrowed by
+//      exactly one donor shard (mediated there or reported unallocated),
+//      and every borrow is one hop, so mean_borrow_hops recomposes the
+//      delegated count — with and without churn invalidating the
+//      barrier-stale directory;
+//   2. when every shard is dry for a class, nothing is delegated and every
+//      starved query finalizes unallocated at home (terminal
+//      completeness);
+//   3. per-shard mediator groups (mediator_count > 1 with shard_count >
+//      1) complete every query and reproduce run-over-run, threaded or
+//      serial;
+//   4. the 8-shard single-donor scarcity workload: scarce queries from
+//      every shard reach the one donor shard, and every one of them is
+//      served.
 
 #include <bit>
 #include <cmath>
@@ -26,7 +26,7 @@
 
 #include "experiments/demo_scenarios.h"
 #include "experiments/runner.h"
-#include "federation/route_state.h"
+#include "util/string_util.h"
 
 namespace sbqa::experiments {
 namespace {
@@ -84,8 +84,7 @@ struct ShardTraces {
 };
 
 /// Starved sharded scenario: shard 1's whole provider block is restricted
-/// to class 0, so project 1's queries (class 1) must borrow off-shard —
-/// the workload every test here routes through the federation.
+/// to class 0, so project 1's queries (class 1) must borrow off-shard.
 ScenarioConfig StarvedConfig(uint64_t seed, uint32_t shards, bool threads) {
   ScenarioConfig config = BaseDemoConfig(seed, /*volunteers=*/120,
                                          /*duration=*/90.0);
@@ -104,146 +103,48 @@ ScenarioConfig StarvedConfig(uint64_t seed, uint32_t shards, bool threads) {
   return config;
 }
 
-ScenarioConfig WithFederation(ScenarioConfig config,
-                              federation::TopologyKind topology,
-                              uint32_t hop_budget,
-                              double digest_weight = 0.0) {
-  config.federation.enabled = true;
-  config.federation.topology = topology;
-  config.federation.hop_budget = hop_budget;
-  config.federation.degree = 4;
-  config.federation.digest_weight = digest_weight;
-  return config;
-}
-
-/// The histogram-vs-counter reconciliation every federated run must
-/// satisfy: mean_borrow_hops is hop_weight / finalized where hop_weight =
-/// sum_h h * borrow_hops[h], and each chain of h hops contributed one
-/// delegated plus h - 1 forwarded — so the counters must recompose it.
-void ExpectChainStatsConsistent(const metrics::RunSummary& s) {
+/// The counter reconciliation every drained sharded run must satisfy.
+/// Every delegated query is borrowed by one donor, mediated there or
+/// reported unallocated, and its outcome re-homes. A borrow is one hop,
+/// so hop_weight = mean_borrow_hops * finalized counts the delegated
+/// queries.
+void ExpectDelegationStatsConsistent(const metrics::RunSummary& s) {
   EXPECT_EQ(s.queries_submitted, s.queries_finalized);
-  // Every chain that starts (delegated at its origin) ends at exactly one
-  // terminal shard that consumed it (borrowed) — mediated or unallocated.
   EXPECT_EQ(s.queries_delegated, s.queries_borrowed);
   const double hop_weight =
       s.mean_borrow_hops * static_cast<double>(s.queries_finalized);
-  EXPECT_EQ(std::llround(hop_weight),
-            s.queries_delegated + s.queries_forwarded);
-  // A chain with >= 2 hops has >= 1 relay, so multi-hop count never
-  // exceeds the relay count, and both are bounded by started chains.
-  EXPECT_LE(s.queries_multi_hop, s.queries_forwarded);
-  EXPECT_LE(s.queries_multi_hop, s.queries_delegated);
+  EXPECT_EQ(std::llround(hop_weight), s.queries_delegated);
 }
 
-TEST(FederationShardedTest, HopBudgetOneMeshMatchesLegacyDelegation) {
-  // Legacy delegation (federation off) on the starved golden seed...
-  ShardTraces legacy_traces;
-  const RunResult legacy = RunShardedScenario(
-      legacy_traces.Attach(StarvedConfig(/*seed=*/21, /*shards=*/4, true)));
-  ASSERT_GT(legacy.summary.queries_delegated, 0);
+TEST(FederationShardedTest, DelegationStatsReconcile) {
+  const RunResult starved =
+      RunShardedScenario(StarvedConfig(/*seed=*/21, /*shards=*/4, true));
+  EXPECT_GT(starved.summary.queries_delegated, 0);
+  ExpectDelegationStatsConsistent(starved.summary);
 
-  // ...and the same scenario through the federation with the degenerate
-  // config (full mesh, one hop, pure load scoring).
-  ShardTraces fed_traces;
-  const RunResult fed = RunShardedScenario(fed_traces.Attach(
-      WithFederation(StarvedConfig(/*seed=*/21, /*shards=*/4, true),
-                     federation::TopologyKind::kFullMesh,
-                     /*hop_budget=*/1)));
-
-  EXPECT_EQ(legacy_traces.hashes(), fed_traces.hashes());
-  const metrics::RunSummary& a = legacy.summary;
-  const metrics::RunSummary& b = fed.summary;
-  EXPECT_EQ(a.queries_submitted, b.queries_submitted);
-  EXPECT_EQ(a.queries_finalized, b.queries_finalized);
-  EXPECT_EQ(a.queries_delegated, b.queries_delegated);
-  EXPECT_EQ(a.queries_borrowed, b.queries_borrowed);
-  EXPECT_EQ(a.queries_unallocated, b.queries_unallocated);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.consumer_satisfaction),
-            std::bit_cast<uint64_t>(b.consumer_satisfaction));
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.provider_satisfaction),
-            std::bit_cast<uint64_t>(b.provider_satisfaction));
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.mean_response_time),
-            std::bit_cast<uint64_t>(b.mean_response_time));
-  // One-hop chains relay nothing.
-  EXPECT_EQ(b.queries_forwarded, 0);
-  EXPECT_EQ(b.queries_multi_hop, 0);
-  ExpectChainStatsConsistent(b);
-}
-
-TEST(FederationShardedTest, MultiHopRingReproducesThreadedAndSerial) {
-  auto ring_config = [](bool threads) {
-    return WithFederation(StarvedConfig(/*seed=*/7, /*shards=*/4, threads),
-                          federation::TopologyKind::kRing,
-                          /*hop_budget=*/4);
-  };
-
-  ShardTraces first;
-  const RunResult a = RunShardedScenario(first.Attach(ring_config(true)));
-  ShardTraces second;
-  const RunResult b = RunShardedScenario(second.Attach(ring_config(true)));
-  EXPECT_EQ(first.hashes(), second.hashes());
-  EXPECT_EQ(a.summary.queries_finalized, b.summary.queries_finalized);
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.summary.consumer_satisfaction),
-            std::bit_cast<uint64_t>(b.summary.consumer_satisfaction));
-
-  ShardTraces serial;
-  RunShardedScenario(serial.Attach(ring_config(false)));
-  EXPECT_EQ(first.hashes(), serial.hashes());
-
-  // The ring actually multi-hops: shard 1's starved queries reach donors
-  // beyond its two neighbors through relays.
-  EXPECT_GT(a.summary.queries_delegated, 0);
-  ExpectChainStatsConsistent(a.summary);
-}
-
-TEST(FederationShardedTest, DigestWeightedRoutingStaysDeterministic) {
-  auto weighted_config = [] {
-    return WithFederation(StarvedConfig(/*seed=*/13, /*shards=*/4, true),
-                          federation::TopologyKind::kRing,
-                          /*hop_budget=*/4, /*digest_weight=*/2.0);
-  };
-  ShardTraces first;
-  const RunResult a = RunShardedScenario(first.Attach(weighted_config()));
-  ShardTraces second;
-  const RunResult b = RunShardedScenario(second.Attach(weighted_config()));
-  EXPECT_EQ(first.hashes(), second.hashes());
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.summary.consumer_satisfaction),
-            std::bit_cast<uint64_t>(b.summary.consumer_satisfaction));
-  EXPECT_GT(a.summary.queries_delegated, 0);
-  ExpectChainStatsConsistent(a.summary);
-}
-
-TEST(FederationShardedTest, ChainStatsSurviveChurnAndStaleDirectories) {
-  // Loop-prevention fuzz: churn keeps invalidating the barrier-stale
-  // directory, so chains keep landing on shards that went dry after the
-  // snapshot and must relay or terminate. The full budget (kMaxHopBudget)
-  // maximizes the chance of walking into dead ends; the invariants must
-  // hold anyway and the whole thing must reproduce.
+  // Churn keeps invalidating the barrier-stale directory, so some borrows
+  // land on shards that went dry after the snapshot and must report
+  // unallocated home. The invariants hold anyway, and the run reproduces.
   auto churn_config = [] {
     ScenarioConfig config = StarvedConfig(/*seed=*/33, /*shards=*/4, true);
     config.churn.enabled = true;
     config.churn.mean_online = 60;
     config.churn.mean_offline = 30;
-    return WithFederation(std::move(config), federation::TopologyKind::kRing,
-                          federation::kMaxHopBudget);
+    return config;
   };
-
   ShardTraces first;
-  const RunResult a = RunShardedScenario(first.Attach(churn_config()));
-  ExpectChainStatsConsistent(a.summary);
-  EXPECT_GT(a.summary.queries_delegated, 0);
-
+  const RunResult churned = RunShardedScenario(first.Attach(churn_config()));
+  EXPECT_GT(churned.summary.queries_delegated, 0);
+  ExpectDelegationStatsConsistent(churned.summary);
   ShardTraces second;
   RunShardedScenario(second.Attach(churn_config()));
   EXPECT_EQ(first.hashes(), second.hashes());
 }
 
-TEST(FederationShardedTest, ChainsTerminateWhenEveryShardIsDry) {
+TEST(FederationShardedTest, DelegationTerminatesWhenEveryShardIsDry) {
   // Restrict EVERY provider to class 0: classes 1 and 2 have no capacity
-  // anywhere, so no chain can start (the directory reports no donor) and
-  // every starved query must finalize unallocated at home — terminal
-  // completeness with zero routing.
+  // anywhere, so the directory reports no donor, nothing is delegated and
+  // every starved query must finalize unallocated at home.
   ScenarioConfig config = StarvedConfig(/*seed=*/9, /*shards=*/4, true);
   config.population_hook = [](core::Registry* registry,
                               const boinc::BuiltPopulation& population,
@@ -252,51 +153,122 @@ TEST(FederationShardedTest, ChainsTerminateWhenEveryShardIsDry) {
       registry->provider(v).RestrictClasses({model::QueryClassId{0}});
     }
   };
-  const RunResult result = RunShardedScenario(WithFederation(
-      std::move(config), federation::TopologyKind::kRing, /*hop_budget=*/4));
+  const RunResult result = RunShardedScenario(std::move(config));
 
   const metrics::RunSummary& s = result.summary;
   EXPECT_EQ(s.queries_submitted, s.queries_finalized);
   EXPECT_GT(s.queries_unallocated, 0);
   EXPECT_EQ(s.queries_delegated, 0);
-  EXPECT_EQ(s.queries_forwarded, 0);
   EXPECT_EQ(s.queries_borrowed, 0);
-  ExpectChainStatsConsistent(s);
+  EXPECT_EQ(s.mean_borrow_hops, 0.0);
 }
 
 TEST(FederationShardedTest, MediatorGroupsPerShardCompleteAndReproduce) {
-  // The un-gated configuration: two mediators per shard on four shards,
-  // with the federation routing through each shard's gateway.
-  auto group_config = [] {
-    ScenarioConfig config = StarvedConfig(/*seed=*/17, /*shards=*/4, true);
+  // Two mediators per shard on four shards; delegated queries land on
+  // each donor shard's gateway.
+  auto group_config = [](bool threads) {
+    ScenarioConfig config = StarvedConfig(/*seed=*/17, /*shards=*/4, threads);
     config.mediator_count = 2;
-    return WithFederation(std::move(config), federation::TopologyKind::kRing,
-                          /*hop_budget=*/4);
+    return config;
   };
 
   ShardTraces first;
-  const RunResult a = RunShardedScenario(first.Attach(group_config()));
-  EXPECT_EQ(a.summary.queries_submitted, a.summary.queries_finalized);
+  const RunResult a = RunShardedScenario(first.Attach(group_config(true)));
   EXPECT_GT(a.summary.queries_delegated, 0);
-  ExpectChainStatsConsistent(a.summary);
+  ExpectDelegationStatsConsistent(a.summary);
 
   ShardTraces second;
-  const RunResult b = RunShardedScenario(second.Attach(group_config()));
+  const RunResult b = RunShardedScenario(second.Attach(group_config(true)));
   EXPECT_EQ(first.hashes(), second.hashes());
   EXPECT_EQ(a.summary.queries_finalized, b.summary.queries_finalized);
 
   ShardTraces serial;
-  auto serial_config = group_config();
-  serial_config.sim.shard_use_threads = false;
-  RunShardedScenario(serial.Attach(serial_config));
+  RunShardedScenario(serial.Attach(group_config(false)));
   EXPECT_EQ(first.hashes(), serial.hashes());
 
-  // Groups without federation keep working too (legacy delegation
-  // through the gateway).
-  ScenarioConfig plain = StarvedConfig(/*seed=*/17, /*shards=*/2, true);
-  plain.mediator_count = 3;
-  const RunResult c = RunShardedScenario(plain);
+  // A larger group on fewer shards completes too.
+  ScenarioConfig wide = StarvedConfig(/*seed=*/17, /*shards=*/2, true);
+  wide.mediator_count = 3;
+  const RunResult c = RunShardedScenario(wide);
   EXPECT_EQ(c.summary.queries_submitted, c.summary.queries_finalized);
+}
+
+// --- Single-donor scarcity ----------------------------------------------------
+
+constexpr uint32_t kScarcityShards = 8;
+constexpr uint32_t kDonorShard = 4;
+
+/// Per-shard scarce-class counter. OnQueryCompleted fires on the query's
+/// origin shard, so each instance is single-writer; totals are summed
+/// after the run.
+class ScarceClassCounter : public core::MediationObserver {
+ public:
+  void OnQueryCompleted(const core::QueryOutcome& outcome) override {
+    if (outcome.query.query_class == model::QueryClassId{0}) return;
+    ++finalized;
+    if (outcome.results_received > 0) ++served;
+  }
+  int64_t finalized = 0;
+  int64_t served = 0;
+};
+
+/// 240 volunteers over 8 shards and 9 projects. Project 0 (class 0) is
+/// the abundant background every provider serves. Projects 1..8 are
+/// scarce: every provider block except the donor shard's is restricted to
+/// class 0. Consumers hash to shards by id, so the scarce projects
+/// originate on every shard, above and below the donor.
+ScenarioConfig ScarcityConfig(uint64_t seed, double duration) {
+  ScenarioConfig config = BaseDemoConfig(seed, /*volunteers=*/240, duration);
+  while (config.population.projects.size() < 9) {
+    boinc::ProjectSpec extra = config.population.projects[1];
+    extra.name =
+        util::StrFormat("scarce-%zu", config.population.projects.size());
+    config.population.projects.push_back(extra);
+  }
+  // 8 scarce projects x 0.125 q/s keep the ~30-provider donor block well
+  // under saturation: the workload tests reach, not capacity.
+  for (size_t i = 1; i < config.population.projects.size(); ++i) {
+    config.population.projects[i].arrival_rate = 0.125;
+  }
+  config.sim.shard_count = kScarcityShards;
+  config.sim.shard_use_threads = true;
+  config.mediator.query_timeout = 60.0;  // bounds the drain horizon
+  config.population_hook = [](core::Registry* registry,
+                              const boinc::BuiltPopulation& population,
+                              util::Rng*) {
+    const size_t count = population.volunteers.size();
+    const size_t block = (count + kScarcityShards - 1) / kScarcityShards;
+    for (size_t i = 0; i < count; ++i) {
+      if (i / block == kDonorShard) continue;
+      registry->provider(population.volunteers[i])
+          .RestrictClasses({model::QueryClassId{0}});
+    }
+  };
+  return config;
+}
+
+TEST(FederationShardedTest, SingleDonorScarcityServesEveryScarceQuery) {
+  ScenarioConfig config = ScarcityConfig(/*seed=*/42, /*duration=*/300.0);
+  std::vector<std::unique_ptr<ScarceClassCounter>> counters;
+  for (uint32_t s = 0; s < kScarcityShards; ++s) {
+    counters.push_back(std::make_unique<ScarceClassCounter>());
+  }
+  config.shard_observer_factory = [&counters](uint32_t s) {
+    return counters[s].get();
+  };
+  const RunResult result = RunShardedScenario(config);
+
+  int64_t scarce_finalized = 0;
+  int64_t scarce_served = 0;
+  for (const auto& counter : counters) {
+    scarce_finalized += counter->finalized;
+    scarce_served += counter->served;
+  }
+  const metrics::RunSummary& s = result.summary;
+  EXPECT_GT(s.queries_delegated, 0);
+  ExpectDelegationStatsConsistent(s);
+  EXPECT_GT(scarce_finalized, 0);
+  EXPECT_EQ(scarce_served, scarce_finalized);
 }
 
 }  // namespace

@@ -69,16 +69,13 @@ TEST(WallClockRuntimeTest, CancelIsExactAndStaleHandlesAreHarmless) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(WallClockRuntimeTest, FarTimersSurviveWheelRotations) {
-  // Deadlines beyond one wheel rotation stay parked in their bucket and
-  // fire only when their rotation arrives.
-  rt::WallClockOptions options = ManualOptions();
-  options.wheel_tick = 0.001;
-  options.wheel_slots = 8;  // rotation = 8 ms
-  rt::WallClockRuntime runtime(options);
+TEST(WallClockRuntimeTest, FarTimersFireOnlyAtTheirDeadline) {
+  // A far deadline stays parked through many small clock steps and fires
+  // only once the clock reaches it.
+  rt::WallClockRuntime runtime(ManualOptions());
   std::vector<int> order;
-  runtime.Schedule(0.050, [&order] { order.push_back(50); });  // 6+ rotations
-  runtime.Schedule(0.002, [&order] { order.push_back(2); });   // same bucket
+  runtime.Schedule(0.050, [&order] { order.push_back(50); });
+  runtime.Schedule(0.002, [&order] { order.push_back(2); });
   for (int ms = 1; ms <= 49; ++ms) {
     runtime.AdvanceTo(0.001 * ms);
   }
@@ -138,10 +135,6 @@ EngineOptions ManualEngineOptions(uint64_t seed) {
   EngineOptions options;
   options.mode = EngineMode::kWallClock;
   options.wallclock.manual_clock = true;
-  // A small wheel (64 ms rotation) so the warm-up phase visits every
-  // bucket — the allocation gate measures steady state, not first-touch
-  // bucket growth.
-  options.wallclock.wheel_slots = 64;
   options.seed = seed;
   options.query_timeout = 5.0;  // sweeps pass often: the ring stays compact
   return options;
@@ -212,7 +205,6 @@ TEST(WallClockEngineTest, ThreadedEngineServesDriverThreadTraffic) {
   options.mode = EngineMode::kWallClock;
   options.seed = 3;
   options.query_timeout = 5.0;
-  options.wallclock.wheel_tick = 0.0005;
   Engine engine(std::move(options));
   model::ConsumerId consumer;
   BuildDemoPopulation(&engine, &consumer);
@@ -242,7 +234,7 @@ TEST(WallClockEngineTest, ThreadedEngineServesDriverThreadTraffic) {
 TEST(WallClockEngineTest, SteadyStateSubmitPathIsAllocationFree) {
   // The acceptance gate: the full submit -> mediate -> dispatch -> process
   // -> outcome-callback path on the wall-clock runtime performs ZERO heap
-  // allocations per query once the pools (tickets, timer wheel, in-flight
+  // allocations per query once the pools (tickets, timer core, in-flight
   // slots, submit queue) are warm. Manual clock so the measurement is
   // single-threaded and exact.
   Engine engine(ManualEngineOptions(42));

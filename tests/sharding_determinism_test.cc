@@ -9,7 +9,10 @@
 //   3. threaded and serial execution produce identical traces;
 //   4. the cross-shard borrow path activates when a shard's candidate
 //      pool for a class runs dry, stays deterministic, and completes the
-//      starved consumer's queries on a peer shard's providers.
+//      starved consumer's queries on a peer shard's providers;
+//   5. a donor shard scores a borrowed query with the consumer
+//      satisfaction published at the last barrier, never with the live
+//      memory the consumer's home shard writes in the same window.
 //
 // Traces are FNV-folded per shard from the mediation observer stream:
 // every allocation decision (query id, selected providers) and every
@@ -24,8 +27,15 @@
 
 #include <gtest/gtest.h>
 
+#include "core/mediator.h"
+#include "core/registry.h"
+#include "core/sbqa.h"
+#include "core/score.h"
+#include "core/shard_directory.h"
 #include "experiments/demo_scenarios.h"
 #include "experiments/runner.h"
+#include "model/reputation.h"
+#include "sim/shard_set.h"
 
 namespace sbqa::experiments {
 namespace {
@@ -224,6 +234,170 @@ TEST(ShardingDeterminismTest, BorrowPathServesStarvedShardDeterministically) {
   ShardTraces serial_traces;
   RunShardedScenario(serial_traces.Attach(starved_config(false)));
   EXPECT_EQ(traces.hashes(), serial_traces.hashes());
+}
+
+// --- Barrier-published consumer satisfaction --------------------------------
+
+/// What the donor shard decided for the borrowed query, with the inputs
+/// the scorer used (recorded on the donor's own context).
+struct DonorDecision : core::MediationObserver {
+  model::QueryId query = 0;
+  model::ProviderId picked = model::kInvalidId;
+  double decided_at = -1;
+  std::vector<double> provider_intentions;
+  std::vector<double> consumer_intentions;
+  std::vector<double> provider_satisfactions;
+  std::vector<model::ProviderId> consulted;
+  const core::Registry* registry = nullptr;
+
+  void OnMediation(const model::Query& q,
+                   const core::AllocationDecision& decision,
+                   double now) override {
+    if (q.id != query) return;
+    ASSERT_EQ(decision.selected.size(), 1u);
+    picked = decision.selected[0];
+    decided_at = now;
+    consulted = decision.consulted;
+    provider_intentions = decision.provider_intentions;
+    consumer_intentions = decision.consumer_intentions;
+    provider_satisfactions.clear();
+    for (model::ProviderId p : consulted) {
+      provider_satisfactions.push_back(registry->provider(p).satisfaction());
+    }
+  }
+
+  /// The provider Definition 3 ranks first for consumer satisfaction
+  /// `consumer_satisfaction` (Equation 2's adaptive omega, default
+  /// epsilon).
+  model::ProviderId Pick(double consumer_satisfaction) const {
+    const double epsilon = core::SbqaParams{}.epsilon;
+    model::ProviderId best = model::kInvalidId;
+    double best_score = 0;
+    for (size_t i = 0; i < consulted.size(); ++i) {
+      const double omega = core::AdaptiveOmega(consumer_satisfaction,
+                                               provider_satisfactions[i]);
+      const double score = core::ProviderScore(
+          provider_intentions[i], consumer_intentions[i], omega, epsilon);
+      if (best == model::kInvalidId || score > best_score) {
+        best = consulted[i];
+        best_score = score;
+      }
+    }
+    return best;
+  }
+};
+
+/// The home shard's view of the local query that lands mid-window.
+struct HomeOutcome : core::MediationObserver {
+  model::QueryId query = 0;
+  double completed_at = -1;
+  double satisfaction_after = -1;
+  const core::Registry* registry = nullptr;
+
+  void OnQueryCompleted(const core::QueryOutcome& outcome) override {
+    if (outcome.query.id != query) return;
+    completed_at = outcome.completed_at;
+    satisfaction_after = registry->consumer(outcome.query.consumer)
+                             .satisfaction();
+  }
+};
+
+/// Two shards, one barrier per simulated second. Consumer 0 lives on
+/// shard 0, whose providers 0 and 1 only serve class 0; shard 1's
+/// providers 2 and 3 serve everything. Consumer 0 issues a class-1 query
+/// at t = 0, delegated to shard 1 and scored there at t = 1, and a local
+/// class-0 query at t = 1.2 that completes on shard 0 in the same window.
+/// Intentions are plain preferences, chosen so the donor's pick flips
+/// with the consumer satisfaction it scores with: provider 2 at the
+/// cold-start 0.5 the barrier published, provider 3 at the ~0.98 the
+/// local query leaves in the live memory.
+void RunBorrowedScoring(bool threads, DonorDecision* donor,
+                        HomeOutcome* home) {
+  sim::SimulationConfig sim_config;
+  sim_config.seed = 5;
+  sim_config.shard_count = 2;
+  sim_config.shard_use_threads = threads;
+  sim_config.shard_barrier_tick = 1.0;
+  sim::ShardSet shards(sim_config);
+
+  core::Registry registry;
+  core::ConsumerParams consumer_params;
+  consumer_params.policy_kind = model::ConsumerPolicyKind::kPreferenceOnly;
+  const model::ConsumerId consumer = registry.AddConsumer(consumer_params);
+  const double consumer_pref[4] = {0.96, 0.96, 0.95, 0.1};
+  const double provider_pref[4] = {0.5, 0.5, 0.5, 0.6};
+  for (int i = 0; i < 4; ++i) {
+    core::ProviderParams params;
+    params.policy_kind = model::ProviderPolicyKind::kPreferenceOnly;
+    const model::ProviderId p = registry.AddProvider(params);
+    registry.consumer(consumer).preferences().Set(p, consumer_pref[i]);
+    registry.provider(p).preferences().Set(consumer, provider_pref[i]);
+  }
+  registry.SetShardCount(2);
+  registry.provider(0).RestrictClasses({model::QueryClassId{0}});
+  registry.provider(1).RestrictClasses({model::QueryClassId{0}});
+
+  model::ReputationRegistry reputation(registry.provider_count());
+  core::ShardDirectory directory;
+  directory.Refresh(registry);
+  core::MediatorConfig mediator_config;
+  mediator_config.simulate_network = false;
+  core::SbqaParams sbqa;
+  sbqa.knbest = core::KnBestParams{0, 0};  // consult every candidate
+  std::vector<std::unique_ptr<core::Mediator>> mediators;
+  std::vector<core::Mediator*> mediator_ptrs;
+  for (uint32_t s = 0; s < 2; ++s) {
+    mediators.push_back(std::make_unique<core::Mediator>(
+        &shards.shard(s), &registry, &reputation,
+        std::make_unique<core::SbqaMethod>(sbqa), mediator_config));
+    mediator_ptrs.push_back(mediators.back().get());
+  }
+  for (uint32_t s = 0; s < 2; ++s) {
+    mediators[s]->ConfigureSharding(&shards, s, &directory, mediator_ptrs);
+  }
+  shards.SetMembershipHook(
+      [&registry](double) { registry.PublishConsumerSatisfaction(); });
+  donor->registry = &registry;
+  home->registry = &registry;
+  mediators[1]->AddObserver(donor);
+  mediators[0]->AddObserver(home);
+
+  model::Query borrowed;
+  borrowed.id = donor->query = 1;
+  borrowed.consumer = consumer;
+  borrowed.query_class = 1;
+  borrowed.cost = 0.1;
+  mediators[0]->SubmitQuery(borrowed);
+  model::Query local = borrowed;
+  local.id = home->query = 2;
+  local.query_class = 0;
+  core::Mediator* origin = mediators[0].get();
+  shards.shard(0).scheduler().ScheduleAt(
+      1.2, [origin, local] { origin->SubmitQuery(local); });
+  shards.RunUntil(3.0);
+}
+
+TEST(ShardingDeterminismTest, DonorScoresWithBarrierPublishedSatisfaction) {
+  for (const bool threads : {false, true}) {
+    SCOPED_TRACE(threads ? "threaded" : "serial");
+    DonorDecision donor;
+    HomeOutcome home;
+    RunBorrowedScoring(threads, &donor, &home);
+
+    // The donor (shard 1, above the origin) scored the borrowed query at
+    // the t = 1 barrier; the home shard's local query completed later in
+    // the same window and changed the consumer's live memory.
+    ASSERT_EQ(donor.decided_at, 1.0);
+    ASSERT_GT(home.completed_at, donor.decided_at);
+    ASSERT_GT(home.satisfaction_after, 0.9);
+    const model::ProviderId with_barrier_value =
+        donor.Pick(core::SbqaParams{}.cold_start_consumer_satisfaction);
+    const model::ProviderId with_live_value =
+        donor.Pick(home.satisfaction_after);
+    ASSERT_NE(with_barrier_value, with_live_value);
+
+    EXPECT_EQ(donor.picked, with_barrier_value);
+  }
 }
 
 }  // namespace
