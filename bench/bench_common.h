@@ -54,6 +54,27 @@ inline experiments::ScenarioConfig ApplyEnv(
   return config;
 }
 
+/// CMAKE_BUILD_TYPE of the bench binary (set by CMakeLists.txt), recorded
+/// next to the numbers it measured.
+inline const char* BuildType() {
+#ifdef SBQA_BUILD_TYPE
+  return SBQA_BUILD_TYPE;
+#else
+  return "unknown";
+#endif
+}
+
+/// The compiler that built the bench binary, e.g. "gcc 12.2.0".
+inline std::string CompilerName() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 /// Where a bench's JSON dump goes: SBQA_BENCH_JSON, or BENCH_<bench>.json
 /// in the working directory.
 inline std::string BenchJsonPath(const char* bench) {

@@ -72,7 +72,12 @@ bool Blast(Engine* engine, const std::vector<model::ConsumerId>& consumers,
            int64_t* shed) {
   QueryRequest request;
   request.n_results = 2;
-  request.cost = 0.0001;  // ~0.1 ms of virtual provider work
+  // ~1 us of virtual provider work: the 32 providers' aggregate capacity
+  // (46 work units/s) serves ~23M queries/s at n = 2, at least 10x any
+  // rate the engine reaches, so the bench measures the engine's software
+  // path rather than the simulated providers (perfbench sizes its serving
+  // workload the same way).
+  request.cost = 1e-6;
   int64_t accepted = 0;
   int64_t rejected = 0;
   const int64_t delivered_start =
@@ -113,11 +118,13 @@ ServeRow RunShardCount(uint64_t seed, uint32_t shards, int64_t queries,
   options.mode = EngineMode::kWallClock;
   options.seed = seed;
   options.shards = shards;
-  // Short timeout, long enough to never fire (saturated completion
-  // latency is ~max_pending * cost / aggregate capacity ≈ 25 ms): the
-  // FIFO timeout ring only reclaims entries when a sweep fires at the
-  // head deadline, so its high-water mark is timeout_window x arrival
-  // rate — the warm-up below must span several windows to pin it.
+  // Short timeout, long enough to never fire: the providers' queueing is
+  // negligible at this cost, so saturated completion latency is the
+  // engine's own — about max_pending / (per-shard service rate), ~10-20 ms
+  // at one shard. The FIFO timeout ring only reclaims entries when a sweep
+  // fires at the head deadline, so its high-water mark is timeout_window
+  // x arrival rate — the warm-up below must span several windows to pin
+  // it.
   options.query_timeout = 0.25;
   const int64_t options_max_pending = 4096;
   options.max_pending = options_max_pending;  // open loop: shed the excess
@@ -225,9 +232,10 @@ int main() {
               "shard counts: throughput scales with cores, the Submit "
               "path stays allocation-free.");
   std::printf("%lld measured queries/row over %d providers, %d consumers "
-              "on a %u-core host (seed %llu)\n\n",
+              "on a %u-core host (seed %llu; %s, %s build)\n\n",
               static_cast<long long>(queries), kProviders, kConsumers,
-              host_cores, static_cast<unsigned long long>(seed));
+              host_cores, static_cast<unsigned long long>(seed),
+              CompilerName().c_str(), BuildType());
 
   std::vector<ServeRow> sweep;
   for (uint32_t shards = 1; shards <= max_shards; shards *= 2) {
@@ -276,6 +284,8 @@ int main() {
   json.Field("bench", "serve_saturation");
   json.Field("seed", seed);
   json.Field("host_cores", static_cast<uint64_t>(host_cores));
+  json.Field("compiler", CompilerName());
+  json.Field("build_type", BuildType());
   json.Field("queries_per_row", queries);
   json.Field("providers", kProviders);
   json.Field("consumers", kConsumers);

@@ -9,7 +9,8 @@ void RandomMethod::Allocate(const core::AllocationContext& ctx,
   // Uniform n-subset of Pq straight off the candidate index: O(n_results),
   // never materializes the candidate list.
   ctx.candidates->SampleUniform(static_cast<size_t>(ctx.query->n_results),
-                                ctx.mediator->rng(), &decision->selected);
+                                ctx.mediator->rng(), &sample_scratch_);
+  decision->selected.assign(sample_scratch_.begin(), sample_scratch_.end());
 }
 
 }  // namespace sbqa::baselines

@@ -6,6 +6,7 @@
 /// interest- and load-oblivious reference point.
 
 #include <string>
+#include <vector>
 
 #include "core/allocation_method.h"
 
@@ -17,6 +18,11 @@ class RandomMethod : public core::AllocationMethod {
   std::string name() const override { return "Random"; }
   void Allocate(const core::AllocationContext& ctx,
                 core::AllocationDecision* decision) override;
+
+ private:
+  /// Reused buffer for CandidateSet::SampleUniform, copied into the
+  /// decision's inline list.
+  std::vector<model::ProviderId> sample_scratch_;
 };
 
 }  // namespace sbqa::baselines

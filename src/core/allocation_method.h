@@ -8,12 +8,13 @@
 /// satisfaction model "analyze different query allocation techniques no
 /// matter their query allocation principle" (paper Scenario 1).
 
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "core/candidate_index.h"
 #include "model/query.h"
 #include "model/types.h"
+#include "util/small_vec.h"
 
 namespace sbqa::core {
 
@@ -33,28 +34,38 @@ struct AllocationContext {
   double now = 0;
 };
 
+/// Inline width of a decision's lists: covers every shipped KnBest width
+/// (the engine's default kn = 4, the BOINC demo's kn = 8). A wider decision
+/// (SQLB and the full-scan baselines consult all of Pq) spills its slot's
+/// lists to the heap once and reuses that buffer afterwards.
+inline constexpr size_t kDecisionInlineWidth = 8;
+
+/// Consultation-width lists of one decision, stored inline.
+using ProviderList = util::SmallVec<model::ProviderId, kDecisionInlineWidth>;
+using IntentionList = util::SmallVec<double, kDecisionInlineWidth>;
+
 /// The outcome of one allocation decision. Decisions are pooled by the
 /// mediator (one per in-flight query slot) and recycled, so methods fill a
-/// cleared decision whose vectors retain their capacity — the steady-state
-/// mediation path allocates nothing.
+/// cleared decision whose lists are inline (or keep their spilled buffer)
+/// — the steady-state mediation path allocates nothing.
 struct AllocationDecision {
   /// Providers the query is dispatched to, best-ranked first. The mediator
   /// truncates to min(q.n_results, selected.size()).
-  std::vector<model::ProviderId> selected;
+  ProviderList selected;
 
   /// Providers that took part in the mediation (the paper's Kn): they are
   /// notified of the mediation result and record the proposal in their
   /// Definition-2 windows. Must be a superset of `selected`. When left
   /// empty the mediator treats `selected` as the consulted set.
-  std::vector<model::ProviderId> consulted;
+  ProviderList consulted;
 
   /// PI_q[p] for each entry of `consulted` (parallel array). When empty the
   /// mediator computes the intentions itself for satisfaction bookkeeping.
-  std::vector<double> provider_intentions;
+  IntentionList provider_intentions;
 
   /// CI_q[p] for each entry of `consulted` (parallel array). When empty the
   /// mediator computes the intentions itself.
-  std::vector<double> consumer_intentions;
+  IntentionList consumer_intentions;
 
   /// Normalization context of `consumer_intentions`: the maximum expected
   /// completion over `consulted` at decision time (0 when none were
@@ -73,7 +84,7 @@ struct AllocationDecision {
   /// adds one RTT to the mediation latency.
   bool used_bid_round = false;
 
-  /// Empties the decision while keeping the vectors' capacity (pool reuse).
+  /// Empties the decision while keeping the lists' capacity (pool reuse).
   void Clear() {
     selected.clear();
     consulted.clear();
@@ -95,7 +106,7 @@ class AllocationMethod {
   virtual std::string name() const = 0;
 
   /// Chooses providers for `ctx.query` from `ctx.candidates` (non-empty),
-  /// writing into *decision (pre-cleared by the caller, vectors keep their
+  /// writing into *decision (pre-cleared by the caller, lists keep their
   /// pooled capacity). Implementations should reuse member scratch instead
   /// of allocating per query.
   virtual void Allocate(const AllocationContext& ctx,

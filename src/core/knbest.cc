@@ -23,11 +23,11 @@ size_t EffectiveKn(const KnBestParams& params, size_t k) {
 
 }  // namespace
 
-void KeepKnLeastUtilized(const std::vector<model::ProviderId>& sample,
-                         const std::vector<double>& backlogs, size_t keep,
+void KeepKnLeastUtilized(std::span<const model::ProviderId> sample,
+                         std::span<const double> backlogs, size_t keep,
                          util::Rng& rng,
                          std::vector<KnBestScratch::Entry>* scratch,
-                         std::vector<model::ProviderId>* out) {
+                         ProviderList* out) {
   SBQA_CHECK_EQ(sample.size(), backlogs.size());
   SBQA_CHECK(scratch != nullptr);
   SBQA_CHECK(out != nullptr);
@@ -76,7 +76,7 @@ void KeepKnLeastUtilized(const std::vector<model::ProviderId>& sample,
 
 void SelectKnBestFrom(const CandidateSet& candidates, Mediator& mediator,
                       const KnBestParams& params, KnBestScratch* scratch,
-                      std::vector<model::ProviderId>* out) {
+                      ProviderList* out) {
   SBQA_CHECK(scratch != nullptr);
   SBQA_CHECK(out != nullptr);
   out->clear();
@@ -115,10 +115,10 @@ std::vector<model::ProviderId> SelectKnBest(
 
   // Step 2: the kn least utilized of K, random ties.
   std::vector<KnBestScratch::Entry> entries;
-  std::vector<model::ProviderId> kn;
+  ProviderList kn;
   KeepKnLeastUtilized(sample, sample_backlogs, EffectiveKn(params, k), rng,
                       &entries, &kn);
-  return kn;
+  return {kn.begin(), kn.end()};
 }
 
 void KnBestMethod::Allocate(const AllocationContext& ctx,

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/allocation_method.h"
@@ -67,10 +68,11 @@ struct KnBestScratch {
 /// `sample` (backlogs parallel to sample), ascending by backlog with
 /// random tie-breaking. Requires 0 < keep <= sample.size(). O(|sample| +
 /// keep log keep).
-void KeepKnLeastUtilized(const std::vector<model::ProviderId>& sample,
-                         const std::vector<double>& backlogs, size_t keep,
-                         util::Rng& rng, std::vector<KnBestScratch::Entry>* scratch,
-                         std::vector<model::ProviderId>* out);
+void KeepKnLeastUtilized(std::span<const model::ProviderId> sample,
+                         std::span<const double> backlogs, size_t keep,
+                         util::Rng& rng,
+                         std::vector<KnBestScratch::Entry>* scratch,
+                         ProviderList* out);
 
 /// Runs the full two-phase selection straight off an indexed candidate
 /// view: uniform K-sample in O(k), backlogs through the mediator's load
@@ -79,7 +81,7 @@ void KeepKnLeastUtilized(const std::vector<model::ProviderId>& sample,
 /// materializes Pq (unless k covers all of it).
 void SelectKnBestFrom(const CandidateSet& candidates, Mediator& mediator,
                       const KnBestParams& params, KnBestScratch* scratch,
-                      std::vector<model::ProviderId>* out);
+                      ProviderList* out);
 
 /// Runs the two-step KnBest selection over an explicit candidate list and
 /// returns Kn ordered by ascending backlog (least utilized first).

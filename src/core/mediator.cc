@@ -144,74 +144,18 @@ void Mediator::EnsureProviderTables(model::ProviderId provider) {
   const size_t needed = static_cast<size_t>(provider) + 1;
   if (load_view_.size() < needed) load_view_.resize(needed);
   if (health_.size() < needed) health_.resize(needed);
-  if (provider_inflight_.size() < needed) {
-    const size_t old_size = provider_inflight_.size();
-    provider_inflight_.resize(needed);
-    // Seed each new list with a little capacity so a provider's first
-    // in-flight instances don't allocate on the dispatch hot path.
-    for (size_t i = old_size; i < needed; ++i) {
-      provider_inflight_[i].reserve(4);
-    }
-  }
+  if (provider_inflight_.size() < needed) provider_inflight_.resize(needed);
   while (provider_dest_.size() < needed) {
     provider_dest_.push_back(rt_->RegisterDestination());
   }
 }
 
-void Mediator::ReserveProviderTables(model::ProviderId provider) {
-  EnsureProviderTables(provider);
-  PinDecisionSlots(static_cast<size_t>(provider) + 1);
-}
-
-void Mediator::PinDecisionSlots(size_t population) {
-  // Slot decision vectors hold consultation-width data, never
-  // full-population data: selected/instances are n_results-bounded, tried
-  // is attempts x n_results, consulted and the intention vectors are
-  // k-bounded. Pin them to min(population, a constant that comfortably
-  // exceeds any sane consultation width); past the cap a join can't widen
-  // what a slot needs, so membership epochs stay O(1) here — an uncapped
-  // population bound would re-walk every slot on every join and make
-  // epoch application dominate a churn sweep's wall time. The pin itself
-  // matters at Start: the pool's free list is LIFO, so the deepest slots
-  // are first touched at peak in-flight, which may land mid-measurement
-  // rather than in warm-up.
-  constexpr size_t kDecisionSlotReserve = 128;
-  const size_t bound = std::min(population, kDecisionSlotReserve);
-  if (bound <= decision_pin_bound_) return;
-  // Round up to a power of two so a wave of one-at-a-time joins below the
-  // cap re-walks the pool O(log cap) times total, not once per join.
-  size_t target = 16;
-  while (target < bound) target <<= 1;
-  decision_pin_bound_ = target;
-  const auto pin = [target](auto& vec) {
-    if (vec.capacity() < target) vec.reserve(target);
-  };
-  for (uint32_t slot = 0; slot < inflight_pool_.size(); ++slot) {
-    InFlight& f = inflight_pool_.at(slot);
-    pin(f.decision.selected);
-    pin(f.decision.consulted);
-    pin(f.decision.provider_intentions);
-    pin(f.decision.consumer_intentions);
-    pin(f.tried);
-    pin(f.instances);
-  }
-}
-
 void Mediator::ProvisionInflight(size_t slots) {
+  // Reserve, don't construct: a slot's decision, instances and tried set
+  // are inline, so an unused slot needs nothing but its share of this one
+  // block, and its pages stay untouched until a query first acquires it.
   inflight_pool_.Provision(slots);
-  if (registry_->provider_count() > 0) {
-    // Re-pin from scratch: pre-Start joins may have pinned the slots that
-    // existed then, but Provision just created the rest.
-    decision_pin_bound_ = 0;
-    ReserveProviderTables(
-        static_cast<model::ProviderId>(registry_->provider_count() - 1));
-  }
-  // One provider can hold at most one link per live query, and allocation
-  // skew under saturation really does concentrate most of the cap on the
-  // most attractive providers — reserve each list to the full bound.
-  for (std::vector<InflightHandle>& list : provider_inflight_) {
-    list.reserve(slots);
-  }
+  inflight_cap_ = slots;
   // Floor for the timeout ring; its true high-water is time-based
   // (timeout window x arrival rate), which steady traffic pins during
   // warm-up once the capacity survives compaction (erase/clear keep it).
@@ -220,14 +164,23 @@ void Mediator::ProvisionInflight(size_t slots) {
 
 void Mediator::LinkProviderInflight(model::ProviderId provider,
                                     InflightHandle h) {
-  provider_inflight_[static_cast<size_t>(provider)].push_back(h);
+  auto& list = provider_inflight_[static_cast<size_t>(provider)];
+  // A provider holds at most one link per live query, so the admission cap
+  // bounds its list. Past the inline width the list goes straight to that
+  // bound: under saturation a provider keeps setting new concurrency peaks
+  // long after warm-up, and growing by doubling would allocate on the
+  // query path at each one. Only providers that outgrow the inline width
+  // pay the reservation, and pages are touched only as links land.
+  if (list.size() == list.capacity() && inflight_cap_ > list.capacity()) {
+    list.reserve(inflight_cap_);
+  }
+  list.push_back(h);
 }
 
 void Mediator::UnlinkProviderInflight(model::ProviderId provider,
                                       InflightHandle h) {
   if (static_cast<size_t>(provider) >= provider_inflight_.size()) return;
-  std::vector<InflightHandle>& list =
-      provider_inflight_[static_cast<size_t>(provider)];
+  auto& list = provider_inflight_[static_cast<size_t>(provider)];
   for (size_t i = 0; i < list.size(); ++i) {
     if (list[i] == h) {
       list[i] = list.back();
@@ -377,8 +330,8 @@ void Mediator::Allocate(InflightHandle h, const CandidateSet& candidates) {
                               decision.selected.end());
   }
   if (decision.provider_intentions.size() != decision.consulted.size()) {
-    ComputeProviderIntentions(f.query, decision.consulted,
-                              &decision.provider_intentions);
+    kernel_.ProviderIntentions(*this, f.query, decision.consulted,
+                               &decision.provider_intentions);
   }
   if (decision.consumer_intentions.size() != decision.consulted.size()) {
     kernel_.ConsumerIntentions(*this, f.query, decision.consulted,
@@ -604,9 +557,8 @@ void Mediator::PushTimeout(double deadline, InflightHandle h, int attempt) {
     ++timeout_head_;
   }
   timeout_ring_.push_back(TimeoutEntry{deadline, h, attempt});
-  const size_t live_span = timeout_ring_.size() - timeout_head_;
-  if (live_span > timeout_live_high_water_) {
-    timeout_live_high_water_ = live_span;
+  if (timeout_ring_.size() > timeout_size_high_water_) {
+    timeout_size_high_water_ = timeout_ring_.size();
   }
   if (!timeout_sweep_armed_) ScheduleTimeoutSweep(deadline);
 }
@@ -647,18 +599,20 @@ void Mediator::OnTimeoutSweep() {
     timeout_ring_.clear();
     timeout_head_ = 0;
     // Shrink-on-drain: after a genuine burst recedes, release capacity the
-    // steady state will never touch again. The 4096 floor plus the 8x
-    // headroom over the observed high-water keep this out of reach of
-    // steady traffic entirely (the allocation-audit tests pin the query
-    // path at zero allocations), so the swap only ever fires on the
-    // falling edge of a rate step.
+    // steady state will never touch again. The high-water is the ring's
+    // SIZE, stale prefix included: between drains steady traffic refills
+    // the ring to about rate x query_timeout entries (only a sweep
+    // compacts the prefix), however short the live span stays, so a
+    // target sized on the live span would shrink a paced ring at every
+    // drain and regrow it on the query path. The 4096 floor plus the 8x
+    // headroom keep the swap on the falling edge of a rate step.
     if (timeout_ring_.capacity() > 4096 &&
-        timeout_ring_.capacity() > 8 * timeout_live_high_water_) {
+        timeout_ring_.capacity() > 8 * timeout_size_high_water_) {
       std::vector<TimeoutEntry> trimmed;
-      trimmed.reserve(std::max<size_t>(64, 2 * timeout_live_high_water_));
+      trimmed.reserve(std::max<size_t>(64, 2 * timeout_size_high_water_));
       timeout_ring_.swap(trimmed);
     }
-    timeout_live_high_water_ = 0;
+    timeout_size_high_water_ = 0;
   } else if (timeout_head_ >
                  std::max<size_t>(64,
                                   timeout_ring_.size() - timeout_head_) &&
@@ -933,14 +887,14 @@ void Mediator::RecordConsumerOutcome(QueryOutcome* outcome) {
 
 void Mediator::FailProviderInstances(model::ProviderId provider) {
   if (static_cast<size_t>(provider) >= provider_inflight_.size()) return;
-  std::vector<InflightHandle>& list =
-      provider_inflight_[static_cast<size_t>(provider)];
+  auto& list = provider_inflight_[static_cast<size_t>(provider)];
   if (list.empty()) return;
-  // Swap the handle list out first: finalizations below unlink entries
+  // Move the handle list out first: finalizations below unlink entries
   // from the per-provider lists, and this provider's must not be mutated
-  // mid-iteration. The capacities circulate through the swap.
-  fail_scratch_.clear();
-  fail_scratch_.swap(list);
+  // mid-iteration. Copy-and-clear keeps the list's visit order and leaves
+  // both buffers where they are.
+  fail_scratch_.assign(list.begin(), list.end());
+  list.clear();
   for (InflightHandle h : fail_scratch_) {
     InFlight* f = Resolve(h);
     if (f == nullptr) continue;
@@ -1059,13 +1013,13 @@ double Mediator::ViewedBacklog(model::ProviderId provider) {
 }
 
 std::vector<double> Mediator::BacklogsOf(
-    const std::vector<model::ProviderId>& providers) {
+    std::span<const model::ProviderId> providers) {
   std::vector<double> out;
   BacklogsOf(providers, &out);
   return out;
 }
 
-void Mediator::BacklogsOf(const std::vector<model::ProviderId>& providers,
+void Mediator::BacklogsOf(std::span<const model::ProviderId> providers,
                           std::vector<double>* out) {
   SBQA_CHECK(out != nullptr);
   if (config_.load_view_staleness <= 0) {
@@ -1081,16 +1035,14 @@ void Mediator::BacklogsOf(const std::vector<model::ProviderId>& providers,
 }
 
 std::vector<double> Mediator::ExpectedCompletionsOf(
-    const model::Query& query,
-    const std::vector<model::ProviderId>& providers) {
+    const model::Query& query, std::span<const model::ProviderId> providers) {
   std::vector<double> out;
   ExpectedCompletionsOf(query, providers, &out);
   return out;
 }
 
 void Mediator::ExpectedCompletionsOf(
-    const model::Query& query,
-    const std::vector<model::ProviderId>& providers,
+    const model::Query& query, std::span<const model::ProviderId> providers,
     std::vector<double>* out) {
   SBQA_CHECK(out != nullptr);
   const ProviderHotState& hot = registry_->hot();
@@ -1109,18 +1061,10 @@ void Mediator::ExpectedCompletionsOf(
 
 std::vector<double> Mediator::ComputeProviderIntentions(
     const model::Query& query,
-    const std::vector<model::ProviderId>& providers) const {
-  std::vector<double> out;
-  ComputeProviderIntentions(query, providers, &out);
-  return out;
-}
-
-void Mediator::ComputeProviderIntentions(
-    const model::Query& query,
-    const std::vector<model::ProviderId>& providers,
-    std::vector<double>* out) const {
-  SBQA_CHECK(out != nullptr);
-  kernel_.ProviderIntentions(*this, query, providers, out);
+    std::span<const model::ProviderId> providers) const {
+  IntentionList out;
+  kernel_.ProviderIntentions(*this, query, providers, &out);
+  return {out.begin(), out.end()};
 }
 
 double Mediator::ComputeConsumerIntention(const model::Query& query,
@@ -1134,19 +1078,10 @@ double Mediator::ComputeConsumerIntention(const model::Query& query,
 }
 
 std::vector<double> Mediator::ComputeConsumerIntentions(
-    const model::Query& query,
-    const std::vector<model::ProviderId>& providers) {
-  std::vector<double> out;
-  ComputeConsumerIntentions(query, providers, &out);
-  return out;
-}
-
-void Mediator::ComputeConsumerIntentions(
-    const model::Query& query,
-    const std::vector<model::ProviderId>& providers,
-    std::vector<double>* out) {
-  SBQA_CHECK(out != nullptr);
-  kernel_.ConsumerIntentions(*this, query, providers, out, nullptr);
+    const model::Query& query, std::span<const model::ProviderId> providers) {
+  IntentionList out;
+  kernel_.ConsumerIntentions(*this, query, providers, &out, nullptr);
+  return {out.begin(), out.end()};
 }
 
 }  // namespace sbqa::core

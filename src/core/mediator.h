@@ -21,15 +21,16 @@
 ///
 /// The per-query runtime state is pooled: in-flight queries live in a
 /// slot-versioned pool (handle = generation|slot, mirroring the
-/// scheduler's event pool) whose AllocationDecision / instance vectors
-/// retain their capacity across reuse, and scheduled events capture only
-/// the 8-byte handle. Together with the dense per-provider load view and
-/// inflight lists, the steady-state simulate-one-query path performs no
-/// heap allocation and no hashing.
+/// scheduler's event pool) whose decision, instance and retry lists are
+/// stored inline in the slot, and scheduled events capture only the 8-byte
+/// handle. Together with the dense per-provider load view and inflight
+/// lists, the steady-state simulate-one-query path performs no heap
+/// allocation and no hashing.
 
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/allocation_method.h"
@@ -44,6 +45,7 @@
 #include "runtime/shard_fabric.h"
 #include "util/rng.h"
 #include "util/slot_pool.h"
+#include "util/small_vec.h"
 #include "util/stats.h"
 
 namespace sbqa::sim {
@@ -245,21 +247,23 @@ class Mediator {
   /// one window.
   void ApplyProviderDeparture(model::ProviderId provider);
 
-  /// Pre-grows the dense per-provider tables to cover `provider`
-  /// (inclusive) and, while the population is still below the
-  /// consultation-width cap, pins every pooled in-flight decision's
-  /// vectors — so the growth allocations happen at the barrier, not on a
-  /// recycled slot's first wide mediation mid-query. Beyond the cap a
-  /// join is O(population) amortized, independent of the pool size.
-  /// Must run on this mediator's shard context (or with its worker parked).
-  void ReserveProviderTables(model::ProviderId provider);
+  /// Grows the dense per-provider tables (load view, health, inflight
+  /// lists, batching destinations) to cover `provider` (inclusive), so a
+  /// join's growth allocations happen at the barrier instead of on first
+  /// contact mid-query. O(population) amortized, independent of the pool
+  /// size. Must run on this mediator's shard context (or with its worker
+  /// parked).
+  void EnsureProviderTables(model::ProviderId provider);
 
-  /// Pre-sizes the in-flight pool to `slots` slots and pins every slot's
-  /// decision vectors at the consultation-width bound. With an admission
-  /// cap of `slots` in-flight queries the mediation path then never grows
-  /// the pool or a pooled vector: the high-water mark exists before the
-  /// first query instead of being discovered (allocation by allocation)
-  /// under load. Call at Start, after the population is registered.
+  /// Reserves the in-flight pool for `slots` concurrent queries (one
+  /// allocation; a slot is built, and its memory first touched, when it is
+  /// first acquired) plus the timeout ring's floor. With an admission cap
+  /// of `slots` the pool then never reallocates, and a slot holds its
+  /// decision inline, so a recycled slot mediates without allocating. A
+  /// decision wider than kDecisionInlineWidth grows its slot's spill
+  /// buffer once; a provider's inflight list that outgrows
+  /// kProviderInflightInlineWidth reserves `slots` handles, once. Call at
+  /// Start.
   void ProvisionInflight(size_t slots);
 
   // --- Helpers for allocation methods --------------------------------------
@@ -276,49 +280,33 @@ class Mediator {
 
   /// Seconds of queued work for each provider (parallel to `providers`),
   /// through the staleness-bounded load view.
-  std::vector<double> BacklogsOf(
-      const std::vector<model::ProviderId>& providers);
+  std::vector<double> BacklogsOf(std::span<const model::ProviderId> providers);
 
   /// Allocation-free variant: replaces *out (hot path; callers reuse their
   /// own scratch buffer).
-  void BacklogsOf(const std::vector<model::ProviderId>& providers,
+  void BacklogsOf(std::span<const model::ProviderId> providers,
                   std::vector<double>* out);
 
   /// Expected completion delay of `query` on each provider (viewed backlog
   /// plus the query's processing time at that provider's capacity).
   std::vector<double> ExpectedCompletionsOf(
-      const model::Query& query,
-      const std::vector<model::ProviderId>& providers);
+      const model::Query& query, std::span<const model::ProviderId> providers);
 
   /// Allocation-free variant: replaces *out.
   void ExpectedCompletionsOf(const model::Query& query,
-                             const std::vector<model::ProviderId>& providers,
+                             std::span<const model::ProviderId> providers,
                              std::vector<double>* out);
 
   /// PI_q[p] for each provider (parallel array).
   std::vector<double> ComputeProviderIntentions(
       const model::Query& query,
-      const std::vector<model::ProviderId>& providers) const;
-
-  /// Allocation-free variant: replaces *out.
-  void ComputeProviderIntentions(
-      const model::Query& query,
-      const std::vector<model::ProviderId>& providers,
-      std::vector<double>* out) const;
+      std::span<const model::ProviderId> providers) const;
 
   /// CI_q[p] for each provider (parallel array). Supplies the consumer
   /// policy with reputation and expected-completion context (through the
   /// staleness-bounded load view).
   std::vector<double> ComputeConsumerIntentions(
-      const model::Query& query,
-      const std::vector<model::ProviderId>& providers);
-
-  /// Allocation-free variant: replaces *out (uses member scratch for the
-  /// intermediate expected completions).
-  void ComputeConsumerIntentions(
-      const model::Query& query,
-      const std::vector<model::ProviderId>& providers,
-      std::vector<double>* out);
+      const model::Query& query, std::span<const model::ProviderId> providers);
 
   /// Scalar single-provider CI_q[p] (the provider's own expected completion
   /// is the normalization context, matching ComputeConsumerIntentions over
@@ -333,7 +321,7 @@ class Mediator {
   const MediatorConfig& config() const { return config_; }
   /// Queries submitted but not yet finalized.
   size_t inflight_count() const { return inflight_pool_.live_count(); }
-  /// In-flight pool slots ever created (high-water mark of concurrency;
+  /// In-flight pool slots ever built (high-water mark of concurrency;
   /// steady-state mediation recycles them without allocating).
   size_t inflight_slot_capacity() const { return inflight_pool_.size(); }
   /// Timeout-ring introspection: current entry count, consumed (stale or
@@ -368,13 +356,20 @@ class Mediator {
   /// "No per-query deadline" sentinel (far future).
   static constexpr double kNoDeadline = 1e300;
 
+  /// Inline widths of the per-query and per-provider lists. Instances are
+  /// q.n-bounded and the tried set grows by q.n per failed attempt; a
+  /// longer list spills to the heap once and keeps that buffer.
+  static constexpr size_t kInstanceInlineWidth = 4;
+  static constexpr size_t kTriedInlineWidth = 8;
+  static constexpr size_t kProviderInflightInlineWidth = 4;
+
   struct InFlight {
     model::Query query;
-    /// The allocation decision, pooled with the slot. consulted /
+    /// The allocation decision, stored inline in the slot. consulted /
     /// consumer_intentions feed the per-query adequation reconstruction at
     /// finalization.
     AllocationDecision decision;
-    std::vector<Instance> instances;
+    util::SmallVec<Instance, kInstanceInlineWidth> instances;
     int pending = 0;
     /// Shard whose consumer issued the query (== the mediator's own shard
     /// except for borrowed queries, whose outcomes route home over the
@@ -388,8 +383,8 @@ class Mediator {
     /// kNoDeadline when the query carries none.
     double abs_deadline = kNoDeadline;
     /// Providers whose instances failed in earlier attempts; retries never
-    /// select them again. Pooled — capacity survives slot reuse.
-    std::vector<model::ProviderId> tried;
+    /// select them again.
+    util::SmallVec<model::ProviderId, kTriedInlineWidth> tried;
   };
 
   /// One pending query timeout. The timeout duration is a mediator
@@ -415,7 +410,7 @@ class Mediator {
   double RoundTripLatency(size_t fanout);
 
   /// Pool plumbing. Acquire resets the per-query fields (the pool keeps
-  /// payloads across reuse for their vector capacities).
+  /// payloads across reuse, so a spilled list keeps its buffer).
   InflightHandle AcquireInflight();
   InFlight* Resolve(InflightHandle handle) {
     return inflight_pool_.Resolve(handle);
@@ -427,12 +422,6 @@ class Mediator {
     return static_cast<uint32_t>(handle);
   }
 
-  /// Dense per-provider tables (load view, inflight lists, batching
-  /// destinations) sized on demand when providers join at runtime.
-  void EnsureProviderTables(model::ProviderId provider);
-  /// Reserves every pooled slot's decision vectors at
-  /// min(population, consultation-width cap); no-op once pinned there.
-  void PinDecisionSlots(size_t population);
   void LinkProviderInflight(model::ProviderId provider, InflightHandle h);
   void UnlinkProviderInflight(model::ProviderId provider, InflightHandle h);
 
@@ -563,28 +552,28 @@ class Mediator {
 
   /// Slot-versioned in-flight pool.
   util::SlotPool<InFlight> inflight_pool_;
-  /// Bound every pooled slot's decision vectors are currently reserved at
-  /// (power of two, capped at the consultation width — see
-  /// PinDecisionSlots).
-  size_t decision_pin_bound_ = 0;
+  /// Concurrent-query cap the pool was provisioned for (0 = unbounded).
+  size_t inflight_cap_ = 0;
 
   /// FIFO timeout ring (deadline-ordered by construction) + the single
   /// armed sweep event. Memory is bounded structurally: pushes trim the
   /// stale prefix opportunistically, the live-span-adaptive compaction
   /// keeps the vector tracking the live window instead of total history,
-  /// and a drain that finds the capacity far above the recent live
-  /// high-water re-allocates it down (off the steady-state path — a ring
-  /// under constant load never drains).
+  /// and a drain that finds the capacity far above the ring's recent size
+  /// high-water re-allocates it down (off the steady-state path: steady
+  /// traffic refills the ring to the same size between drains).
   std::vector<TimeoutEntry> timeout_ring_;
   size_t timeout_head_ = 0;
   bool timeout_sweep_armed_ = false;
-  /// Max live span (size - head) since the ring last drained; sizes the
-  /// shrink target.
-  size_t timeout_live_high_water_ = 0;
+  /// Max ring size since the ring last drained, stale prefix included —
+  /// what the traffic between two drains really occupies (about rate x
+  /// query_timeout); sizes the shrink target.
+  size_t timeout_size_high_water_ = 0;
 
   /// Handles of in-flight queries with a pending instance on each provider
   /// (dense by provider id; consulted on provider departure).
-  std::vector<std::vector<InflightHandle>> provider_inflight_;
+  std::vector<util::SmallVec<InflightHandle, kProviderInflightInlineWidth>>
+      provider_inflight_;
 
   /// Health detector state, dense by provider id (all zeros when
   /// config_.failure_threshold == 0).

@@ -1,11 +1,12 @@
 #include "core/satisfaction.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace sbqa::core {
 
-double ConsumerQuerySatisfaction(
-    const std::vector<double>& performer_intentions, int n_required) {
+double ConsumerQuerySatisfaction(std::span<const double> performer_intentions,
+                                 int n_required) {
   SBQA_CHECK_GE(n_required, 1);
   double sum = 0;
   for (double ci : performer_intentions) sum += NormalizeIntention(ci);
@@ -17,8 +18,7 @@ double ConsumerQuerySatisfaction(
   return sum / static_cast<double>(divisor);
 }
 
-double ConsumerQueryAdequation(
-    const std::vector<double>& candidate_intentions) {
+double ConsumerQueryAdequation(std::span<const double> candidate_intentions) {
   if (candidate_intentions.empty()) return 0.0;
   double sum = 0;
   for (double ci : candidate_intentions) sum += NormalizeIntention(ci);
@@ -27,7 +27,7 @@ double ConsumerQueryAdequation(
 
 double ConsumerQueryAllocationSatisfaction(
     double obtained_satisfaction,
-    const std::vector<double>& candidate_intentions, int n_required) {
+    std::span<const double> candidate_intentions, int n_required) {
   SBQA_CHECK_GE(n_required, 1);
   // Called once per finalized query; the simulator is single-threaded, so a
   // thread-local scratch keeps the hot path allocation-free once warm.

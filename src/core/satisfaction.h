@@ -21,7 +21,7 @@
 /// satisfaction to the best satisfaction achievable for the same window.
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "util/check.h"
 #include "util/sliding_window.h"
@@ -41,13 +41,13 @@ inline double NormalizeIntention(double intention) {
 /// is exactly the paper's divisor-by-n semantics. Extra performers beyond
 /// n (over-allocation) are averaged over the actual count instead so the
 /// value stays in [0, 1].
-double ConsumerQuerySatisfaction(const std::vector<double>& performer_intentions,
+double ConsumerQuerySatisfaction(std::span<const double> performer_intentions,
                                  int n_required);
 
 /// Reconstructed adequation for one query: the mean normalized intention
 /// over the candidate set the mediator considered. Measures what the system
 /// could offer, independent of the final choice. Returns 0 for an empty set.
-double ConsumerQueryAdequation(const std::vector<double>& candidate_intentions);
+double ConsumerQueryAdequation(std::span<const double> candidate_intentions);
 
 /// Reconstructed allocation satisfaction for one query: obtained
 /// satisfaction divided by the best satisfaction achievable by allocating
@@ -55,7 +55,7 @@ double ConsumerQueryAdequation(const std::vector<double>& candidate_intentions);
 /// possible; 1 (vacuously) when nothing was achievable.
 double ConsumerQueryAllocationSatisfaction(
     double obtained_satisfaction,
-    const std::vector<double>& candidate_intentions, int n_required);
+    std::span<const double> candidate_intentions, int n_required);
 
 /// Long-run consumer-side memory over the k last issued queries (Def. 1).
 class ConsumerSatisfactionTracker {

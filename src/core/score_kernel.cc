@@ -263,7 +263,7 @@ void ScoreKernel::ScoreAndSelect(Mediator& mediator, const model::Query& query,
                                  AllocationDecision* decision) {
   SBQA_CHECK(decision != nullptr);
   SBQA_CHECK_GT(spec.epsilon, 0);
-  const std::vector<model::ProviderId>& kn = decision->consulted;
+  const std::span<const model::ProviderId> kn = decision->consulted;
   const size_t n = kn.size();
   SBQA_CHECK(!kn.empty());
   const Registry& registry = mediator.registry();
@@ -320,9 +320,9 @@ void ScoreKernel::ScoreAndSelect(Mediator& mediator, const model::Query& query,
   t = Lap(&phases_.gather_ns, t);
 
   // --- intentions: PI/CI planes, written into the decision's pooled
-  // --- vectors (they ARE the SoA output planes) ----------------------------
-  std::vector<double>& pi = decision->provider_intentions;
-  std::vector<double>& ci = decision->consumer_intentions;
+  // --- lists (they ARE the SoA output planes) ------------------------------
+  IntentionList& pi = decision->provider_intentions;
+  IntentionList& ci = decision->consumer_intentions;
   if (batched) {
     pi.resize(n);
     ci.resize(n);
@@ -422,8 +422,7 @@ void ScoreKernel::ScoreAndSelect(Mediator& mediator, const model::Query& query,
 
 void ScoreKernel::ProviderIntentions(
     const Mediator& mediator, const model::Query& query,
-    const std::vector<model::ProviderId>& providers,
-    std::vector<double>* out) {
+    std::span<const model::ProviderId> providers, IntentionList* out) {
   SBQA_CHECK(out != nullptr);
   const Registry& registry = mediator.registry();
   const double now = mediator.now();
@@ -446,7 +445,7 @@ void ScoreKernel::ProviderIntentions(
 
 void ScoreKernel::ConsumerIntentions(
     Mediator& mediator, const model::Query& query,
-    const std::vector<model::ProviderId>& providers, std::vector<double>* out,
+    std::span<const model::ProviderId> providers, IntentionList* out,
     double* max_ect) {
   SBQA_CHECK(out != nullptr);
   mediator.ExpectedCompletionsOf(query, providers, &ect_);
@@ -498,7 +497,7 @@ double ScoreKernel::RescoreConsumerIntention(Mediator& mediator,
 
 void ScoreKernel::GatherBacklogs(
     const ProviderHotState& hot, double now,
-    const std::vector<model::ProviderId>& providers,
+    std::span<const model::ProviderId> providers,
     std::vector<double>* out) {
   SBQA_CHECK(out != nullptr);
   const size_t n = providers.size();
@@ -511,7 +510,7 @@ void ScoreKernel::GatherBacklogs(
 
 void ScoreKernel::GatherExpectedCompletions(
     const ProviderHotState& hot, double now, double cost,
-    const std::vector<model::ProviderId>& providers,
+    std::span<const model::ProviderId> providers,
     std::vector<double>* out) {
   SBQA_CHECK(out != nullptr);
   const size_t n = providers.size();

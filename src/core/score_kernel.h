@@ -36,9 +36,11 @@
 /// retry-path rescore), so plane scratch is never shared across threads.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/allocation_method.h"
 #include "core/score.h"
 #include "model/types.h"
 
@@ -50,7 +52,6 @@ namespace sbqa::core {
 
 class Mediator;
 class ProviderHotState;
-struct AllocationDecision;
 
 /// Which implementation scores the decision path.
 enum class ScoreKernelKind {
@@ -114,22 +115,23 @@ class ScoreKernel {
   /// The full phase-2 pipeline over decision->consulted (non-empty): fills
   /// provider_intentions, consumer_intentions, ect_normalizer and selected
   /// (top min(query.n_results, kn), best first). Allocation-free once the
-  /// planes and the decision's pooled vectors are warm.
+  /// planes are warm (the decision's lists are inline up to
+  /// kDecisionInlineWidth).
   void ScoreAndSelect(Mediator& mediator, const model::Query& query,
                       double now, const ScoreSpec& spec,
                       AllocationDecision* decision);
 
   /// PI_q[p] per provider (parallel to `providers`), replacing *out.
   void ProviderIntentions(const Mediator& mediator, const model::Query& query,
-                          const std::vector<model::ProviderId>& providers,
-                          std::vector<double>* out);
+                          std::span<const model::ProviderId> providers,
+                          IntentionList* out);
 
   /// CI_q[p] per provider (parallel to `providers`), replacing *out. The
   /// candidate set's max expected completion — the normalization context of
   /// the response-time policy — is returned through *max_ect (may be null).
   void ConsumerIntentions(Mediator& mediator, const model::Query& query,
-                          const std::vector<model::ProviderId>& providers,
-                          std::vector<double>* out, double* max_ect);
+                          std::span<const model::ProviderId> providers,
+                          IntentionList* out, double* max_ect);
 
   /// Single-candidate CI rescore for the dispatch/retry path: scores
   /// `provider` in the first attempt's normalization context
@@ -145,11 +147,11 @@ class ScoreKernel {
   /// path behind Mediator::BacklogsOf / ExpectedCompletionsOf, which is
   /// what the KnBest phase-2 utilization compare consumes. Replace *out.
   static void GatherBacklogs(const ProviderHotState& hot, double now,
-                             const std::vector<model::ProviderId>& providers,
+                             std::span<const model::ProviderId> providers,
                              std::vector<double>* out);
   static void GatherExpectedCompletions(
       const ProviderHotState& hot, double now, double cost,
-      const std::vector<model::ProviderId>& providers,
+      std::span<const model::ProviderId> providers,
       std::vector<double>* out);
 
  private:

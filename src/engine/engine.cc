@@ -56,7 +56,7 @@ class EngineMembership final : public core::MembershipApplier {
     // path (any shard can touch it: dispatch on the owner, failure
     // bookkeeping on a borrower).
     for (core::Mediator* mediator : mediators_) {
-      mediator->ReserveProviderTables(provider);
+      mediator->EnsureProviderTables(provider);
     }
   }
 
@@ -368,10 +368,10 @@ Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>()) {
   impl_->options = std::move(options);
   EngineOptions& opts = impl_->options;
   // With a hard admission cap, every in-flight query holds at most one
-  // timeout timer plus a few completion/retry timers — size the wall-clock
-  // timer pools to that bound up front so serving never grows them. Each
-  // shard gets the FULL cap: the cap is global, and saturation can skew
-  // all of it onto one shard.
+  // timeout timer plus a few completion/retry timers — reserve the
+  // wall-clock timer pools for that bound up front so serving never
+  // reallocates them. Each shard gets the FULL cap: the cap is global, and
+  // saturation can skew all of it onto one shard.
   if (opts.max_pending > 0 && opts.wallclock.reserve_timers == 0) {
     opts.wallclock.reserve_timers =
         static_cast<size_t>(opts.max_pending) * 4;
@@ -564,12 +564,13 @@ void Engine::Start() {
     impl.mediator->AddObserver(&impl);
   }
 
-  // Provision every per-in-flight pool to the admission cap: max_pending
-  // hard-bounds concurrent queries, so the high-water mark of tickets and
-  // mediator in-flight slots (with their decision vectors) can exist
-  // before the first query instead of being discovered allocation by
-  // allocation under load. Each mediator gets the full cap — the cap is
-  // global and saturation can skew all of it onto one shard.
+  // Reserve every per-in-flight pool for the admission cap: max_pending
+  // hard-bounds concurrent queries, so the ticket and in-flight pools
+  // never reallocate under load. Reserving builds nothing — a slot is
+  // built on first use and holds its decision inline — so this costs a
+  // few allocations and no touched memory whatever the cap. Each mediator
+  // gets the full cap — the cap is global and saturation can skew all of
+  // it onto one shard.
   if (impl.options.max_pending > 0) {
     const size_t cap = static_cast<size_t>(impl.options.max_pending);
     impl.tickets.Provision(cap);

@@ -305,7 +305,9 @@ class Engine {
                              model::ConsumerId consumer, double preference);
 
   /// Wires reputation + mediator over the built population and (in
-  /// kWallClock mode) launches the service thread.
+  /// kWallClock mode) launches the service thread. With max_pending set,
+  /// the per-in-flight pools are reserved for the cap, not built: Start
+  /// costs a fixed ~100 heap allocations whatever the cap and population.
   void Start();
 
   /// Stops the wall-clock service thread (no-op otherwise). Queries still

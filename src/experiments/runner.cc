@@ -114,7 +114,7 @@ class RunnerMembership final : public core::MembershipApplier {
     // Table growth happens here at the barrier, never on first contact
     // mid-query — keeps the per-query steady state allocation-free.
     for (core::Mediator* mediator : all_mediators_) {
-      mediator->ReserveProviderTables(provider);
+      mediator->EnsureProviderTables(provider);
     }
     if (churn_.enabled) {
       // The newcomer's availability process lives on its owner shard; its

@@ -17,7 +17,6 @@ WallClockRuntime::WallClockRuntime(const WallClockOptions& options)
   submit_queue_.reserve(256);
   if (options_.reserve_timers > 0) {
     timers_.Provision(options_.reserve_timers);
-    slot_capacity_.store(timers_.slot_capacity(), std::memory_order_relaxed);
     // The zero-delay queue scales with the same in-flight bound as the
     // pool itself: a saturated pass can have every provisioned timer
     // chained at once.

@@ -50,10 +50,10 @@ struct WallClockOptions {
   /// queue. 0 = unbounded. Post itself is never bounded (internal
   /// control-plane traffic must not be droppable).
   size_t max_queue = 0;
-  /// Pre-sizes the timer pool to this many slots at construction. Callers
-  /// with a hard in-flight bound (the engine's max_pending admission cap)
-  /// set it so the pool's high-water mark exists before the first query —
-  /// scheduling then never grows the pool under load. 0 = grow on demand.
+  /// Reserves the timer pool for this many slots at construction (slots
+  /// are built on first use). Callers with a hard in-flight bound (the
+  /// engine's max_pending admission cap) set it so scheduling never
+  /// reallocates the pool under load. 0 = grow on demand.
   size_t reserve_timers = 0;
 };
 

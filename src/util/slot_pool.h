@@ -51,9 +51,10 @@ class SlotPool {
     return static_cast<uint32_t>(handle >> 32) & kGenerationMask;
   }
 
-  /// Takes a slot from the free list (or grows the pool by one) and marks
-  /// it live. The payload keeps whatever state its previous tenant left —
-  /// reset what matters, reuse the capacity.
+  /// Takes a slot from the free list (or builds one more, inside the
+  /// provisioned block while it lasts) and marks it live. The payload keeps
+  /// whatever state its previous tenant left — reset what matters, reuse
+  /// the capacity.
   Handle Acquire() {
     uint32_t slot;
     if (free_head_ != kNoSlot) {
@@ -112,23 +113,15 @@ class SlotPool {
     return slot < entries_.size() && entries_[slot].live;
   }
 
-  /// Pre-creates slots until the pool holds at least `n`, all on the free
-  /// list with default-constructed payloads. A caller whose concurrent
-  /// liveness is bounded by `n` (e.g. an admission cap) then recycles
-  /// slots forever without a single pool allocation — the high-water mark
-  /// is reached by construction instead of discovered under load.
-  void Provision(size_t n) {
-    if (entries_.size() >= n) return;
-    entries_.reserve(n);
-    while (entries_.size() < n) {
-      entries_.emplace_back();
-      const uint32_t slot = static_cast<uint32_t>(entries_.size() - 1);
-      entries_[slot].next_free = free_head_;
-      free_head_ = slot;
-    }
-  }
+  /// Reserves room for `n` slots. Nothing is constructed: Acquire builds
+  /// each slot in the reserved block on first use, so a caller whose
+  /// concurrent liveness is bounded by `n` (e.g. an admission cap) never
+  /// makes the pool reallocate, and Provision costs one allocation
+  /// whatever `n` is. A payload that owns buffers of its own allocates
+  /// them when its slot is first built, not here.
+  void Provision(size_t n) { entries_.reserve(n); }
 
-  /// Slots ever created — the high-water mark of concurrent liveness;
+  /// Slots ever built — the high-water mark of concurrent liveness;
   /// steady-state traffic recycles them without allocating.
   size_t size() const { return entries_.size(); }
   /// Currently acquired slots.

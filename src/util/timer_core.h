@@ -20,8 +20,8 @@
 ///     same sequence — the bit-reproducibility gates depend on it.
 ///   - Steady state is allocation-free: callbacks are EventFn
 ///     (small-buffer), the pool recycles slots, and both queue kinds
-///     retain their capacity. Provision() pre-sizes everything to a known
-///     in-flight bound so the high-water mark exists before first use.
+///     retain their capacity. Provision() reserves everything for a known
+///     in-flight bound, so nothing reallocates below it.
 ///
 /// Thread-compatibility: single owner context, like the structures it
 /// unifies (the sim event loop, or the wall-clock executor).
@@ -167,9 +167,10 @@ class TimerCore {
   /// Slots ever created — the high-water mark of concurrent events.
   size_t slot_capacity() const { return pool_.size(); }
 
-  /// Pre-sizes the pool and the queue for `n` concurrently pending
-  /// events: a caller whose liveness is bounded by `n` (an admission cap)
-  /// then runs allocation-free from the first event.
+  /// Reserves the pool and the queue for `n` concurrently pending events
+  /// (nothing is constructed or touched until used): a caller whose
+  /// liveness is bounded by `n` (an admission cap) then never makes them
+  /// reallocate.
   void Provision(size_t n) {
     pool_.Provision(n);
     if (kind_ == TimerQueueKind::kLadder) {

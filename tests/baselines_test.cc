@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,7 +75,7 @@ struct MethodHarness {
   model::QueryId query_id = 0;
 };
 
-bool Unique(const std::vector<model::ProviderId>& ids) {
+bool Unique(std::span<const model::ProviderId> ids) {
   return std::set<model::ProviderId>(ids.begin(), ids.end()).size() ==
          ids.size();
 }

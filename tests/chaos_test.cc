@@ -191,7 +191,8 @@ TEST(FaultInjectorTest, LatencySkewMultipliesInnerSamples) {
 struct ChaosObserver : core::MediationObserver {
   void OnMediation(const model::Query&,
                    const core::AllocationDecision& decision, double) override {
-    selections.push_back(decision.selected);
+    selections.emplace_back(decision.selected.begin(),
+                            decision.selected.end());
   }
   void OnQueryCompleted(const core::QueryOutcome& outcome) override {
     outcomes.push_back(outcome);

@@ -12,6 +12,9 @@
 namespace sbqa::core {
 namespace {
 
+/// The Equation 1 helpers read spans; a braced list needs a backing array.
+using Intentions = std::vector<double>;
+
 // --- NormalizeIntention ------------------------------------------------------
 
 TEST(NormalizeIntentionTest, MapsSignedToUnit) {
@@ -31,11 +34,12 @@ TEST(NormalizeIntentionTest, ClampsOutOfRange) {
 TEST(Equation1Test, FullAllocationAveragesNormalizedIntentions) {
   // Two performers with CI = 1 and CI = 0 for n = 2:
   // ((1+1)/2 + (0+1)/2) / 2 = 0.75.
-  EXPECT_DOUBLE_EQ(ConsumerQuerySatisfaction({1.0, 0.0}, 2), 0.75);
+  EXPECT_DOUBLE_EQ(ConsumerQuerySatisfaction(Intentions{1.0, 0.0}, 2), 0.75);
 }
 
 TEST(Equation1Test, PerfectAllocationGivesOne) {
-  EXPECT_DOUBLE_EQ(ConsumerQuerySatisfaction({1.0, 1.0, 1.0}, 3), 1.0);
+  EXPECT_DOUBLE_EQ(ConsumerQuerySatisfaction(Intentions{1.0, 1.0, 1.0}, 3),
+                   1.0);
 }
 
 TEST(Equation1Test, NoPerformersGivesZero) {
@@ -44,17 +48,19 @@ TEST(Equation1Test, NoPerformersGivesZero) {
 
 TEST(Equation1Test, PartialAllocationPenalizedByDividingByN) {
   // One performer with CI = 1 but n = 2 required: 1/2.
-  EXPECT_DOUBLE_EQ(ConsumerQuerySatisfaction({1.0}, 2), 0.5);
+  EXPECT_DOUBLE_EQ(ConsumerQuerySatisfaction(Intentions{1.0}, 2), 0.5);
 }
 
 TEST(Equation1Test, HostileProvidersContributeNothing) {
   // CI = -1 normalizes to 0.
-  EXPECT_DOUBLE_EQ(ConsumerQuerySatisfaction({-1.0, -1.0}, 2), 0.0);
+  EXPECT_DOUBLE_EQ(ConsumerQuerySatisfaction(Intentions{-1.0, -1.0}, 2),
+                   0.0);
 }
 
 TEST(Equation1Test, OverAllocationStaysInUnitInterval) {
   // More performers than required: averaged over the performer count.
-  const double v = ConsumerQuerySatisfaction({1.0, 1.0, 1.0, 1.0}, 2);
+  const double v =
+      ConsumerQuerySatisfaction(Intentions{1.0, 1.0, 1.0, 1.0}, 2);
   EXPECT_LE(v, 1.0);
   EXPECT_DOUBLE_EQ(v, 1.0);
 }
@@ -77,30 +83,32 @@ TEST(Equation1Test, AlwaysInUnitInterval) {
 // --- Adequation & allocation satisfaction ------------------------------------
 
 TEST(AdequationTest, MeanOfNormalizedIntentions) {
-  EXPECT_DOUBLE_EQ(ConsumerQueryAdequation({1.0, -1.0}), 0.5);
+  EXPECT_DOUBLE_EQ(ConsumerQueryAdequation(Intentions{1.0, -1.0}), 0.5);
   EXPECT_DOUBLE_EQ(ConsumerQueryAdequation({}), 0.0);
 }
 
 TEST(AllocationSatisfactionTest, OptimalAllocationIsOne) {
   // Candidates {1.0, 0.0}, n = 1; best achievable = 1.0. Obtained 1.0.
   EXPECT_DOUBLE_EQ(
-      ConsumerQueryAllocationSatisfaction(1.0, {1.0, 0.0}, 1), 1.0);
+      ConsumerQueryAllocationSatisfaction(1.0, Intentions{1.0, 0.0}, 1), 1.0);
 }
 
 TEST(AllocationSatisfactionTest, SuboptimalAllocationBelowOne) {
   // Obtained 0.5 (the worse candidate) vs best 1.0.
   EXPECT_DOUBLE_EQ(
-      ConsumerQueryAllocationSatisfaction(0.5, {1.0, 0.0}, 1), 0.5);
+      ConsumerQueryAllocationSatisfaction(0.5, Intentions{1.0, 0.0}, 1), 0.5);
 }
 
 TEST(AllocationSatisfactionTest, NothingAchievableIsVacuouslyOne) {
   EXPECT_DOUBLE_EQ(
-      ConsumerQueryAllocationSatisfaction(0.0, {-1.0, -1.0}, 1), 1.0);
+      ConsumerQueryAllocationSatisfaction(0.0, Intentions{-1.0, -1.0}, 1),
+      1.0);
   EXPECT_DOUBLE_EQ(ConsumerQueryAllocationSatisfaction(0.0, {}, 1), 1.0);
 }
 
 TEST(AllocationSatisfactionTest, ClampedToUnitInterval) {
-  EXPECT_LE(ConsumerQueryAllocationSatisfaction(5.0, {0.2}, 1), 1.0);
+  EXPECT_LE(ConsumerQueryAllocationSatisfaction(5.0, Intentions{0.2}, 1),
+            1.0);
 }
 
 // --- ConsumerSatisfactionTracker (Definition 1) -------------------------------

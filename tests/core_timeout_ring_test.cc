@@ -1,26 +1,33 @@
 // Regression tests for the load-adaptive FIFO timeout ring: a rate step
 // (burst far above the steady rate, then a trickle) must not pin the
 // ring's backing vector at its burst high-water mark forever. The ring
-// tracks the live span's high water between drains, and a drain that
-// finds the capacity far above it (> 4096 slots and > 8x the recent live
-// span) re-allocates down — off the steady-state path, so the
-// allocation-free mediation guarantees elsewhere are untouched, which
-// the stability half of this test pins by requiring the capacity to stay
-// put across further trickle rounds.
+// tracks its size high water between drains, and a drain that finds the
+// capacity far above it (> 4096 slots and > 8x the recent size) re-
+// allocates down — off the steady-state path, so the allocation-free
+// mediation guarantees elsewhere are untouched, which the stability half
+// of the first test pins by requiring the capacity to stay put across
+// further trickle rounds, and the paced-traffic test pins with the
+// counting global allocator (util/counting_alloc.h; counting only).
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/mediator.h"
 #include "core/registry.h"
 #include "core/sbqa.h"
+#include "engine/engine.h"
 #include "model/reputation.h"
 #include "sim/simulation.h"
+#include "util/counting_alloc.h"
 #include "util/rng.h"
 
 namespace sbqa::core {
 namespace {
+
+using util::AllocationCount;
 
 struct RingHarness {
   static constexpr int kProviders = 64;
@@ -128,6 +135,59 @@ TEST(TimeoutRingTest, RateStepReleasesBurstCapacityThenHoldsSteady) {
   harness.Submit(1);
   harness.simulation.RunFor(20.0);
   EXPECT_LE(harness.mediator->timeout_ring_capacity(), moderate_capacity);
+}
+
+TEST(TimeoutRingTest, PacedTrafficDrainsWithoutShrinkRegrowChurn) {
+  // Steady paced traffic whose queries complete long before their
+  // timeout: every sweep finds the ring drained, yet between two sweeps
+  // the ring holds about rate x query_timeout entries (12,500 here, above
+  // the 4096 shrink floor) because only a sweep compacts its stale
+  // prefix. A shrink sized on the live span (a handful of entries) would
+  // cut the ring back to 64 slots at every drain and regrow it on the
+  // query path — dozens of allocations per 100k queries. Sized on the
+  // ring's size high water, the drain keeps the capacity.
+  EngineOptions options;
+  options.mode = EngineMode::kWallClock;
+  options.wallclock.manual_clock = true;
+  options.seed = 3;
+  options.query_timeout = 0.25;
+  options.max_pending = 16384;
+  Engine engine(std::move(options));
+  ConsumerOptions consumer_options;
+  consumer_options.n_results = 2;
+  const model::ConsumerId consumer = engine.AddConsumer(consumer_options);
+  for (int i = 0; i < 32; ++i) {
+    ProviderOptions provider;
+    provider.capacity = 1.0 + 0.125 * (i % 8);
+    const model::ProviderId p = engine.AddProvider(provider);
+    engine.SetConsumerPreference(consumer, p, 0.6);
+    engine.SetProviderPreference(p, consumer, 0.5);
+  }
+  engine.Start();
+
+  // 50k queries/s of simulated time; each query's step is split so it
+  // completes in the first half and the engine idles through the second.
+  constexpr double kStep = 1.0 / 50000;
+  int64_t completed = 0;
+  const auto pace = [&](int queries) {
+    for (int i = 0; i < queries; ++i) {
+      engine.Submit({consumer, 0, 2, 1e-6},
+                    [&completed](const QueryResult& result) {
+                      if (result.results_received > 0) ++completed;
+                    });
+      engine.RunFor(kStep / 2);
+      engine.RunFor(kStep / 2);
+    }
+  };
+
+  pace(50000);  // 1 s warm-up: four sweep cycles
+  const uint64_t before = AllocationCount();
+  pace(100000);
+  EXPECT_EQ(AllocationCount() - before, 0u)
+      << "paced traffic must not shrink and regrow the timeout ring";
+  EXPECT_TRUE(engine.WaitIdle(10.0));
+  EXPECT_EQ(completed, 150000);
+  engine.Stop();
 }
 
 }  // namespace

@@ -257,9 +257,11 @@ struct DonorDecision : core::MediationObserver {
     ASSERT_EQ(decision.selected.size(), 1u);
     picked = decision.selected[0];
     decided_at = now;
-    consulted = decision.consulted;
-    provider_intentions = decision.provider_intentions;
-    consumer_intentions = decision.consumer_intentions;
+    consulted.assign(decision.consulted.begin(), decision.consulted.end());
+    provider_intentions.assign(decision.provider_intentions.begin(),
+                               decision.provider_intentions.end());
+    consumer_intentions.assign(decision.consumer_intentions.begin(),
+                               decision.consumer_intentions.end());
     provider_satisfactions.clear();
     for (model::ProviderId p : consulted) {
       provider_satisfactions.push_back(registry->provider(p).satisfaction());
