@@ -1,10 +1,11 @@
 // Sharded-engine scaling bench.
 //
 // Part 1 — end-to-end sweep: the full demo workload (three projects,
-// captive environment) at 10k and 100k providers, run through the sharded
-// machinery at 1, 2, 4 and 8 shards (worker thread per shard). The 1-shard
-// run IS the baseline: same engine, same barrier windows, so the speedup
-// column isolates what the extra cores buy. Wall-clock speedup requires
+// captive environment) at 10k and 100k providers, run at 1, 2, 4 and 8
+// shards (worker thread per shard). The 1-shard run is the baseline: the
+// same RunScenario, which at one shard has no barrier work and runs the
+// horizon as one window, so the speedup column is what the extra shards
+// buy over a plain single-engine run. Wall-clock speedup requires
 // hardware parallelism — the JSON records host_cores so the regression
 // gate (scripts/check_bench_regression.py --mode sharding) only enforces
 // the 4-shard >= 2x bar on hosts with >= 4 cores.
@@ -38,10 +39,13 @@
 #include <vector>
 
 #include "bench_common.h"
+#include <memory>
+#include <utility>
+
 #include "core/mediator.h"
 #include "core/registry.h"
 #include "core/sbqa.h"
-#include "core/shard_directory.h"
+#include "experiments/assembly.h"
 #include "experiments/demo_scenarios.h"
 #include "experiments/runner.h"
 #include "model/reputation.h"
@@ -101,7 +105,7 @@ Sweep RunSweep(size_t providers, uint64_t seed, double duration) {
     experiments::RunResult result;
     for (int attempt = 0; attempt < 2; ++attempt) {
       const auto start = std::chrono::steady_clock::now();
-      result = experiments::RunShardedScenario(
+      result = experiments::RunScenario(
           SweepConfig(providers, shards, seed, duration));
       const double attempt_ms =
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -143,28 +147,9 @@ struct AllocRow {
   uint32_t shards = 0;
 };
 
-/// Epoch applier mirroring the experiment runner's RunnerMembership (the
-/// canonical version, which also wires reputation + churn for joins):
-/// route each op to the owning shard's mediator. This pump harness never
-/// queues joins — OnProviderJoined aborts rather than silently skipping
-/// the reputation growth a real join needs.
-struct BenchMembership final : core::MembershipApplier {
-  core::Registry* registry = nullptr;
-  std::vector<core::Mediator*>* mediators = nullptr;
-  void ApplyAvailability(model::ProviderId p, bool available) override {
-    (*mediators)[registry->ProviderShard(p)]->ApplyProviderAvailability(
-        p, available);
-  }
-  void ApplyDeparture(model::ProviderId p) override {
-    (*mediators)[registry->ProviderShard(p)]->ApplyProviderDeparture(p);
-  }
-  void OnProviderJoined(model::ProviderId) override {
-    SBQA_CHECK(false);  // joins need reputation wiring; see RunnerMembership
-  }
-};
-
 /// Controlled pump: a 4-shard set, one SbQA mediator per shard over a
-/// partitioned registry, queries submitted round-robin across shards.
+/// partitioned registry (wired by experiments::Assembly, like every run),
+/// queries submitted round-robin across the shards' gateways.
 /// With `churn`, a deterministic periodic availability rotation flows
 /// through the membership log (one provider offline, one back online
 /// every third pump step) — the steady state must remain allocation-free
@@ -203,27 +188,21 @@ AllocRow MeasureShardedAllocations(uint32_t shard_count, size_t providers,
   model::ReputationRegistry reputation(registry.provider_count());
   core::SbqaParams sbqa_params;
   sbqa_params.knbest = core::KnBestParams{20, 8};
-  std::vector<std::unique_ptr<core::Mediator>> mediators;
-  std::vector<core::Mediator*> mediator_ptrs;
+  experiments::AssemblyOptions wiring;
+  wiring.registry = &registry;
+  wiring.reputation = &reputation;
   for (uint32_t s = 0; s < shard_count; ++s) {
-    mediators.push_back(std::make_unique<core::Mediator>(
-        &shards.shard(s), &registry, &reputation,
-        std::make_unique<core::SbqaMethod>(sbqa_params),
-        core::MediatorConfig{}));
-    mediator_ptrs.push_back(mediators.back().get());
+    wiring.runtimes.push_back(&shards.shard(s).runtime());
   }
-  core::ShardDirectory directory;
-  directory.Refresh(registry);
-  for (uint32_t s = 0; s < shard_count; ++s) {
-    mediators[s]->ConfigureSharding(&shards, s, &directory, mediator_ptrs);
-  }
-  BenchMembership membership;
-  membership.registry = &registry;
-  membership.mediators = &mediator_ptrs;
-  shards.SetMembershipHook(
-      [&](double) { registry.AdvanceEpoch(&membership); });
-  shards.AddBarrierHook(
-      [&](double) { directory.RefreshIfChanged(registry); });
+  wiring.fabric = &shards;
+  wiring.make_method = [sbqa_params] {
+    return std::make_unique<core::SbqaMethod>(sbqa_params);
+  };
+  experiments::Assembly assembly(std::move(wiring));
+  assembly.InstallBarrierPhases(&shards);
+  const auto owner = [&](model::ProviderId p) {
+    return assembly.gateway(registry.ProviderShard(p));
+  };
 
   model::QueryId next_id = 0;
   double horizon = 0;
@@ -237,7 +216,7 @@ AllocRow MeasureShardedAllocations(uint32_t shard_count, size_t providers,
         query.consumer = static_cast<model::ConsumerId>(s);
         query.n_results = 3;
         query.cost = 0.5;
-        mediators[s]->SubmitQuery(query);
+        assembly.gateway(s)->SubmitQuery(query);
       }
       if (churn && step % 3 == 0) {
         // Periodic rotation over the first ten ids of one shard's block:
@@ -253,10 +232,8 @@ AllocRow MeasureShardedAllocations(uint32_t shard_count, size_t providers,
         const auto victim = static_cast<model::ProviderId>(base + j % 10);
         const auto revived =
             static_cast<model::ProviderId>(base + (j + 5) % 10);
-        mediators[registry.ProviderShard(victim)]->SetProviderAvailability(
-            victim, false);
-        mediators[registry.ProviderShard(revived)]->SetProviderAvailability(
-            revived, true);
+        owner(victim)->SetProviderAvailability(victim, false);
+        owner(revived)->SetProviderAvailability(revived, true);
       }
       horizon += 0.05;
       shards.RunUntil(horizon);
@@ -275,7 +252,7 @@ AllocRow MeasureShardedAllocations(uint32_t shard_count, size_t providers,
       query.consumer = static_cast<model::ConsumerId>(s);
       query.n_results = 3;
       query.cost = 0.5;
-      mediators[s]->SubmitQuery(query);
+      assembly.gateway(s)->SubmitQuery(query);
     }
   }
   horizon += 700.0;
@@ -331,7 +308,7 @@ TurnoverRow RunTurnover(size_t providers, uint32_t shards, uint64_t seed,
       static_cast<double>(config.joins.max_joins) / duration;
 
   const auto start = std::chrono::steady_clock::now();
-  const experiments::RunResult result = experiments::RunShardedScenario(config);
+  const experiments::RunResult result = experiments::RunScenario(config);
   const double wall_ms =
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)

@@ -1,8 +1,9 @@
 /// \file
 /// sbqa_serve — the identical SbQA mediation pipeline serving live
 /// wall-clock traffic: a driver thread submits queries through the
-/// sbqa::Engine facade against rt::WallClockRuntime (steady-clock time,
-/// ladder timer core, one service thread), outcomes come back through
+/// sbqa::Engine facade against an rt::WallClockShardSet (steady-clock
+/// time, ladder timer core, one worker thread per shard — one shard by
+/// default), outcomes come back through
 /// per-query callbacks, and the steady-state Submit path performs zero
 /// heap allocations per query (measured live by the counting allocator).
 ///
@@ -25,8 +26,8 @@
 /// once that many queries are in flight. The tail of the report breaks
 /// every outcome down by the terminal taxonomy.
 ///
-/// --shards=N serves on the thread-per-shard backend (one worker per
-/// shard, barrier-connected); while traffic flows the driver prints a
+/// --shards=N serves on N barrier-connected shards; with N > 1, while
+/// traffic flows the driver prints a
 /// live per-shard stats line — queries/s, pending, shed and cross-shard
 /// borrow counts — read at a quiescent barrier via Engine::ShardStats().
 /// A shard whose pool is dry for a query borrows one hop from the
@@ -184,7 +185,7 @@ int main(int argc, char** argv) {
   std::atomic<long> delivered{0};
   std::atomic<long> served{0};
   // Terminal taxonomy, counted from the per-query callbacks (shed ones run
-  // synchronously on the driver thread, the rest on the service thread).
+  // synchronously on the driver thread, the rest on the shard workers).
   std::atomic<long> satisfied{0};
   std::atomic<long> retried{0};
   std::atomic<long> timed_out{0};

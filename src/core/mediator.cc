@@ -8,6 +8,33 @@
 
 namespace sbqa::core {
 
+void MediatorStats::Merge(const MediatorStats& s) {
+  queries_submitted += s.queries_submitted;
+  queries_finalized += s.queries_finalized;
+  queries_unallocated += s.queries_unallocated;
+  queries_timed_out += s.queries_timed_out;
+  queries_fully_served += s.queries_fully_served;
+  instances_dispatched += s.instances_dispatched;
+  instances_completed += s.instances_completed;
+  instances_failed += s.instances_failed;
+  provider_departures += s.provider_departures;
+  provider_offline_events += s.provider_offline_events;
+  consumer_retirements += s.consumer_retirements;
+  queries_delegated += s.queries_delegated;
+  queries_borrowed += s.queries_borrowed;
+  queries_rehomed += s.queries_rehomed;
+  queries_satisfied += s.queries_satisfied;
+  queries_recovered += s.queries_recovered;
+  queries_failed += s.queries_failed;
+  retry_attempts += s.retry_attempts;
+  instances_abandoned += s.instances_abandoned;
+  instances_dispatched_dead += s.instances_dispatched_dead;
+  providers_suspected += s.providers_suspected;
+  providers_probed += s.providers_probed;
+  response_time.Merge(s.response_time);
+  query_satisfaction.Merge(s.query_satisfaction);
+}
+
 Mediator::Mediator(rt::Runtime* runtime, Registry* registry,
                    model::ReputationRegistry* reputation,
                    std::unique_ptr<AllocationMethod> method,
@@ -30,7 +57,7 @@ Mediator::Mediator(rt::Runtime* runtime, Registry* registry,
   SBQA_CHECK_GE(config_.retry_backoff_jitter, 0);
   SBQA_CHECK_GE(config_.failure_threshold, 0);
   if (config_.failure_threshold > 0) SBQA_CHECK_GT(config_.probe_delay, 0);
-  inbox_ = rt_->RegisterDestination();
+  inbox_ = rt_->RegisterInbox();
   // Size the dense per-provider tables for the population known at
   // construction, so the steady-state path never grows them (providers
   // joining at runtime extend them on first contact).

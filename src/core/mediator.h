@@ -139,6 +139,10 @@ struct MediatorStats {
   int64_t providers_probed = 0;
   util::RunningStats response_time;
   util::RunningStats query_satisfaction;
+
+  /// Adds `other`'s counters (parallel Welford for the running stats): the
+  /// aggregate over a mediator group or a shard set.
+  void Merge(const MediatorStats& other);
 };
 
 /// The mediation pipeline. One mediator per simulated system.

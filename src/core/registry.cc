@@ -77,7 +77,7 @@ void Registry::SetShardCount(uint32_t shard_count) {
     // index AS IS: a rebuild would reorder its dense sets (providers that
     // were restricted after registration occupy different slots), which
     // would perturb uniform sampling and break the bit-for-bit equivalence
-    // between shard_count=1 and the classic engine.
+    // between shard_count=1 and the classic single-engine runner.
     shard_count_ = 1;
     return;
   }

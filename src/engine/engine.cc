@@ -1,8 +1,8 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -10,129 +10,37 @@
 #include "core/mediation.h"
 #include "core/mediator.h"
 #include "core/registry.h"
-#include "core/shard_directory.h"
+#include "experiments/assembly.h"
 #include "experiments/methods.h"
 #include "model/query.h"
 #include "model/reputation.h"
 #include "runtime/wallclock_shard_set.h"
 #include "sim/simulation.h"
 #include "util/check.h"
-#include "util/rng.h"
 #include "util/slot_pool.h"
 
 namespace sbqa {
-
-namespace {
-
-/// Manual-clock step of WaitIdle on the single-runtime engine.
-constexpr double kManualIdleStep = 0.001;
-
-/// Epoch applier of the sharded engine: routes each membership op applied
-/// by Registry::AdvanceEpoch to the owning shard's mediator and grows the
-/// reputation registry for joins. Runs on the barrier leader with every
-/// shard worker parked.
-class EngineMembership final : public core::MembershipApplier {
- public:
-  EngineMembership(core::Registry* registry,
-                   std::vector<core::Mediator*> mediators,
-                   model::ReputationRegistry* reputation)
-      : registry_(registry),
-        mediators_(std::move(mediators)),
-        reputation_(reputation) {}
-
-  void ApplyAvailability(model::ProviderId provider,
-                         bool available) override {
-    Owner(provider)->ApplyProviderAvailability(provider, available);
-  }
-
-  void ApplyDeparture(model::ProviderId provider) override {
-    Owner(provider)->ApplyProviderDeparture(provider);
-  }
-
-  void OnProviderJoined(model::ProviderId provider) override {
-    reputation_->GrowTo(registry_->provider_count());
-    // Grow every mediator's per-provider tables NOW, at the barrier, so
-    // first contact with the newcomer stays allocation-free on the query
-    // path (any shard can touch it: dispatch on the owner, failure
-    // bookkeeping on a borrower).
-    for (core::Mediator* mediator : mediators_) {
-      mediator->EnsureProviderTables(provider);
-    }
-  }
-
- private:
-  core::Mediator* Owner(model::ProviderId provider) {
-    return mediators_[registry_->ProviderShard(provider)];
-  }
-
-  core::Registry* registry_;
-  std::vector<core::Mediator*> mediators_;
-  model::ReputationRegistry* reputation_;
-};
-
-/// Field-by-field sum of two mediator counter blocks (parallel Welford for
-/// the running stats) — the cross-shard aggregate Stats() reports.
-void MergeMediatorStats(core::MediatorStats* into,
-                        const core::MediatorStats& s) {
-  into->queries_submitted += s.queries_submitted;
-  into->queries_finalized += s.queries_finalized;
-  into->queries_unallocated += s.queries_unallocated;
-  into->queries_timed_out += s.queries_timed_out;
-  into->queries_fully_served += s.queries_fully_served;
-  into->instances_dispatched += s.instances_dispatched;
-  into->instances_completed += s.instances_completed;
-  into->instances_failed += s.instances_failed;
-  into->provider_departures += s.provider_departures;
-  into->provider_offline_events += s.provider_offline_events;
-  into->consumer_retirements += s.consumer_retirements;
-  into->queries_delegated += s.queries_delegated;
-  into->queries_borrowed += s.queries_borrowed;
-  into->queries_rehomed += s.queries_rehomed;
-  into->queries_satisfied += s.queries_satisfied;
-  into->queries_recovered += s.queries_recovered;
-  into->queries_failed += s.queries_failed;
-  into->retry_attempts += s.retry_attempts;
-  into->instances_abandoned += s.instances_abandoned;
-  into->instances_dispatched_dead += s.instances_dispatched_dead;
-  into->providers_suspected += s.providers_suspected;
-  into->providers_probed += s.providers_probed;
-  into->response_time.Merge(s.response_time);
-  into->query_satisfaction.Merge(s.query_satisfaction);
-}
-
-}  // namespace
 
 /// Everything behind the facade. Also the mediation observer that turns
 /// QueryOutcomes into user callbacks.
 struct Engine::Impl final : core::MediationObserver {
   EngineOptions options;
 
-  /// Exactly one of these backs `runtime` (shard_set: runtime == shard 0).
+  /// Exactly one of these is the executor: the simulation (kSimulated) or
+  /// an N >= 1 shard set (kWallClock). `runtime` is the simulation's, or
+  /// shard 0's — the facade's clock.
   std::unique_ptr<sim::Simulation> sim;
-  std::unique_ptr<rt::WallClockRuntime> wall;
   std::unique_ptr<rt::WallClockShardSet> shard_set;
-  /// When options.fault_plan is enabled, wraps the backing runtime and
-  /// becomes `runtime` — the mediation stack sees faults; the facade's own
-  /// control paths (Submit posts, probes) go through exempt delegation.
-  /// Sharded engines get one injector per shard instead, with per-shard
-  /// derived fault streams.
-  std::unique_ptr<rt::FaultInjector> fault;
-  std::vector<std::unique_ptr<rt::FaultInjector>> shard_faults;
   rt::Runtime* runtime = nullptr;
 
   core::Registry registry;
   std::unique_ptr<model::ReputationRegistry> reputation;
-  /// Single-runtime engine's mediator (null when sharded)...
-  std::unique_ptr<core::Mediator> mediator;
-  /// ...or one mediator partition per shard (empty when unsharded).
-  std::vector<std::unique_ptr<core::Mediator>> mediators;
-  std::vector<core::Mediator*> mediator_ptrs;
-  core::ShardDirectory directory;
-  std::unique_ptr<EngineMembership> membership;
-  /// Serializes Start/Stop against Stats/Snapshot: a probe posted to the
-  /// executor is only awaited while this lock keeps Stop from joining the
-  /// service thread underneath it, and started/stopped reads are
-  /// race-free under it.
+  /// The mediation stack, one mediator per shard (built at Start).
+  std::unique_ptr<experiments::Assembly> assembly;
+  /// Serializes Start/Stop against Stats/Snapshot: a control op posted to
+  /// the shard set is only awaited while this lock keeps Stop from joining
+  /// the workers underneath it, and started/stopped reads are race-free
+  /// under it.
   mutable std::mutex lifecycle_mu;
   bool started = false;
   bool stopped = false;
@@ -148,25 +56,17 @@ struct Engine::Impl final : core::MediationObserver {
   /// Queries rejected at admission (max_pending / bounded submit queue).
   std::atomic<int64_t> queries_shed{0};
 
-  /// Whether a service thread owns the executor (then cross-thread reads
-  /// of mediator state must hop through RunOnExecutor, or RunAtBarrier in
-  /// sharded mode).
-  bool threaded() const {
-    return options.mode == EngineMode::kWallClock &&
-           !options.wallclock.manual_clock && started && !stopped;
-  }
-  bool sharded() const { return shard_set != nullptr; }
-
-  /// Runs `fn` at a quiescent point of the engine: inline before Start,
-  /// at a barrier (workers parked) in sharded mode, on the executor in
-  /// threaded single-runtime mode, directly otherwise (sim / manual clock:
-  /// the caller IS the executor context). Blocks until `fn` ran.
+  /// Runs `fn` at a quiescent point of the engine and blocks until it ran:
+  /// at a barrier with every worker parked, or inline when no worker runs
+  /// (manual clock, before Start, after Stop, kSimulated), where the
+  /// caller IS the executor context. Inline calls skip RunAtBarrier's
+  /// std::function, so building a population before Start does not
+  /// allocate per preference. Callers hold lifecycle_mu, which keeps
+  /// Start/Stop from changing threaded() underneath.
   template <typename Fn>
   void RunQuiescent(Fn&& fn) {
-    if (started && sharded()) {
+    if (shard_set != nullptr && shard_set->threaded()) {
       shard_set->RunAtBarrier(fn);
-    } else if (threaded()) {
-      RunOnExecutor(fn);
     } else {
       fn();
     }
@@ -245,35 +145,8 @@ struct Engine::Impl final : core::MediationObserver {
     tickets_live.fetch_sub(1, std::memory_order_release);
   }
 
-  /// Runs `fn` on the executor and blocks until it finished (threaded
-  /// mode's safe window into mediator/registry state).
-  template <typename Fn>
-  void RunOnExecutor(Fn&& fn) {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    runtime->Post([&] {
-      fn();
-      // Notify while holding the lock: the waiter owns cv's storage and
-      // may destroy it the moment it can re-acquire the mutex.
-      std::lock_guard<std::mutex> lock(mu);
-      done = true;
-      cv.notify_one();
-    });
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-  }
-
   EngineStats GatherStats() const {
-    core::MediatorStats merged;
-    if (!mediators.empty()) {
-      for (const std::unique_ptr<core::Mediator>& m : mediators) {
-        MergeMediatorStats(&merged, m->stats());
-      }
-    } else {
-      merged = mediator->stats();
-    }
-    const core::MediatorStats& s = merged;
+    const core::MediatorStats s = assembly->stats();
     EngineStats out;
     out.queries_submitted = s.queries_submitted;
     out.queries_finalized = s.queries_finalized;
@@ -291,18 +164,10 @@ struct Engine::Impl final : core::MediationObserver {
     out.retry_attempts = s.retry_attempts;
     out.providers_suspected = s.providers_suspected;
     out.providers_probed = s.providers_probed;
-    if (fault != nullptr) {
-      const rt::FaultStats& f = fault->stats();
-      out.fault_sends_dropped = f.sends_dropped;
-      out.fault_sends_delayed = f.sends_delayed;
-      out.fault_sends_crashed = f.sends_crashed;
-    }
-    for (const std::unique_ptr<rt::FaultInjector>& injector : shard_faults) {
-      const rt::FaultStats& f = injector->stats();
-      out.fault_sends_dropped += f.sends_dropped;
-      out.fault_sends_delayed += f.sends_delayed;
-      out.fault_sends_crashed += f.sends_crashed;
-    }
+    const rt::FaultStats faults = assembly->fault_stats();
+    out.fault_sends_dropped = faults.sends_dropped;
+    out.fault_sends_delayed = faults.sends_delayed;
+    out.fault_sends_crashed = faults.sends_crashed;
     out.queries_delegated = s.queries_delegated;
     out.queries_borrowed = s.queries_borrowed;
     if (shard_set != nullptr) {
@@ -317,9 +182,11 @@ struct Engine::Impl final : core::MediationObserver {
 
   std::vector<EngineShardStats> GatherShardStats() const {
     std::vector<EngineShardStats> rows;
-    rows.reserve(mediators.size());
-    for (uint32_t s = 0; s < mediators.size(); ++s) {
-      const core::MediatorStats& m = mediators[s]->stats();
+    if (shard_set == nullptr) return rows;
+    const uint32_t n = shard_set->shard_count();
+    rows.reserve(n);
+    for (uint32_t s = 0; s < n; ++s) {
+      const core::MediatorStats& m = assembly->gateway(s)->stats();
       EngineShardStats row;
       row.shard = s;
       row.queries_submitted = m.queries_submitted;
@@ -367,6 +234,7 @@ struct Engine::Impl final : core::MediationObserver {
 Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>()) {
   impl_->options = std::move(options);
   EngineOptions& opts = impl_->options;
+  SBQA_CHECK_GE(opts.shards, 1u);
   // With a hard admission cap, every in-flight query holds at most one
   // timeout timer plus a few completion/retry timers — reserve the
   // wall-clock timer pools for that bound up front so serving never
@@ -377,6 +245,9 @@ Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>()) {
         static_cast<size_t>(opts.max_pending) * 4;
   }
   if (opts.mode == EngineMode::kSimulated) {
+    // The simulated engine is one simulation: sharding is a kWallClock
+    // (or experiments::RunScenario) feature.
+    SBQA_CHECK_EQ(opts.shards, 1u);
     sim::SimulationConfig config;
     config.seed = opts.seed;
     config.latency_median = opts.latency_median;
@@ -384,21 +255,15 @@ Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>()) {
     config.latency_floor = opts.latency_floor;
     impl_->sim = std::make_unique<sim::Simulation>(config);
     impl_->runtime = &impl_->sim->runtime();
-  } else if (opts.shards > 1) {
+  } else {
     rt::WallClockShardOptions config;
     config.shard_count = opts.shards;
     config.seed = opts.seed;
     config.barrier_tick = opts.shard_barrier_tick;
     config.outbox_fill_threshold = opts.shard_outbox_fill;
     config.runtime = opts.wallclock;
-    config.manual_clock = opts.wallclock.manual_clock;
     impl_->shard_set = std::make_unique<rt::WallClockShardSet>(config);
     impl_->runtime = &impl_->shard_set->runtime(0);
-  } else {
-    rt::WallClockOptions config = opts.wallclock;
-    config.seed = opts.seed;
-    impl_->wall = std::make_unique<rt::WallClockRuntime>(config);
-    impl_->runtime = impl_->wall.get();
   }
 }
 
@@ -409,28 +274,13 @@ model::ProviderId Engine::AddProvider(const ProviderOptions& options) {
   std::lock_guard<std::mutex> lifecycle(impl.lifecycle_mu);
   if (!impl.started) return impl.registry.AddProvider(options);
   SBQA_CHECK(!impl.stopped);
+  // Post-Start joins go through the registry's epoch join log at a
+  // quiescent point, exactly like the sharded simulation's volunteer
+  // arrivals: the owner shard falls out of the deterministic join hash,
+  // and the assembly grows the reputation registry and the mediators'
+  // per-provider tables.
   model::ProviderId id = model::kInvalidId;
-  if (impl.sharded()) {
-    // Post-Start joins go through the registry's epoch join log, exactly
-    // like the sharded simulation's volunteer arrivals: the join is queued
-    // and the epoch advanced at a barrier with every worker parked, the
-    // owner shard falls out of the deterministic join hash, and the epoch
-    // applier grows the reputation registry. Applying the epoch inside the
-    // barrier (instead of waiting for the next membership phase) is what
-    // lets the caller get the dense id back synchronously.
-    impl.shard_set->RunAtBarrier([&] {
-      impl.registry.QueueJoin(0, [&](core::Registry* registry) {
-        id = registry->AddProvider(options);
-        return id;
-      });
-      impl.registry.AdvanceEpoch(impl.membership.get());
-    });
-  } else {
-    impl.RunQuiescent([&] {
-      id = impl.registry.AddProvider(options);
-      impl.reputation->GrowTo(impl.registry.provider_count());
-    });
-  }
+  impl.RunQuiescent([&] { id = impl.assembly->JoinProvider(options); });
   return id;
 }
 
@@ -440,8 +290,8 @@ model::ConsumerId Engine::AddConsumer(const ConsumerOptions& options) {
   if (!impl.started) return impl.registry.AddConsumer(options);
   SBQA_CHECK(!impl.stopped);
   model::ConsumerId id = model::kInvalidId;
-  // Consumers carry no cross-shard mediation state, so a barrier (or the
-  // executor) is a sufficient quiescent point — no epoch op needed.
+  // Consumers carry no cross-shard mediation state, so a quiescent point is
+  // enough — no epoch op needed.
   impl.RunQuiescent([&] { id = impl.registry.AddConsumer(options); });
   return id;
 }
@@ -472,26 +322,40 @@ void Engine::Start() {
   SBQA_CHECK(!impl.started);
   SBQA_CHECK_GT(impl.registry.provider_count(), 0u);
   SBQA_CHECK_GT(impl.registry.consumer_count(), 0u);
-
-  // One allocation-method instance per mediator: a custom instance cannot
-  // be replicated, so it requires the single-mediator configuration.
-  std::unique_ptr<core::AllocationMethod> method =
-      std::move(impl.options.custom_method);
-  experiments::MethodSpec spec;
-  if (method == nullptr) {
-    SBQA_CHECK(experiments::MethodSpecFromName(impl.options.method, &spec));
-  } else {
-    SBQA_CHECK(impl.shard_set == nullptr);
-  }
-  // One master switch for the run's scoring kernel (a custom_method keeps
-  // its own configuration).
-  spec.sbqa.scoring_kernel = impl.options.scoring_kernel;
-  spec.sbqa.decision_timing = impl.options.decision_timing;
-
+  const uint32_t n = impl.shard_set != nullptr ? impl.shard_set->shard_count()
+                                               : 1;
+  impl.registry.SetShardCount(n);
   impl.reputation = std::make_unique<model::ReputationRegistry>(
       impl.registry.provider_count());
 
-  core::MediatorConfig config;
+  experiments::AssemblyOptions wiring;
+  wiring.registry = &impl.registry;
+  wiring.reputation = impl.reputation.get();
+  if (impl.shard_set != nullptr) {
+    for (uint32_t s = 0; s < n; ++s) {
+      wiring.runtimes.push_back(&impl.shard_set->runtime(s));
+    }
+    wiring.fabric = impl.shard_set.get();
+  } else {
+    wiring.runtimes.push_back(impl.runtime);
+  }
+  // One allocation-method instance per mediator: a custom instance cannot
+  // be replicated, so it requires a single shard.
+  if (impl.options.custom_method != nullptr) {
+    SBQA_CHECK_EQ(n, 1u);
+    wiring.make_method = [&impl] {
+      return std::move(impl.options.custom_method);
+    };
+  } else {
+    experiments::MethodSpec spec;
+    SBQA_CHECK(experiments::MethodSpecFromName(impl.options.method, &spec));
+    // One master switch for the run's scoring kernel (a custom_method keeps
+    // its own configuration).
+    spec.sbqa.scoring_kernel = impl.options.scoring_kernel;
+    spec.sbqa.decision_timing = impl.options.decision_timing;
+    wiring.make_method = [spec] { return experiments::MakeMethod(spec); };
+  }
+  core::MediatorConfig& config = wiring.mediator;
   config.simulate_network = impl.options.mode == EngineMode::kSimulated &&
                             impl.options.simulate_network;
   // The fault plane interposes on destination sends, so dispatches must
@@ -505,63 +369,11 @@ void Engine::Start() {
   config.failure_threshold = impl.options.failure_threshold;
   config.probe_delay = impl.options.probe_delay;
   config.scoring_kernel = impl.options.scoring_kernel;
-
+  wiring.fault_plan = impl.options.fault_plan;
+  impl.assembly = std::make_unique<experiments::Assembly>(std::move(wiring));
+  for (core::Mediator* m : impl.assembly->mediators()) m->AddObserver(&impl);
   if (impl.shard_set != nullptr) {
-    // Thread-per-shard wiring: partition the registry, build one mediator
-    // (optionally behind a per-shard fault injector whose streams derive
-    // from (fault_plan.seed, shard)) on each shard's runtime, and wire the
-    // barrier phases — epoch membership application and the consumer
-    // satisfaction publish, then the cross-shard directory refresh. This
-    // mirrors the sharded simulation runner.
-    const uint32_t n = impl.shard_set->shard_count();
-    impl.registry.SetShardCount(n);
-    impl.mediators.reserve(n);
-    impl.mediator_ptrs.reserve(n);
-    for (uint32_t s = 0; s < n; ++s) {
-      rt::Runtime* shard_rt = &impl.shard_set->runtime(s);
-      if (impl.options.fault_plan.enabled()) {
-        rt::FaultPlan plan = impl.options.fault_plan;
-        plan.seed = util::Rng::StreamSeed(plan.seed, s);
-        impl.shard_faults.push_back(
-            std::make_unique<rt::FaultInjector>(shard_rt, plan));
-        shard_rt = impl.shard_faults.back().get();
-      }
-      impl.mediators.push_back(std::make_unique<core::Mediator>(
-          shard_rt, &impl.registry, impl.reputation.get(),
-          experiments::MakeMethod(spec), config));
-      impl.mediators.back()->AddObserver(&impl);
-      impl.mediator_ptrs.push_back(impl.mediators.back().get());
-    }
-    for (uint32_t s = 0; s < n; ++s) {
-      impl.mediators[s]->ConfigureSharding(impl.shard_set.get(), s,
-                                           &impl.directory,
-                                           impl.mediator_ptrs);
-    }
-    impl.membership = std::make_unique<EngineMembership>(
-        &impl.registry, impl.mediator_ptrs, impl.reputation.get());
-    Impl* im = &impl;
-    impl.shard_set->SetMembershipHook([im](rt::Time) {
-      im->registry.AdvanceEpoch(im->membership.get());
-      im->registry.PublishConsumerSatisfaction();
-    });
-    impl.shard_set->AddBarrierHook([im](rt::Time) {
-      im->directory.RefreshIfChanged(im->registry);
-    });
-    impl.directory.Refresh(impl.registry);
-  } else {
-    // Interpose the fault plane before any destination is registered so
-    // the mediator's whole runtime view (sends, latency samples) goes
-    // through it.
-    if (impl.options.fault_plan.enabled()) {
-      impl.fault = std::make_unique<rt::FaultInjector>(
-          impl.runtime, impl.options.fault_plan);
-      impl.runtime = impl.fault.get();
-    }
-    if (method == nullptr) method = experiments::MakeMethod(spec);
-    impl.mediator = std::make_unique<core::Mediator>(
-        impl.runtime, &impl.registry, impl.reputation.get(),
-        std::move(method), config);
-    impl.mediator->AddObserver(&impl);
+    impl.assembly->InstallBarrierPhases(impl.shard_set.get());
   }
 
   // Reserve every per-in-flight pool for the admission cap: max_pending
@@ -574,18 +386,17 @@ void Engine::Start() {
   if (impl.options.max_pending > 0) {
     const size_t cap = static_cast<size_t>(impl.options.max_pending);
     impl.tickets.Provision(cap);
-    if (impl.mediator != nullptr) impl.mediator->ProvisionInflight(cap);
-    for (core::Mediator* m : impl.mediator_ptrs) m->ProvisionInflight(cap);
+    for (core::Mediator* m : impl.assembly->mediators()) {
+      m->ProvisionInflight(cap);
+    }
   }
 
   impl.started = true;
-  if (impl.wall != nullptr) impl.wall->Start();
   if (impl.shard_set != nullptr) impl.shard_set->Start();
 }
 
 void Engine::Stop() {
   std::lock_guard<std::mutex> lifecycle(impl_->lifecycle_mu);
-  if (impl_->wall != nullptr) impl_->wall->Stop();
   if (impl_->shard_set != nullptr) impl_->shard_set->Stop();
   impl_->stopped = true;
 }
@@ -611,29 +422,18 @@ uint64_t Engine::Submit(const QueryRequest& request,
   query.cost = request.cost;
   query.deadline = request.deadline > 0 ? request.deadline
                                         : impl.options.default_deadline;
-  if (impl.sharded()) {
-    // Hash-route to the consumer's owner shard; its worker mediates the
-    // query (or borrows cross-shard when its own pool is dry).
-    const uint32_t shard = impl.registry.ConsumerShard(request.consumer);
-    core::Mediator* mediator = impl.mediator_ptrs[shard];
-    util::EventFn task([mediator, query] { mediator->SubmitQuery(query); });
-    if (!impl.shard_set->runtime(shard).TryPost(std::move(task))) {
-      impl.ShedQuery(impl.ReclaimTicket(ticket));
-      return 0;
-    }
-    return ticket;
-  }
-  core::Mediator* mediator = impl.mediator.get();
+  // Route to the consumer's owner shard (its gateway mediates the query,
+  // or borrows cross-shard when its own pool is dry).
+  const uint32_t shard = impl.registry.ConsumerShard(request.consumer);
+  core::Mediator* mediator = impl.assembly->gateway(shard);
   util::EventFn task([mediator, query] { mediator->SubmitQuery(query); });
-  if (impl.wall != nullptr) {
-    if (!impl.wall->TryPost(std::move(task))) {
-      // The bounded submit queue is full: the executor never saw the
-      // query, so reclaim its ticket and shed at the door.
-      impl.ShedQuery(impl.ReclaimTicket(ticket));
-      return 0;
-    }
-  } else {
+  if (impl.shard_set == nullptr) {
     impl.runtime->Post(std::move(task));
+  } else if (!impl.shard_set->runtime(shard).TryPost(std::move(task))) {
+    // The shard's bounded submit queue is full: the executor never saw the
+    // query, so reclaim its ticket and shed at the door.
+    impl.ShedQuery(impl.ReclaimTicket(ticket));
+    return 0;
   }
   return ticket;
 }
@@ -646,11 +446,7 @@ void Engine::RunFor(double seconds) {
   if (impl.sim != nullptr) {
     impl.sim->RunFor(seconds);
   } else if (impl.options.wallclock.manual_clock) {
-    if (impl.shard_set != nullptr) {
-      impl.shard_set->RunFor(seconds);  // lock-step barrier windows
-    } else {
-      impl.wall->AdvanceTo(impl.wall->now() + seconds);
-    }
+    impl.shard_set->RunFor(seconds);  // lock-step barrier windows
   } else {
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
   }
@@ -661,8 +457,7 @@ bool Engine::WaitIdle(double budget_seconds) {
   SBQA_CHECK_GE(budget_seconds, 0);
   if (impl.sim != nullptr) {
     impl.sim->RunUntil(impl.sim->now() + budget_seconds);
-  } else if (impl.options.wallclock.manual_clock &&
-             impl.shard_set != nullptr) {
+  } else if (impl.options.wallclock.manual_clock) {
     // Window-by-window so the drain stops as soon as the outcomes landed
     // instead of spinning barriers through the whole budget.
     const double deadline = impl.shard_set->now() + budget_seconds;
@@ -671,16 +466,6 @@ bool Engine::WaitIdle(double budget_seconds) {
            impl.shard_set->now() < deadline) {
       impl.shard_set->RunUntil(
           std::min(deadline, impl.shard_set->now() + step));
-    }
-  } else if (impl.options.wallclock.manual_clock) {
-    // Step in small increments: a single clock jump would stamp queued
-    // submissions at the end of the window, leaving their completion
-    // timers beyond it.
-    const double deadline = impl.wall->now() + budget_seconds;
-    while (impl.tickets_live.load(std::memory_order_acquire) > 0 &&
-           impl.wall->now() < deadline) {
-      impl.wall->AdvanceTo(
-          std::min(deadline, impl.wall->now() + kManualIdleStep));
     }
   } else {
     const auto deadline = std::chrono::steady_clock::now() +
@@ -696,21 +481,13 @@ bool Engine::WaitIdle(double budget_seconds) {
 
 EngineStats Engine::Stats() const {
   Impl& impl = *impl_;
-  // Holding lifecycle_mu pins the service thread alive for the whole
-  // probe round trip — a concurrent Stop() cannot join it under us and
-  // leave the probe stranded in the submit queue.
+  // Holding lifecycle_mu pins the workers alive for the whole control-op
+  // round trip — a concurrent Stop() cannot join them under us and leave
+  // the op stranded in the control queue.
   std::lock_guard<std::mutex> lifecycle(impl.lifecycle_mu);
   SBQA_CHECK(impl.started);
   EngineStats stats;
-  if (impl.sharded()) {
-    // A barrier is the sharded engine's quiescent point (inline when the
-    // workers are not running: manual clock, or after Stop).
-    impl.shard_set->RunAtBarrier([&] { stats = impl.GatherStats(); });
-  } else if (impl.threaded()) {
-    impl.RunOnExecutor([&] { stats = impl.GatherStats(); });
-  } else {
-    stats = impl.GatherStats();
-  }
+  impl.RunQuiescent([&] { stats = impl.GatherStats(); });
   return stats;
 }
 
@@ -719,8 +496,7 @@ std::vector<EngineShardStats> Engine::ShardStats() const {
   std::lock_guard<std::mutex> lifecycle(impl.lifecycle_mu);
   SBQA_CHECK(impl.started);
   std::vector<EngineShardStats> rows;
-  if (!impl.sharded()) return rows;
-  impl.shard_set->RunAtBarrier([&] { rows = impl.GatherShardStats(); });
+  impl.RunQuiescent([&] { rows = impl.GatherShardStats(); });
   return rows;
 }
 
@@ -729,14 +505,7 @@ std::string Engine::ScoringKernelName() const {
   std::lock_guard<std::mutex> lifecycle(impl.lifecycle_mu);
   if (!impl.started) return "";
   // The kernel kind is immutable after Start, so no quiescent point needed.
-  std::string name;
-  auto record = [&name](core::Mediator* m) {
-    auto* sbqa = dynamic_cast<core::SbqaMethod*>(&m->method());
-    if (sbqa != nullptr) name = core::ToString(sbqa->kernel().kind());
-  };
-  if (impl.mediator != nullptr) record(impl.mediator.get());
-  for (core::Mediator* m : impl.mediator_ptrs) record(m);
-  return name;
+  return impl.assembly->scoring_kernel();
 }
 
 core::ScoreKernelPhases Engine::DecisionPhases() const {
@@ -744,21 +513,7 @@ core::ScoreKernelPhases Engine::DecisionPhases() const {
   std::lock_guard<std::mutex> lifecycle(impl.lifecycle_mu);
   core::ScoreKernelPhases phases;
   if (!impl.started) return phases;
-  auto gather = [&] {
-    auto accumulate = [&phases](core::Mediator* m) {
-      auto* sbqa = dynamic_cast<core::SbqaMethod*>(&m->method());
-      if (sbqa != nullptr) phases.Accumulate(sbqa->kernel().phases());
-    };
-    if (impl.mediator != nullptr) accumulate(impl.mediator.get());
-    for (core::Mediator* m : impl.mediator_ptrs) accumulate(m);
-  };
-  if (impl.sharded()) {
-    impl.shard_set->RunAtBarrier(gather);
-  } else if (impl.threaded()) {
-    impl.RunOnExecutor(gather);
-  } else {
-    gather();
-  }
+  impl.RunQuiescent([&] { phases = impl.assembly->decision_phases(); });
   return phases;
 }
 
@@ -767,13 +522,7 @@ EngineSnapshot Engine::Snapshot() const {
   std::lock_guard<std::mutex> lifecycle(impl.lifecycle_mu);
   SBQA_CHECK(impl.started);
   EngineSnapshot snapshot;
-  if (impl.sharded()) {
-    impl.shard_set->RunAtBarrier([&] { snapshot = impl.GatherSnapshot(); });
-  } else if (impl.threaded()) {
-    impl.RunOnExecutor([&] { snapshot = impl.GatherSnapshot(); });
-  } else {
-    snapshot = impl.GatherSnapshot();
-  }
+  impl.RunQuiescent([&] { snapshot = impl.GatherSnapshot(); });
   return snapshot;
 }
 

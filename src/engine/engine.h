@@ -4,14 +4,16 @@
 /// \file
 /// sbqa::Engine — the library's public embedding API. A builder-style
 /// facade over the whole mediation stack (registry, reputation, allocation
-/// method, mediator) that runs the identical pipeline in either of the two
-/// runtime-seam implementations:
+/// method, mediators — wired by the same experiments::Assembly the
+/// scenario runner uses) that runs the identical pipeline in either of the
+/// two runtime-seam implementations:
 ///
-///   - kSimulated: the discrete-event harness (virtual time; determinstic
-///     per seed, bit-identical to wiring the stack by hand);
-///   - kWallClock: live traffic on rt::WallClockRuntime (steady-clock
-///     time, one service thread, thread-safe Submit from any driver
-///     thread, zero heap allocations per query at steady state).
+///   - kSimulated: one discrete-event simulation (virtual time;
+///     deterministic per seed, bit-identical to wiring the stack by hand);
+///   - kWallClock: live traffic on an N >= 1 shard rt::WallClockShardSet
+///     (steady-clock time, one worker thread per shard — shards = 1
+///     included — thread-safe Submit from any driver thread, zero heap
+///     allocations per query at steady state).
 ///
 /// Usage:
 ///   sbqa::EngineOptions options;
@@ -51,7 +53,7 @@ namespace sbqa {
 /// Which runtime-seam implementation the engine runs on.
 enum class EngineMode {
   kSimulated,  ///< discrete-event virtual time (deterministic per seed)
-  kWallClock,  ///< steady-clock time, one service thread, live Submit
+  kWallClock,  ///< steady-clock time, a worker per shard, live Submit
 };
 
 /// Participant configuration, re-exported from the core layer.
@@ -121,26 +123,26 @@ struct EngineOptions {
 
   // --- kWallClock only -------------------------------------------------------
 
-  /// Timer / service-thread tuning. `wallclock.seed` is overridden
-  /// by `seed`; `wallclock.manual_clock` turns the engine into a
-  /// caller-driven replay executor (AdvanceTo instead of a service
-  /// thread) — the deterministic-test seam.
+  /// Per-shard runtime tuning. `wallclock.seed` is overridden by `seed`;
+  /// `wallclock.manual_clock` runs the shard set without worker threads,
+  /// RunFor / WaitIdle driving deterministic lock-step barrier windows —
+  /// the deterministic-test seam.
   rt::WallClockOptions wallclock;
 
-  /// Thread-per-shard serving (kWallClock only): shards > 1 partitions the
-  /// mediation stack into that many wall-clock shards — one worker thread,
-  /// runtime and mediator partition each — exchanging traffic through the
-  /// barrier mailbox protocol (rt::WallClockShardSet). Submit hash-routes
-  /// each query to its consumer's owner shard; a shard whose candidate
-  /// pool runs dry borrows from the least-loaded peer, exactly like the
-  /// sharded simulation. shards == 1 is the classic single-runtime engine,
-  /// behaviorally identical to earlier releases. With
-  /// `wallclock.manual_clock` the shard set runs without worker threads
-  /// and RunFor drives deterministic lock-step barrier windows.
+  /// Thread-per-shard serving (kWallClock only; kSimulated requires 1):
+  /// the mediation stack is partitioned into this many wall-clock shards —
+  /// one worker thread, runtime and mediator partition each — exchanging
+  /// traffic through the barrier mailbox protocol (rt::WallClockShardSet).
+  /// Submit hash-routes each query to its consumer's owner shard; a shard
+  /// whose candidate pool runs dry borrows from the least-loaded peer,
+  /// exactly like the sharded simulation. shards == 1 is the same shard
+  /// set with one worker and no cross-shard wiring.
   uint32_t shards = 1;
-  /// Barrier window width in seconds (sharded only): cross-shard hops and
+  /// Barrier window width in seconds (kWallClock): cross-shard hops and
   /// control-plane ops (Stats, post-Start membership) pay at most one
   /// window of extra latency; every window costs one all-shard rendezvous.
+  /// A threaded one-shard engine has nothing to synchronize and cuts no
+  /// windows: its worker parks until work, a timer or a control op.
   double shard_barrier_tick = 0.002;
   /// Outbox fill count at which a shard pulls the barrier early instead of
   /// letting buffered cross-shard traffic ripen a whole tick (0 = barriers
@@ -190,7 +192,7 @@ struct QueryResult {
 
 /// Per-query outcome callback. Move-only with inline storage: a small
 /// capture keeps the wall-clock Submit path allocation-free. Runs on the
-/// engine's executor (the service thread in kWallClock mode) — return
+/// engine's executor (a shard worker in kWallClock mode) — return
 /// quickly and do not call back into the engine from it, except Submit.
 using OutcomeCallback = util::InlineFn<void(const QueryResult&)>;
 
@@ -220,18 +222,21 @@ struct EngineStats {
   int64_t fault_sends_dropped = 0;
   int64_t fault_sends_delayed = 0;
   int64_t fault_sends_crashed = 0;
-  // Sharded serving (all zero when shards == 1).
+  // Cross-shard traffic (zero when shards == 1).
   int64_t queries_delegated = 0;    ///< cross-shard borrows forwarded
   int64_t queries_borrowed = 0;     ///< queries mediated for a peer shard
+  // Barriers of the kWallClock shard set (zero in kSimulated). A threaded
+  // one-shard engine cuts no timed windows, so its count is only the
+  // barriers that control ops (Stats, Snapshot, post-Start membership)
+  // pulled; under manual_clock every shard count cuts windows.
   int64_t shard_barriers = 0;       ///< barrier rendezvous performed
   int64_t shard_early_barriers = 0; ///< barriers pulled by outbox fill
   double mean_response_time = 0;    ///< queries with >= 1 result
   double mean_satisfaction = 0;     ///< mean per-query Equation 1
 };
 
-/// One shard's live counters (sharded kWallClock engines only; see
-/// Engine::ShardStats). Read at a barrier, so the rows are a consistent
-/// cross-shard cut.
+/// One shard's live counters (kWallClock engines; see Engine::ShardStats).
+/// Read at a barrier, so the rows are a consistent cross-shard cut.
 struct EngineShardStats {
   uint32_t shard = 0;
   int64_t queries_submitted = 0;
@@ -276,7 +281,7 @@ struct EngineSnapshot {
 /// safe from any driver thread once Start() ran (population building is
 /// not — finish it before Start). In kSimulated and manual-clock modes the
 /// engine is single-threaded and the caller drives time with RunFor /
-/// AdvanceTo / WaitIdle.
+/// WaitIdle.
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -289,12 +294,13 @@ class Engine {
   //
   // Before Start() these mutate the registry directly. AFTER Start() they
   // remain valid from any driver thread: the mutation is applied at a
-  // quiescent point of the running engine — through the registry's epoch
-  // JOIN LOG at the next barrier in sharded mode (every worker parked, the
-  // owner shard assigned by the deterministic join hash), or on the
-  // executor in single-runtime mode — and the call blocks until it took
-  // effect. In-flight queries are unaffected. Do not call from an outcome
-  // callback (executor context): the quiescent point would wait on itself.
+  // quiescent point of the running engine — the next barrier of the shard
+  // set (every worker parked), or the caller's own context in kSimulated
+  // and manual-clock modes — and the call blocks until it took effect. A
+  // provider joins through the registry's epoch JOIN LOG (owner shard
+  // assigned by the deterministic join hash). In-flight queries are
+  // unaffected. Do not call from an outcome callback (executor context):
+  // the quiescent point would wait on itself.
 
   model::ProviderId AddProvider(const ProviderOptions& options);
   model::ConsumerId AddConsumer(const ConsumerOptions& options);
@@ -304,13 +310,13 @@ class Engine {
   void SetProviderPreference(model::ProviderId provider,
                              model::ConsumerId consumer, double preference);
 
-  /// Wires reputation + mediator over the built population and (in
-  /// kWallClock mode) launches the service thread. With max_pending set,
+  /// Wires reputation + mediators over the built population and (in
+  /// kWallClock mode) launches the shard workers. With max_pending set,
   /// the per-in-flight pools are reserved for the cap, not built: Start
   /// costs a fixed ~100 heap allocations whatever the cap and population.
   void Start();
 
-  /// Stops the wall-clock service thread (no-op otherwise). Queries still
+  /// Stops the wall-clock shard workers (no-op otherwise). Queries still
   /// in flight are dropped without a callback. Idempotent; the destructor
   /// calls it.
   void Stop();
@@ -346,8 +352,9 @@ class Engine {
 
   EngineStats Stats() const;
   EngineSnapshot Snapshot() const;
-  /// Per-shard counters, one consistent barrier cut (empty when the engine
-  /// is not sharded). Thread-safe like Stats.
+  /// Per-shard counters, one row per shard of a kWallClock engine (one row
+  /// at shards = 1; empty in kSimulated), read at one barrier so the rows
+  /// are a consistent cut. Thread-safe like Stats.
   std::vector<EngineShardStats> ShardStats() const;
   /// Name of the decision-path scoring kernel ("exact" / "batched"; empty
   /// before Start or when the method is not SbQA-based).

@@ -22,8 +22,8 @@ struct RunResult {
   metrics::RunSeries series;
   std::vector<metrics::ParticipantSnapshot> consumers;
   std::vector<metrics::ParticipantSnapshot> providers;
-  /// Elastic-membership telemetry of sharded runs (zero in single-engine
-  /// runs and at shard_count = 1, where membership applies immediately):
+  /// Elastic-membership telemetry of multi-shard runs (zero at
+  /// shard_count = 1, where membership applies immediately):
   /// applied epochs / ops and the driver wall-clock seconds spent applying
   /// them — the epoch-apply cost the bench regression gate bounds.
   uint64_t membership_epochs = 0;
@@ -37,24 +37,20 @@ struct RunResult {
   core::ScoreKernelPhases decision_phases;
 };
 
-/// Runs one scenario to completion (synchronously) and aggregates.
-/// Dispatches to the sharded engine when config.sim.shard_count > 1.
+/// Runs one scenario to completion (synchronously) and aggregates. Every
+/// run is N >= 1 shards (config.sim.shard_count): per-shard schedulers, a
+/// partitioned registry and the deterministic cross-shard mailbox (see
+/// sim/shard_set.h), wired by the shared experiments::Assembly. One shard
+/// is the plain single-engine simulation: membership applies immediately,
+/// metrics sample through scheduled events and the horizon runs as one
+/// window. Several shards apply availability churn and volunteer joins as
+/// barrier epoch ops of the registry's membership log, replay shared
+/// observers through the collector's deterministic cross-shard mux, and
+/// delegate a query one hop to the least-loaded donor shard when the home
+/// pool is dry (see src/core/README.md, "Cross-shard delegation").
+/// mediator_count > 1 runs a mediator GROUP per shard (the first member is
+/// the shard's gateway).
 RunResult RunScenario(const ScenarioConfig& config);
-
-/// The sharded engine entry point: per-shard schedulers, a partitioned
-/// registry and the deterministic cross-shard mailbox (see
-/// sim/shard_set.h). RunScenario calls this for shard_count > 1; it is
-/// public so tests and benches can also drive shard_count = 1 through the
-/// sharded machinery — which is bit-identical to the classic engine — for
-/// apples-to-apples comparisons. Supports the full dynamic-population
-/// feature set: availability churn and runtime volunteer joins become
-/// barrier-applied epoch ops of the registry's membership log, and shared
-/// observers are replayed through the collector's deterministic
-/// cross-shard mux. mediator_count > 1 runs a mediator GROUP per shard
-/// (the first member is the shard's cross-shard gateway). A shard whose
-/// pool is dry for a query delegates it one hop to the least-loaded donor
-/// shard (see src/core/README.md, "Cross-shard delegation").
-RunResult RunShardedScenario(const ScenarioConfig& config);
 
 /// Runs the same scenario once per method, holding everything else equal
 /// (including the seed, so populations are identical across techniques).

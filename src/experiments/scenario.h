@@ -42,14 +42,12 @@ struct ScenarioConfig {
   /// budget, provider health detection).
   core::MediatorConfig mediator;
 
-  /// Deterministic fault injection between each mediator and its
+  /// Deterministic fault injection between each shard's mediators and its
   /// scheduler (dropped/delayed dispatches, provider crash windows,
-  /// latency skew). Disabled by default. Sharded runs derive shard s's
-  /// injector streams as StreamSeed(fault_plan.seed, s) — stream 0 is the
-  /// root seed, so a 1-shard chaos run is bit-identical to the unsharded
-  /// path. Faults act on the data plane only (provider dispatches); the
-  /// mediator inbox stays lossless so every query reaches a terminal
-  /// outcome.
+  /// latency skew). Disabled by default. Shard s's injector streams are
+  /// StreamSeed(fault_plan.seed, s) — stream 0 is the root seed. Faults
+  /// act on the data plane only (provider dispatches); every mediator's
+  /// inbox stays lossless so every query reaches a terminal outcome.
   rt::FaultPlan fault_plan;
 
   /// Per-query deadline stamped on every generated query, in seconds
@@ -57,13 +55,11 @@ struct ScenarioConfig {
   /// retries: no attempt or backoff extends past issued_at + deadline.
   double query_deadline = 0.0;
 
-  /// Mediator group size: consumers are sharded round-robin over this many
-  /// mediators, all sharing the registry/reputation. Each mediator keeps
-  /// its own RNG stream and (stale) load view. With sim.shard_count > 1
-  /// this becomes the PER-SHARD group size: every shard runs this many
-  /// mediators on its worker thread, the first one acting as the shard's
-  /// gateway for cross-shard traffic (delegation targets, membership ops,
-  /// departure sweeps).
+  /// Mediator group size PER SHARD: a shard's consumers are spread
+  /// round-robin over this many mediators, all sharing the registry and
+  /// reputation, each with its own RNG stream and (stale) load view. The
+  /// first one is the shard's gateway for cross-shard traffic (delegation
+  /// targets, membership ops, departure sweeps).
   size_t mediator_count = 1;
 
   /// Captive (disabled) vs autonomous (enabled) environment.
@@ -84,7 +80,8 @@ struct ScenarioConfig {
 
   /// Extra mediation observers attached for the run (not owned; must
   /// outlive RunScenario). Used by invariant-checking tests and custom
-  /// metrics. With sim.shard_count > 1 they become SHARED observers fed
+  /// metrics. At one shard they attach to every mediator directly; with
+  /// sim.shard_count > 1 they become SHARED observers fed
   /// through the collector's cross-shard mux: every shard buffers its
   /// events single-writer and the barrier driver replays them in fixed
   /// (shard, FIFO) order — deterministic, but delivered at barrier
@@ -92,9 +89,9 @@ struct ScenarioConfig {
   /// event-time callbacks should use shard_observer_factory instead.
   std::vector<core::MediationObserver*> observers;
 
-  /// Sharded runs: optional factory called once per shard id; the returned
-  /// observer (not owned; may be null) is attached to that shard's
-  /// mediator only, so it is single-writer by construction and needs no
+  /// Optional factory called once per shard id; the returned observer (not
+  /// owned; may be null) is attached to that shard's gateway mediator
+  /// only, so it is single-writer by construction and needs no
   /// synchronization. Used by the cross-shard determinism tests to record
   /// per-shard allocation traces.
   std::function<core::MediationObserver*(uint32_t)> shard_observer_factory;

@@ -68,14 +68,8 @@ void Collector::Stream::OnConsumerRetired(model::ConsumerId consumer,
 
 Collector::Collector(sim::Simulation* sim, core::Registry* registry,
                      core::Mediator* mediator, double sample_interval)
-    : Collector(sim, registry, std::vector<core::Mediator*>{mediator},
-                sample_interval) {}
-
-Collector::Collector(sim::Simulation* sim, core::Registry* registry,
-                     std::vector<core::Mediator*> mediators,
-                     double sample_interval)
     : Collector(std::vector<sim::Simulation*>{sim}, registry,
-                std::move(mediators), sample_interval) {}
+                std::vector<core::Mediator*>{mediator}, sample_interval) {}
 
 Collector::Collector(std::vector<sim::Simulation*> sims,
                      core::Registry* registry,
@@ -139,31 +133,7 @@ void Collector::FlushSharedObservers() {
 core::MediatorStats Collector::AggregateStats() const {
   core::MediatorStats total;
   for (const core::Mediator* mediator : mediators_) {
-    const core::MediatorStats& s = mediator->stats();
-    total.queries_submitted += s.queries_submitted;
-    total.queries_finalized += s.queries_finalized;
-    total.queries_unallocated += s.queries_unallocated;
-    total.queries_timed_out += s.queries_timed_out;
-    total.queries_fully_served += s.queries_fully_served;
-    total.instances_dispatched += s.instances_dispatched;
-    total.instances_completed += s.instances_completed;
-    total.instances_failed += s.instances_failed;
-    total.provider_departures += s.provider_departures;
-    total.provider_offline_events += s.provider_offline_events;
-    total.consumer_retirements += s.consumer_retirements;
-    total.queries_delegated += s.queries_delegated;
-    total.queries_borrowed += s.queries_borrowed;
-    total.queries_rehomed += s.queries_rehomed;
-    total.queries_satisfied += s.queries_satisfied;
-    total.queries_recovered += s.queries_recovered;
-    total.queries_failed += s.queries_failed;
-    total.retry_attempts += s.retry_attempts;
-    total.instances_abandoned += s.instances_abandoned;
-    total.instances_dispatched_dead += s.instances_dispatched_dead;
-    total.providers_suspected += s.providers_suspected;
-    total.providers_probed += s.providers_probed;
-    total.response_time.Merge(s.response_time);
-    total.query_satisfaction.Merge(s.query_satisfaction);
+    total.Merge(mediator->stats());
   }
   return total;
 }

@@ -10,9 +10,9 @@
 /// read), so that in sharded mode — one mediator per shard, one worker
 /// thread per shard — each stream has a single writer and the collector
 /// stays race-free without locks. Population snapshots read the whole
-/// registry and must only run while shards are quiescent: the legacy
-/// single-engine path schedules them as simulation events (Start), the
-/// sharded path drives Snapshot() from a ShardSet barrier hook.
+/// registry and must only run while shards are quiescent: a lone shard
+/// schedules them as simulation events (Start), several shards drive
+/// Snapshot() from a ShardSet barrier hook.
 ///
 /// Shared observers under sharding: an observer that wants to watch EVERY
 /// shard cannot be attached to the mediators directly (it would be called
@@ -47,23 +47,19 @@ class Collector {
   Collector(sim::Simulation* sim, core::Registry* registry,
             core::Mediator* mediator, double sample_interval = 10.0);
 
-  /// Mediator-group flavour: observes several mediators sharing one registry
-  /// and aggregates their statistics.
-  Collector(sim::Simulation* sim, core::Registry* registry,
-            std::vector<core::Mediator*> mediators,
-            double sample_interval = 10.0);
-
-  /// Sharded flavour: `sims[s]` is shard s's simulation (sims[0] is the
-  /// time reference for snapshots) and `mediators[s]` its mediator.
-  /// Network counters are summed across all sims. Drive sampling from a
-  /// barrier hook via Snapshot(); do not call Start().
+  /// General flavour: `sims[s]` is shard s's simulation (sims[0] is the
+  /// time reference for snapshots) and `mediators` every mediator sharing
+  /// the registry, whose statistics are aggregated. Network counters are
+  /// summed across all sims. With one sim, Start() samples through its
+  /// events; with several, drive sampling from a barrier hook via
+  /// Snapshot().
   Collector(std::vector<sim::Simulation*> sims, core::Registry* registry,
             std::vector<core::Mediator*> mediators,
             double sample_interval = 10.0);
 
   /// Schedules periodic snapshots until `until` (simulation time) as
-  /// events of sims[0]. Single-engine mode only (the snapshot reads every
-  /// shard's state, which is only safe mid-run when there is one shard).
+  /// events of sims[0]. One shard only (the snapshot reads every shard's
+  /// state, which is only safe mid-run when there is one shard).
   void Start(double until);
 
   /// Takes one population snapshot now. In sharded mode call this from a

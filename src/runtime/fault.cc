@@ -84,8 +84,15 @@ bool FaultInjector::DestinationDown(Destination destination, Time now) {
   return w.down;
 }
 
+Destination FaultInjector::RegisterInbox() {
+  const Destination inbox = inner_->RegisterInbox();
+  if (inbox_.size() <= inbox) inbox_.resize(size_t{inbox} + 1, 0);
+  inbox_[inbox] = 1;
+  return inbox;
+}
+
 void FaultInjector::SendTo(Destination destination, TaskFn fn) {
-  if (destination < plan_.exempt_destinations || !plan_.enabled()) {
+  if (!plan_.enabled() || IsInbox(destination)) {
     inner_->SendTo(destination, std::move(fn));
     return;
   }

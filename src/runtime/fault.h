@@ -18,15 +18,17 @@
 /// stream per destination, so whether destination 7 is down at time t is a
 /// pure function of (plan.seed, 7, t).
 ///
-/// Placement: the injector targets the DATA plane. Destinations below
-/// `exempt_destinations` are never faulted — the mediator registers its own
-/// inbox first (destination 0), and that inbox carries query submissions
-/// and result fan-in, which must stay lossless for every query to reach a
-/// terminal outcome. Provider-bound dispatches (destinations >= 1) are the
-/// faultable surface: a dropped dispatch IS a failed provider response (the
-/// instance never arrives, the attempt times out), a delayed one is a
-/// stalled response, and a crash window is a provider failure spell that
-/// the mediator's health detector can observe. See src/runtime/README.md.
+/// Placement: the injector targets the DATA plane. Inboxes (destinations
+/// registered through RegisterInbox — every mediator registers its own)
+/// are never faulted: they carry query submissions and result fan-in,
+/// which must stay lossless for every query to reach a terminal outcome.
+/// The injector records each inbox by identity, so every member of a
+/// mediator group sharing one runtime keeps a lossless inbox. Provider-
+/// bound dispatches are the faultable surface: a dropped dispatch IS a
+/// failed provider response (the instance never arrives, the attempt times
+/// out), a delayed one is a stalled response, and a crash window is a
+/// provider failure spell that the mediator's health detector can observe.
+/// See src/runtime/README.md.
 
 #include <cstdint>
 #include <string>
@@ -65,10 +67,6 @@ struct FaultPlan {
   double crash_rate = 0;
   double mean_crash_duration = 0;
 
-  /// Destinations below this are control plane and never faulted (the
-  /// mediator inbox is destination 0; it carries submissions and results).
-  Destination exempt_destinations = 1;
-
   /// Whether any fault is configured (a disabled plan makes the injector a
   /// pure, draw-free pass-through).
   bool enabled() const {
@@ -102,7 +100,7 @@ struct FaultStats {
 /// The decorator. Wrap the real runtime, hand the injector to the mediator
 /// (and anything else that should see faults); drivers that must stay
 /// lossless (workload generators, the engine submit path) keep talking to
-/// the inner runtime directly or through exempt destinations.
+/// the inner runtime directly or through inboxes.
 class FaultInjector final : public Runtime {
  public:
   /// `inner` must outlive the injector. The plan is copied.
@@ -125,6 +123,8 @@ class FaultInjector final : public Runtime {
   Destination RegisterDestination() override {
     return inner_->RegisterDestination();
   }
+  /// Registers an inbox on the inner runtime and exempts it from faults.
+  Destination RegisterInbox() override;
   void SendTo(Destination destination, TaskFn fn) override;
   double SampleLatency() override;
   util::Rng SplitRng() override { return inner_->SplitRng(); }
@@ -149,9 +149,16 @@ class FaultInjector final : public Runtime {
     bool initialized = false;
   };
 
+  bool IsInbox(Destination destination) const {
+    return destination < inbox_.size() && inbox_[destination] != 0;
+  }
+
   Runtime* inner_;
   FaultPlan plan_;
   FaultStats stats_;
+  /// Dense by destination: 1 marks an inbox. Grown at registration, so the
+  /// send-path check is one bounds test and one load.
+  std::vector<uint8_t> inbox_;
   /// Drop/delay draws: one stream, consumed in executor event order.
   util::Rng send_rng_;
   std::vector<CrashWindow> windows_;

@@ -75,6 +75,12 @@ class Runtime {
   /// Registers a delivery endpoint for destination-addressed sends.
   virtual Destination RegisterDestination() = 0;
 
+  /// Registers a mediator inbox: the endpoint query submissions and result
+  /// fan-in travel to, which must stay lossless for every query to reach a
+  /// terminal outcome. A plain destination everywhere except the fault
+  /// plane, which never faults it.
+  virtual Destination RegisterInbox() { return RegisterDestination(); }
+
   /// Delivers `fn` to `destination` after one sampled one-way latency
   /// (zero in wall-clock runtimes: real traffic brings its own latency).
   /// Deliveries to one destination preserve send order; they may be

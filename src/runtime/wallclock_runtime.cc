@@ -1,6 +1,7 @@
 #include "runtime/wallclock_runtime.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "util/check.h"
@@ -23,43 +24,6 @@ WallClockRuntime::WallClockRuntime(const WallClockOptions& options)
     immediate_.reserve(options_.reserve_timers);
     immediate_scratch_.reserve(options_.reserve_timers);
   }
-}
-
-WallClockRuntime::~WallClockRuntime() { Stop(); }
-
-void WallClockRuntime::Start() {
-  if (options_.manual_clock || started_) return;
-  started_ = true;
-  {
-    // A Start() after Stop() resumes service; without the reset the fresh
-    // thread would observe the old stop request and exit after one pass.
-    std::lock_guard<std::mutex> lock(submit_mu_);
-    stop_requested_ = false;
-  }
-  // Rebase the epoch so the runtime clock RESUMES at now() instead of
-  // jumping back to zero — a restarted runtime must not stall its timers
-  // until wall time re-catches the old clock (AdvanceTo clamps backward
-  // jumps). On the first Start now() is 0 and this is the plain epoch.
-  epoch_ = std::chrono::steady_clock::now() -
-           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-               std::chrono::duration<double>(now()));
-  service_ = std::thread([this] { ServiceLoop(); });
-}
-
-void WallClockRuntime::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(submit_mu_);
-    stop_requested_ = true;
-  }
-  submit_cv_.notify_one();
-  if (service_.joinable()) service_.join();
-  started_ = false;
-}
-
-double WallClockRuntime::SecondsSinceStart() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
 }
 
 // --- Runtime interface -------------------------------------------------------
@@ -206,39 +170,27 @@ void WallClockRuntime::AdvanceTo(Time t) {
 
 void WallClockRuntime::WaitForWork(double max_wait_seconds) {
   std::unique_lock<std::mutex> lock(submit_mu_);
-  if (!submit_queue_.empty() || stop_requested_) return;
+  if (!submit_queue_.empty() || wake_pending_) {
+    wake_pending_ = false;
+    return;
+  }
+  // A horizon already due returns here: a timed wait on a past deadline
+  // still sleeps (served p50 latency went from ~6 to ~46 us when due
+  // timers took that path). The hour cap keeps a horizon with no deadline
+  // (kNever: no timer, no window edge) a representable steady-clock time.
   if (max_wait_seconds <= 0) return;
-  submit_cv_.wait_for(lock, std::chrono::duration<double>(max_wait_seconds));
+  submit_cv_.wait_for(
+      lock, std::chrono::duration<double>(std::min(max_wait_seconds, 3600.0)),
+      [this] { return !submit_queue_.empty() || wake_pending_; });
+  wake_pending_ = false;
 }
 
-void WallClockRuntime::ServiceLoop() {
-  while (true) {
-    bool stopping;
-    {
-      std::unique_lock<std::mutex> lock(submit_mu_);
-      if (!stop_requested_ && submit_queue_.empty()) {
-        if (live_timers_.load(std::memory_order_relaxed) == 0) {
-          // Fully idle: park until work or shutdown arrives.
-          submit_cv_.wait(lock, [this] {
-            return stop_requested_ || !submit_queue_.empty();
-          });
-        } else {
-          // Timers pending: park until the earliest deadline (next_due_
-          // is executor-owned, read here by the same thread; a
-          // notification still wakes the thread immediately, and a
-          // stale-low horizon just costs one empty pass).
-          const double wait_seconds = next_due_ - SecondsSinceStart();
-          if (wait_seconds > 0) {
-            submit_cv_.wait_for(lock,
-                                std::chrono::duration<double>(wait_seconds));
-          }
-        }
-      }
-      stopping = stop_requested_;
-    }
-    AdvanceTo(SecondsSinceStart());
-    if (stopping) break;
+void WallClockRuntime::WakeExecutor() {
+  {
+    std::lock_guard<std::mutex> lock(submit_mu_);
+    wake_pending_ = true;
   }
+  submit_cv_.notify_one();
 }
 
 }  // namespace sbqa::rt

@@ -3,12 +3,14 @@
 
 /// \file
 /// WallClockRuntime: the live-traffic implementation of the runtime seam.
-/// Time is steady-clock seconds since Start(); timers live in the unified
-/// timer core (util::TimerCore — the same O(1) ladder queue the simulator
-/// runs on) drained by ONE service thread (the executor); external driver
-/// threads inject work through a mutex-guarded MPSC submit queue (Post),
-/// which is the only thread-safe entry point. Message latency is zero —
-/// real traffic brings its own.
+/// Time is whatever its executor advances it to with AdvanceTo — a shard
+/// worker of rt::WallClockShardSet feeding it steady-clock seconds since
+/// the shard set started, or a test / replay driver feeding it a fake
+/// clock. Timers live in the unified timer core (util::TimerCore — the
+/// same O(1) ladder queue the simulator runs on); external driver threads
+/// inject work through a mutex-guarded MPSC submit queue (Post), which is
+/// the only thread-safe entry point. Message latency is zero — real
+/// traffic brings its own.
 ///
 /// Like the discrete-event scheduler it mirrors, the steady state is
 /// allocation-free: tasks are TaskFn (small-buffer-optimized) in the
@@ -17,18 +19,14 @@
 /// engine-facade Submit path is held to 0 heap allocations per query under
 /// this runtime by the same counting-allocator gates as the simulation.
 ///
-/// Test seam: `manual_clock` builds the runtime without a service thread
-/// or steady clock; the test (or a replay driver) IS the executor and
-/// advances time explicitly with AdvanceTo(t), which processes exactly
-/// what the service thread would have — deterministically, because task
-/// order is (due time, submission seq) per service pass.
+/// The runtime owns no thread: whoever calls AdvanceTo is the executor,
+/// and a pass is deterministic given the submissions it finds, because
+/// task order is (due time, submission seq) per pass.
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "runtime/runtime.h"
@@ -41,8 +39,8 @@ namespace sbqa::rt {
 struct WallClockOptions {
   /// Seed of the runtime's root RNG stream (SplitRng derivations).
   uint64_t seed = 42;
-  /// Test/replay seam: no service thread, no steady clock — the caller is
-  /// the executor and drives time with AdvanceTo().
+  /// Test/replay seam, read by rt::WallClockShardSet: no worker threads,
+  /// no steady clock — the caller drives lock-step windows and time.
   bool manual_clock = false;
   /// Bound on queued-but-undrained submissions: TryPost rejects (returns
   /// false) once this many tasks are waiting for the executor, giving
@@ -57,25 +55,14 @@ struct WallClockOptions {
   size_t reserve_timers = 0;
 };
 
-/// rt::Runtime serving wall-clock traffic. Single executor thread; Post is
-/// the MPSC entry for everything else.
+/// rt::Runtime serving wall-clock traffic. One executor at a time (the
+/// thread calling AdvanceTo); Post is the MPSC entry for everything else.
 class WallClockRuntime final : public Runtime {
  public:
   explicit WallClockRuntime(const WallClockOptions& options = {});
-  ~WallClockRuntime() override;
 
   WallClockRuntime(const WallClockRuntime&) = delete;
   WallClockRuntime& operator=(const WallClockRuntime&) = delete;
-
-  /// Launches the service thread and anchors t = 0 (no-op under
-  /// manual_clock). Wire entities (mediator construction, SplitRng) BEFORE
-  /// calling this — setup shares the executor context.
-  void Start();
-
-  /// Stops and joins the service thread after one final drain (pending
-  /// submit-queue tasks run; unfired timers are dropped). Idempotent;
-  /// the destructor calls it.
-  void Stop();
 
   // --- Runtime interface (executor context only, except Post) ---------------
 
@@ -103,22 +90,22 @@ class WallClockRuntime final : public Runtime {
   /// Advances the executor to time `t` (monotonic; earlier values clamp to
   /// now): drains the submit queue and fires every timer due at <= t, in
   /// (due time, submission seq) order, looping until quiescent — zero-delay
-  /// chains settle within one call, like the simulator's RunUntil. The
-  /// service thread calls this with the steady clock; manual-clock callers
-  /// drive it directly.
+  /// chains settle within one call, like the simulator's RunUntil. Shard
+  /// workers call this with the steady clock; manual-clock callers drive
+  /// it directly.
   void AdvanceTo(Time t);
 
   /// Parks the calling thread (which must be the executor) until a Post
   /// arrives, WakeExecutor() is called, or `max_wait_seconds` elapsed —
-  /// whichever comes first. Returns immediately when submissions are
-  /// already queued. The external executor's replacement for the built-in
-  /// service loop's parking (rt::WallClockShardSet workers between
-  /// barriers).
+  /// whichever comes first (waits are capped at an hour). Returns
+  /// immediately when submissions are already queued or a wake is pending
+  /// (a wake that lands before the wait is not lost). How
+  /// rt::WallClockShardSet workers idle between barriers.
   void WaitForWork(double max_wait_seconds);
 
-  /// Thread-safe nudge: wakes the executor out of WaitForWork (or the
-  /// built-in service loop's park) without enqueueing a task.
-  void WakeExecutor() { submit_cv_.notify_one(); }
+  /// Thread-safe nudge: wakes the executor out of WaitForWork (or makes
+  /// its next WaitForWork return at once) without enqueueing a task.
+  void WakeExecutor();
 
   /// Lower bound on the earliest pending timer deadline (kNever when no
   /// timer is armed). Executor context only — this is the parking horizon
@@ -161,15 +148,11 @@ class WallClockRuntime final : public Runtime {
   /// always newer than any due timer of the same pass). Returns tasks run.
   size_t RunImmediate();
 
-  void ServiceLoop();
-  double SecondsSinceStart() const;
-
   WallClockOptions options_;
   util::Rng rng_;
 
-  // Executor-owned state (service thread, or the caller in manual mode).
-  // now_ is atomic only so foreign threads can read the clock (Engine::now);
-  // all writes come from the executor.
+  // Executor-owned state. now_ is atomic only so foreign threads can read
+  // the clock (Engine::now); all writes come from the executor.
   std::atomic<double> now_{0};
   /// The unified timer core (ladder queue + slot pool): every timer with a
   /// real deadline is queued here; already-due tasks take the immediate_
@@ -183,27 +166,24 @@ class WallClockRuntime final : public Runtime {
   std::vector<TaskId> immediate_scratch_;
   std::vector<TaskFn> drain_scratch_;
   Destination next_destination_ = 0;
-  /// Lower bound on the earliest pending timer deadline (the service
-  /// thread's parking horizon). Only ever stale LOW — a too-early wakeup
-  /// runs an empty pass and recomputes; never stale high, so no timer
-  /// oversleeps.
+  /// Lower bound on the earliest pending timer deadline (the executor's
+  /// parking horizon). Only ever stale LOW — a too-early wakeup runs an
+  /// empty pass and recomputes; never stale high, so no timer oversleeps.
   double next_due_ = kNever;
 
-  // MPSC submit queue + service-thread parking.
+  // MPSC submit queue + executor parking.
   mutable std::mutex submit_mu_;
   std::condition_variable submit_cv_;
   std::vector<TaskFn> submit_queue_;
-  bool stop_requested_ = false;
+  /// A WakeExecutor() not yet consumed by WaitForWork (guarded by
+  /// submit_mu_).
+  bool wake_pending_ = false;
 
   // Cross-thread telemetry.
   std::atomic<uint64_t> tasks_executed_{0};
   std::atomic<size_t> live_timers_{0};
   std::atomic<size_t> slot_capacity_{0};
   std::atomic<bool> mid_pass_{false};
-
-  std::thread service_;
-  bool started_ = false;
-  std::chrono::steady_clock::time_point epoch_;
 };
 
 }  // namespace sbqa::rt

@@ -17,9 +17,6 @@ WallClockShardSet::WallClockShardSet(const WallClockShardOptions& options)
   for (uint32_t s = 0; s < n; ++s) {
     WallClockOptions rt_options = options_.runtime;
     rt_options.seed = util::Rng::StreamSeed(options_.seed, s);
-    // The shard worker (or the manual driver) IS the executor: the
-    // runtime must never spawn its own service thread.
-    rt_options.manual_clock = true;
     runtimes_.push_back(std::make_unique<WallClockRuntime>(rt_options));
   }
   out_.resize(n);
@@ -49,18 +46,23 @@ void WallClockShardSet::SetMembershipHook(std::function<void(Time)> hook) {
   membership_hook_ = std::move(hook);
 }
 
+Time WallClockShardSet::WindowEnd(Time from) const {
+  return windowless_ ? WallClockRuntime::kNever : from + options_.barrier_tick;
+}
+
 void WallClockShardSet::Start() {
   if (started_) return;
   started_ = true;
-  if (options_.manual_clock) return;
+  if (options_.runtime.manual_clock) return;
   epoch_ = std::chrono::steady_clock::now();
+  windowless_ = shard_count() == 1 && hooks_.empty() && !membership_hook_;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_requested_ = false;
     stopped_ = false;
     arrived_ = 0;
     window_seq_ = 1;
-    window_end_ = options_.barrier_tick;
+    window_end_ = WindowEnd(0);
   }
   barrier_now_requested_.store(false, std::memory_order_relaxed);
   workers_.reserve(shard_count());
@@ -74,7 +76,7 @@ void WallClockShardSet::Stop() {
   if (workers_.empty()) {
     // Manual mode: flush whatever control ops are still queued so
     // RunAtBarrier callers posted-then-stopped are not silently dropped.
-    if (started_) BarrierPhase(now());
+    BarrierPhase(now());
     started_ = false;
     return;
   }
@@ -224,9 +226,9 @@ void WallClockShardSet::WorkerLoop(uint32_t s) {
           barrier_now_requested_.load(std::memory_order_relaxed)) {
         break;
       }
-      // Park up to the window edge or the shard's next timer deadline.
-      // A wake (Post / barrier pull) that lands between the flag check
-      // above and the wait inside is bounded by the window width.
+      // Park up to the window edge or the shard's next timer deadline. A
+      // Post or a barrier pull that lands between the flag check above and
+      // the wait is not lost: WaitForWork returns at once for it.
       const double horizon = std::min(window_end, rt.next_timer_due());
       rt.WaitForWork(horizon - ElapsedSeconds());
     }
@@ -240,13 +242,17 @@ void WallClockShardSet::WorkerLoop(uint32_t s) {
     ++arrived_;
     if (arrived_ == shard_count()) {
       const bool stopping = stop_requested_;
+      // Clear the pull BEFORE the phase takes the control queue: a control
+      // op queued after that take then sees the flag clear, sets it and
+      // wakes the workers again, instead of being stranded until a window
+      // edge that a windowless shard never reaches.
+      barrier_now_requested_.store(false, std::memory_order_relaxed);
       const Time barrier_time = ElapsedSeconds();
       BarrierPhase(barrier_time);
       barrier_now_.store(barrier_time, std::memory_order_relaxed);
       barriers_.fetch_add(1, std::memory_order_relaxed);
       arrived_ = 0;
-      window_end_ = ElapsedSeconds() + options_.barrier_tick;
-      barrier_now_requested_.store(false, std::memory_order_relaxed);
+      window_end_ = WindowEnd(ElapsedSeconds());
       if (stopping) stopped_ = true;
       ++window_seq_;
       seq = window_seq_;

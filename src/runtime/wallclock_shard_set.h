@@ -24,10 +24,20 @@
 /// shard is still deterministic given its task arrival order, and the
 /// barrier drain order is still fixed — but WHICH window a submission or
 /// cross-shard message lands in depends on real time, so wall-clock runs
-/// are not bit-reproducible. The manual_clock mode removes that last
-/// source of nondeterminism for tests: no worker threads, the caller
-/// drives lock-step windows serially with RunUntil(), and a run is a pure
-/// function of the Post sequence. See src/runtime/README.md.
+/// are not bit-reproducible. The manual-clock mode
+/// (`runtime.manual_clock`) removes that last source of nondeterminism for
+/// tests: no worker threads, the caller drives lock-step windows serially
+/// with RunUntil(), and a run is a pure function of the Post sequence. See
+/// src/runtime/README.md.
+///
+/// One shard is a valid fabric and the only way a WallClockRuntime is
+/// served: its worker is the one loop that drives an executor. A lone
+/// shard with no membership phase and no barrier hook has nothing to
+/// synchronize, so its worker cuts no windows: it parks until a Post, its
+/// next timer, a control op or Stop (the same rule as sim::ShardSet's
+/// one-window lone shard), and barriers happen only for control ops and
+/// Stop. The manual-clock driver still cuts `barrier_tick` windows, whose
+/// edges set the clock its tasks observe.
 ///
 /// The steady state is allocation-free per message: outbox vectors,
 /// per-shard timer cores and the control queue all retain their capacity.
@@ -55,18 +65,18 @@ struct WallClockShardOptions {
   /// Barrier window width in wall seconds. Cross-shard hops pay at most
   /// one window of extra latency, so keep it small relative to the
   /// latency budget; every barrier costs one rendezvous of all shards.
+  /// A threaded lone shard without hooks cuts no windows.
   double barrier_tick = 0.002;
   /// Fill trigger: a shard whose buffered outgoing cross-shard messages
   /// reach this count mid-window pulls the barrier early instead of
   /// letting delegated queries ripen a whole tick. 0 disables.
   size_t outbox_fill_threshold = 64;
-  /// Per-shard runtime tuning. seed and manual_clock are overridden (the
-  /// shard set owns both); max_queue bounds each shard's external submit
-  /// queue (the Engine's per-shard admission door).
+  /// Per-shard runtime tuning. seed is overridden (shard s gets its own
+  /// stream); max_queue bounds each shard's external submit queue (the
+  /// Engine's per-shard admission door); manual_clock is the deterministic
+  /// test seam — no worker threads, the caller drives lock-step barrier
+  /// windows serially with RunUntil()/RunFor().
   WallClockOptions runtime;
-  /// Deterministic test seam: no worker threads — the caller drives
-  /// lock-step barrier windows serially with RunUntil()/RunFor().
-  bool manual_clock = false;
 };
 
 /// Owns the per-shard runtimes and worker threads, and runs the barrier
@@ -86,7 +96,7 @@ class WallClockShardSet final : public ShardFabric {
   /// everything else is shard s's worker context.
   WallClockRuntime& runtime(uint32_t s) { return *runtimes_[s]; }
 
-  /// Launches the worker threads and anchors t = 0 (no-op under
+  /// Launches the worker threads and anchors t = 0 (no threads under
   /// manual_clock). Wire entities (mediators, hooks) BEFORE calling this.
   void Start();
 
@@ -173,6 +183,9 @@ class WallClockShardSet final : public ShardFabric {
   };
 
   double ElapsedSeconds() const;
+  /// End of a window opened at `from`: one barrier_tick later, or never
+  /// for a windowless lone shard.
+  Time WindowEnd(Time from) const;
   /// Drains every (src, dst) outbox onto the destination runtimes in
   /// (destination, source, FIFO) order. Leader/driver only, workers
   /// parked. Returns messages delivered.
@@ -225,6 +238,9 @@ class WallClockShardSet final : public ShardFabric {
 
   std::vector<std::thread> workers_;
   bool started_ = false;
+  /// One shard, no membership hook, no barrier hook (fixed at Start): the
+  /// worker's window never ends on its own.
+  bool windowless_ = false;
   std::chrono::steady_clock::time_point epoch_;
 };
 

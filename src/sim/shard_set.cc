@@ -30,8 +30,7 @@ struct ShardSet::Threads {
   std::vector<char> active;
 };
 
-ShardSet::ShardSet(const SimulationConfig& config)
-    : config_(config), barrier_tick_(config.shard_barrier_tick) {
+ShardSet::ShardSet(const SimulationConfig& config) : config_(config) {
   SBQA_CHECK_GE(config.shard_count, 1u);
   SBQA_CHECK_GT(config.shard_barrier_tick, 0);
   const uint32_t n = config.shard_count;
@@ -146,7 +145,7 @@ void ShardSet::RunWindow(Time target) {
   for (auto& shard : shards_) shard->RunUntil(target);
 }
 
-bool ShardSet::DrainMailboxes(uint64_t* drained) {
+bool ShardSet::DrainMailboxes() {
   // Fixed (destination, source, FIFO) order: the only place cross-shard
   // effects are sequenced, hence the determinism of the whole protocol.
   const uint32_t n = shard_count();
@@ -155,7 +154,6 @@ bool ShardSet::DrainMailboxes(uint64_t* drained) {
     Scheduler& scheduler = shards_[dst]->scheduler();
     for (uint32_t src = 0; src < n; ++src) {
       std::vector<Pending>& queue = out_[src].to[dst];
-      *drained += queue.size();
       for (Pending& message : queue) {
         const Time when = std::max(message.deliver_at, barrier_now_);
         if (when <= barrier_now_) any_due = true;
@@ -177,27 +175,13 @@ bool ShardSet::MailboxesNonEmpty() const {
   return false;
 }
 
-void ShardSet::AdaptBarrierTick(uint64_t drained) {
-  if (!config_.adaptive_barrier || shard_count() <= 1) return;
-  // Powers-of-two scaling keeps the adapted tick sequence exactly
-  // representable, so adaptivity cannot introduce cross-platform drift.
-  if (drained > shard_count()) {
-    barrier_tick_ =
-        std::max(config_.shard_barrier_tick / 64.0, barrier_tick_ * 0.5);
-  } else if (drained == 0) {
-    barrier_tick_ =
-        std::min(config_.shard_barrier_tick, barrier_tick_ * 2.0);
-  }
-}
-
 bool ShardSet::BarrierPhase(bool run_hooks) {
   // Barrier sequence: drain mailboxes -> membership phase -> regular
   // hooks (directory refresh, metrics). Single shard: no cross-shard
   // senders exist, so the mailbox scan is skipped; the membership phase
   // and hooks still run (they drive epoch application and sampling).
-  uint64_t drained = 0;
   bool settle = false;
-  if (shard_count() > 1) settle = DrainMailboxes(&drained);
+  if (shard_count() > 1) settle = DrainMailboxes();
   if (membership_hook_ != nullptr) {
     const auto start = std::chrono::steady_clock::now();
     membership_hook_(barrier_now_);
@@ -212,15 +196,19 @@ bool ShardSet::BarrierPhase(bool run_hooks) {
   }
   if (run_hooks) {
     for (const auto& hook : hooks_) hook(barrier_now_);
-    AdaptBarrierTick(drained);
   }
   return settle;
 }
 
 void ShardSet::RunUntil(Time t) {
+  // A lone shard with no barrier work has nothing to synchronize: the whole
+  // horizon is one window, i.e. exactly Simulation::RunUntil(t).
+  const bool one_window = shard_count() == 1 && hooks_.empty() &&
+                          membership_hook_ == nullptr;
   bool settle = false;
+  const Time tick = config_.shard_barrier_tick;
   while (barrier_now_ < t) {
-    const Time window_end = std::min(t, barrier_now_ + barrier_tick_);
+    const Time window_end = one_window ? t : std::min(t, barrier_now_ + tick);
     RunWindow(window_end);
     barrier_now_ = window_end;
     ++barriers_;

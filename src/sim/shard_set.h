@@ -18,6 +18,10 @@
 /// identical traces — and a 1-shard set reproduces the classic
 /// single-engine simulation exactly.
 ///
+/// One shard with no membership phase and no barrier hook has nothing to
+/// synchronize, so RunUntil(t) runs it as a single window: the 1-shard set
+/// costs what a bare Simulation::RunUntil costs and runs the same trace.
+///
 /// Shard s's root RNG stream is util::Rng::StreamSeed(seed, s); stream 0
 /// is the root seed itself, which is what makes the 1-shard case
 /// bit-identical to a standalone Simulation.
@@ -95,12 +99,9 @@ class ShardSet : public rt::ShardFabric {
     return static_cast<double>(membership_apply_ns_) * 1e-9;
   }
 
-  /// Current barrier window width: shard_barrier_tick unless
-  /// adaptive_barrier shrank/regrew it (see SimulationConfig).
-  Time current_barrier_tick() const { return barrier_tick_; }
-
-  /// Advances every shard to `t` through barrier windows. Runs hooks at
-  /// every barrier, including the final one at `t`. Like
+  /// Advances every shard to `t` through barrier windows (one window when
+  /// a lone shard has no hooks). Runs hooks at every barrier, including
+  /// the final one at `t`. Like
   /// Scheduler::RunUntil, leaves no event with timestamp <= `t` unrun:
   /// cross-shard messages clamped to the final barrier are settled with
   /// extra zero-width windows before returning.
@@ -128,18 +129,14 @@ class ShardSet : public rt::ShardFabric {
   void RunWindow(Time target);
   /// Returns true when a drained message was due at the current barrier
   /// (delivery clamped to now) — the signal for RunUntil's settlement.
-  /// *drained counts the messages moved onto destination schedulers.
-  bool DrainMailboxes(uint64_t* drained);
+  bool DrainMailboxes();
   /// One barrier: drain, membership phase, then (when `run_hooks`) the
-  /// regular hooks and the adaptive-tick update. Returns whether another
-  /// settlement window is needed — a drained message was due now, or the
-  /// membership phase posted fresh cross-shard messages.
+  /// regular hooks. Returns whether another settlement window is needed —
+  /// a drained message was due now, or the membership phase posted fresh
+  /// cross-shard messages.
   bool BarrierPhase(bool run_hooks);
   /// Whether any (src, dst) outbox still holds messages.
   bool MailboxesNonEmpty() const;
-  /// Adjusts barrier_tick_ from this barrier's drained-message count
-  /// (no-op unless config_.adaptive_barrier).
-  void AdaptBarrierTick(uint64_t drained);
   void WorkerLoop(uint32_t s);
 
   SimulationConfig config_;
@@ -148,8 +145,6 @@ class ShardSet : public rt::ShardFabric {
   std::vector<std::function<void(Time)>> hooks_;
   std::function<void(Time)> membership_hook_;
   Time barrier_now_ = 0;
-  /// Live window width (== config_.shard_barrier_tick unless adapted).
-  Time barrier_tick_ = 0;
   uint64_t barriers_ = 0;
   uint64_t membership_apply_ns_ = 0;
 

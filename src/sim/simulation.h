@@ -50,7 +50,8 @@ struct SimulationConfig {
 
   /// Number of independent shards, each with its own scheduler, network,
   /// registry partition and mediator, connected by the deterministic
-  /// cross-shard mailbox. 1 = the classic single-engine simulation.
+  /// cross-shard mailbox. 1 = the plain single-engine simulation (one
+  /// barrier window per RunUntil when no barrier work is installed).
   uint32_t shard_count = 1;
   /// Width (seconds) of the barrier window: shards run independently for
   /// one window, then exchange cross-shard messages at the barrier. Bounds
@@ -60,15 +61,6 @@ struct SimulationConfig {
   /// runs shards sequentially in shard order; both modes produce identical
   /// traces (shards only interact at barriers).
   bool shard_use_threads = true;
-  /// Auto-tune the barrier window from observed cross-shard mailbox
-  /// traffic (off by default): the driver halves the window when a barrier
-  /// drains more than one message per shard (high delegation rate — the
-  /// extra hop latency the window adds starts to matter) and doubles it
-  /// back toward shard_barrier_tick when the mailboxes stay idle (fewer
-  /// synchronizations for free). The adapted window never drops below
-  /// shard_barrier_tick / 64. Deterministic: the tick sequence depends
-  /// only on drained message counts, which are themselves deterministic.
-  bool adaptive_barrier = false;
 };
 
 /// Owns the event scheduler, the network and the root RNG.

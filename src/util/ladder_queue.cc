@@ -108,6 +108,18 @@ void LadderQueue::PushRung(Rung& r, Entry e) {
 void LadderQueue::PushBottom(Entry e) {
   bottom_.insert(std::upper_bound(bottom_.begin(), bottom_.end(), e, After),
                  e);
+  // An overfull Bottom is spread over a new, deepest rung, so near-now
+  // pushes stay O(1). Without this, a small Top transfer whose maximum is
+  // one far event (a periodic sampling tick) leaves top_start_ far ahead,
+  // and every push below it insert-sorts into an ever larger Bottom until
+  // that event fires. Bottom's entries all lie below every active rung's
+  // threshold (and below top_start_), so the new rung slots in under them.
+  // Bottom is sorted descending: back() is its minimum, front() its
+  // maximum. A full rung stack or a degenerate span keeps Bottom as is.
+  if (bottom_.size() > kSpawnThreshold &&
+      SpawnRung(bottom_.back().when, bottom_.front().when, bottom_)) {
+    bottom_.clear();
+  }
 }
 
 void LadderQueue::DrainBucket(Rung& r, size_t k) {
@@ -134,7 +146,8 @@ void LadderQueue::DumpScratchToBottom() {
   std::sort(bottom_.begin(), bottom_.end(), After);
 }
 
-bool LadderQueue::SpawnRung(double lo, double hi) {
+bool LadderQueue::SpawnRung(double lo, double hi,
+                            const std::vector<Entry>& entries) {
   if (nactive_ >= kMaxRungs) return false;
   const double width = (hi - lo) / static_cast<double>(kBucketsPerRung);
   // Degenerate span: the width underflows at the magnitude of `lo`, so
@@ -152,7 +165,7 @@ bool LadderQueue::SpawnRung(double lo, double hi) {
   // the nodes live in the shared arena.
   for (uint32_t& h : r.heads) h = kNil;
   ++nactive_;
-  for (const Entry& e : bucket_scratch_) PushRung(r, e);
+  for (const Entry& e : entries) PushRung(r, e);
   return true;
 }
 
@@ -170,7 +183,10 @@ void LadderQueue::TransferTop() {
   top_start_ = hi;
   top_min_ = kNoBound;
   top_max_ = -kNoBound;
-  if (bucket_scratch_.size() > kSpawnThreshold && SpawnRung(lo, hi)) return;
+  if (bucket_scratch_.size() > kSpawnThreshold &&
+      SpawnRung(lo, hi, bucket_scratch_)) {
+    return;
+  }
   DumpScratchToBottom();
 }
 
@@ -193,7 +209,8 @@ bool LadderQueue::FillBottom() {
     // never into a bucket that was already consumed.
     ++r.cur;
     DrainBucket(r, k);
-    if (bucket_scratch_.size() > kSpawnThreshold && SpawnRung(lo, hi)) {
+    if (bucket_scratch_.size() > kSpawnThreshold &&
+        SpawnRung(lo, hi, bucket_scratch_)) {
       continue;  // consume from the finer rung instead
     }
     DumpScratchToBottom();

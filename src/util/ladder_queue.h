@@ -19,7 +19,9 @@
 ///   Bottom  — a small sorted array (descending, so back() is the
 ///             minimum) holding the events about to fire. Buckets at or
 ///             under the spawn threshold are sorted into it wholesale;
-///             near-now pushes insert-sort into it directly.
+///             near-now pushes insert-sort into it directly, and a Bottom
+///             pushed past the spawn threshold is spread over a new,
+///             deepest rung.
 ///
 /// Steady-state traffic therefore touches O(1) entries per operation:
 /// push_back into Top or a bucket, pop_back off Bottom, and the
@@ -105,8 +107,9 @@ class LadderQueue {
  private:
   static constexpr size_t kMaxRungs = 8;
   /// Buckets at or below this size are sorted into Bottom rather than
-  /// spread over a finer rung; Bottom therefore stays small and its
-  /// insertion sort cheap.
+  /// spread over a finer rung, and a Bottom grown past it by pushes is
+  /// spread over a rung; Bottom therefore stays small and its insertion
+  /// sort cheap.
   static constexpr size_t kSpawnThreshold = 64;
   /// Every rung has exactly this many buckets — resolution comes from
   /// rung DEPTH (kBucketsPerRung^kMaxRungs distinguishable spans), not
@@ -147,6 +150,8 @@ class LadderQueue {
     return r.start + static_cast<double>(k) * r.width;
   }
 
+  /// Insert-sorts `e` into Bottom; spills Bottom into a new rung once it
+  /// outgrows the spawn threshold.
   void PushBottom(Entry e);
   void PushRung(Rung& r, Entry e);
   /// Unlinks bucket `k` of `r` into `bucket_scratch_` (arena nodes return
@@ -154,10 +159,11 @@ class LadderQueue {
   void DrainBucket(Rung& r, size_t k);
   /// Moves `bucket_scratch_` into (empty) Bottom, sorted descending.
   void DumpScratchToBottom();
-  /// Spreads `bucket_scratch_` over a fresh rung covering [lo, hi).
-  /// Returns false (caller falls back to Bottom) when the span is
-  /// degenerate or the rung stack is full.
-  bool SpawnRung(double lo, double hi);
+  /// Spreads `entries` over a fresh, deepest rung covering [lo, hi] (the
+  /// last bucket absorbs anything at or past its start). Returns false,
+  /// touching nothing, when the span is degenerate or the rung stack is
+  /// full; the caller then keeps the entries in Bottom.
+  bool SpawnRung(double lo, double hi, const std::vector<Entry>& entries);
   /// Spreads Top into rung 0 (or Bottom when small/degenerate) and resets
   /// the Top accumulator.
   void TransferTop();

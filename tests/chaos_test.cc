@@ -2,7 +2,7 @@
 // query lifecycle:
 //
 //   1. FaultInjector semantics: a disabled plan is a draw-free
-//      pass-through, exempt destinations are never faulted, and every
+//      pass-through, inboxes are never faulted, and every
 //      fault pattern (drops, delays, crash windows, latency skew) is a
 //      pure function of FaultPlan::seed;
 //   2. mediator recovery: a mid-flight provider loss re-mediates the
@@ -12,7 +12,8 @@
 //      suspends a consecutively failing provider and probes it back;
 //   3. chaos end-to-end: a scenario under ~10% provider crash downtime
 //      plus 5% dropped sends completes EVERY query terminally and is
-//      bit-reproducible per (seed, shard_count), threaded or serial;
+//      bit-reproducible per (seed, shard_count), threaded or serial, and
+//      mediator groups lose no query under drops or crashes;
 //   4. graceful degradation: the engine sheds deterministically at
 //      max_pending (and at the wall-clock submit queue bound);
 //   5. allocation gates: the retry ladder and the shed path perform zero
@@ -36,6 +37,8 @@
 #include "sim/simulation.h"
 #include "util/counting_alloc.h"
 
+#include "classic_scenario.h"
+
 namespace sbqa {
 namespace {
 
@@ -51,8 +54,8 @@ struct InjectorHarness {
     simulation = std::make_unique<sim::Simulation>(config);
     injector =
         std::make_unique<rt::FaultInjector>(&simulation->runtime(), plan);
-    control = injector->RegisterDestination();  // 0: exempt
-    data = injector->RegisterDestination();     // 1: faultable
+    control = injector->RegisterInbox();     // 0: never faulted
+    data = injector->RegisterDestination();  // 1: faultable
   }
 
   /// Sends `count` numbered messages to `destination` and returns the
@@ -85,15 +88,22 @@ TEST(FaultInjectorTest, DisabledPlanIsPassThrough) {
   EXPECT_EQ(h.injector->stats().sends_dropped, 0);
 }
 
-TEST(FaultInjectorTest, ExemptDestinationsAreNeverFaulted) {
+TEST(FaultInjectorTest, InboxesAreNeverFaulted) {
   rt::FaultPlan plan;
   plan.drop_send_prob = 1.0;  // drop everything faultable
   InjectorHarness h(plan);
+  // A mediator group shares one runtime: the second member's inbox is
+  // registered after the first member's provider destinations, and is
+  // exempt by identity all the same.
+  const rt::Destination second_inbox = h.injector->RegisterInbox();
+  ASSERT_GT(second_inbox, h.data);
   const std::vector<bool> control = h.SendBatch(h.control, 30);
+  const std::vector<bool> second = h.SendBatch(second_inbox, 30);
   const std::vector<bool> data = h.SendBatch(h.data, 30);
-  // The control plane (mediator inbox) is lossless; the data plane lost
+  // The control plane (mediator inboxes) is lossless; the data plane lost
   // every send.
   EXPECT_EQ(std::count(control.begin(), control.end(), true), 30);
+  EXPECT_EQ(std::count(second.begin(), second.end(), true), 30);
   EXPECT_EQ(std::count(data.begin(), data.end(), true), 0);
   EXPECT_EQ(h.injector->stats().sends_seen, 30);
   EXPECT_EQ(h.injector->stats().sends_dropped, 30);
@@ -517,10 +527,10 @@ TEST(ChaosScenarioTest, ChaosRunCompletesEveryQueryTerminally) {
 TEST(ChaosScenarioTest, ChaosTraceIsBitReproduciblePerShardCount) {
   for (uint32_t shards : {1u, 2u, 4u}) {
     ShardTraces first_traces;
-    const experiments::RunResult first = experiments::RunShardedScenario(
+    const experiments::RunResult first = experiments::RunScenario(
         first_traces.Attach(ChaosConfig(/*seed=*/7, shards, true)));
     ShardTraces second_traces;
-    const experiments::RunResult second = experiments::RunShardedScenario(
+    const experiments::RunResult second = experiments::RunScenario(
         second_traces.Attach(ChaosConfig(/*seed=*/7, shards, true)));
 
     EXPECT_EQ(first_traces.hashes(), second_traces.hashes())
@@ -536,10 +546,10 @@ TEST(ChaosScenarioTest, ChaosTraceIsBitReproduciblePerShardCount) {
 
 TEST(ChaosScenarioTest, ChaosThreadedMatchesSerial) {
   ShardTraces threaded_traces;
-  const experiments::RunResult threaded = experiments::RunShardedScenario(
+  const experiments::RunResult threaded = experiments::RunScenario(
       threaded_traces.Attach(ChaosConfig(/*seed=*/11, /*shards=*/3, true)));
   ShardTraces serial_traces;
-  const experiments::RunResult serial = experiments::RunShardedScenario(
+  const experiments::RunResult serial = experiments::RunScenario(
       serial_traces.Attach(ChaosConfig(/*seed=*/11, /*shards=*/3, false)));
 
   EXPECT_EQ(threaded_traces.hashes(), serial_traces.hashes());
@@ -550,17 +560,17 @@ TEST(ChaosScenarioTest, ChaosThreadedMatchesSerial) {
 
 TEST(ChaosScenarioTest, ShardCountOneChaosMatchesClassicEngine) {
   // StreamSeed(seed, 0) == seed: the single-shard injector replays the
-  // exact unsharded fault schedule.
+  // classic oracle's fault schedule exactly.
   TraceRecorder classic;
   experiments::ScenarioConfig legacy =
       ChaosConfig(/*seed=*/21, /*shards=*/1, false);
   legacy.observers.push_back(&classic);
   const experiments::RunResult legacy_result =
-      experiments::RunScenario(legacy);
+      oracle::RunClassicScenario(legacy);
 
   ShardTraces traces;
   const experiments::RunResult sharded_result =
-      experiments::RunShardedScenario(
+      experiments::RunScenario(
           traces.Attach(ChaosConfig(/*seed=*/21, /*shards=*/1, false)));
 
   EXPECT_EQ(classic.hash(), traces.recorders[0]->hash());
@@ -572,6 +582,33 @@ TEST(ChaosScenarioTest, ShardCountOneChaosMatchesClassicEngine) {
             sharded_result.summary.fault_sends_dropped);
   EXPECT_EQ(legacy_result.summary.fault_sends_crashed,
             sharded_result.summary.fault_sends_crashed);
+  oracle::ExpectSameSeries(legacy_result.series, sharded_result.series);
+}
+
+TEST(ChaosScenarioTest, MediatorGroupsLoseNoQueryUnderFaults) {
+  // Every group member's inbox (submissions and result fan-in) stays
+  // lossless; only provider dispatches are faulted.
+  for (const char* profile : {"drops", "crashes"}) {
+    for (uint32_t shards : {1u, 2u}) {
+      for (size_t group : {2u, 3u}) {
+        experiments::ScenarioConfig config = experiments::BaseDemoConfig(
+            /*seed=*/5, /*volunteers=*/120, /*duration=*/120.0);
+        config.sim.shard_count = shards;
+        config.sim.shard_use_threads = false;
+        config.mediator_count = group;
+        ASSERT_TRUE(rt::FaultProfileByName(profile, &config.fault_plan));
+        config.mediator.max_retries = 2;
+        config.query_deadline = 60.0;
+        const experiments::RunResult result = experiments::RunScenario(config);
+        SCOPED_TRACE(::testing::Message() << profile << " shards=" << shards
+                                          << " group=" << group);
+        ExpectAllTerminal(result.summary);
+        EXPECT_GT(result.summary.fault_sends_dropped +
+                      result.summary.fault_sends_crashed,
+                  0);
+      }
+    }
+  }
 }
 
 // --- Engine shedding ---------------------------------------------------------
@@ -647,7 +684,7 @@ TEST(EngineSheddingTest, WallClockSubmitQueueBoundSheds) {
   EngineOptions options;
   options.mode = EngineMode::kWallClock;
   options.seed = 4;
-  options.wallclock.manual_clock = true;  // deterministic: no service thread
+  options.wallclock.manual_clock = true;  // deterministic: no worker thread
   options.wallclock.max_queue = 2;
   Engine engine(std::move(options));
   model::ConsumerId consumer = 0;

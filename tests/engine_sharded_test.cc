@@ -2,7 +2,7 @@
 // barrier fabric (manual lock-step windows, mailbox FIFO, fill-triggered
 // early barriers, control ops) and the sharded sbqa::Engine built on it —
 // cross-shard query serving, post-Start membership through the epoch join
-// log, the shards=1 pass-through, and the counting-allocator gate holding
+// log, the one-shard fabric, and the counting-allocator gate holding
 // the sharded Submit path to ZERO heap allocations per query at steady
 // state, membership churn included.
 //
@@ -32,7 +32,7 @@ using util::AllocationCount;
 rt::WallClockShardOptions ManualFabric(uint32_t shards) {
   rt::WallClockShardOptions options;
   options.shard_count = shards;
-  options.manual_clock = true;
+  options.runtime.manual_clock = true;
   options.barrier_tick = 0.002;
   return options;
 }
@@ -245,25 +245,35 @@ TEST(EngineShardedTest, ManualShardedRunsAreReproducible) {
   EXPECT_EQ(a.stats.queries_satisfied, b.stats.queries_satisfied);
 }
 
-TEST(EngineShardedTest, ShardsOneIsTheClassicSingleRuntimeEngine) {
-  // shards == 1 must not even build the shard fabric: identical options
-  // except `shards` produce bit-equal runs through the classic path.
-  EngineOptions classic = ShardedManualOptions(33, 1);
-  EXPECT_EQ(classic.shards, 1u);
-  Engine engine(std::move(classic));
-  std::vector<model::ConsumerId> consumers;
-  BuildShardedPopulation(&engine, 1, &consumers);
-  engine.Start();
-  int64_t callbacks = 0;
-  for (int i = 0; i < 50; ++i) {
-    engine.Submit({consumers[0], 0, 2, 0.1},
-                  [&callbacks](const QueryResult&) { ++callbacks; });
-    engine.RunFor(0.02);
-  }
-  EXPECT_TRUE(engine.WaitIdle(30.0));
-  EXPECT_EQ(callbacks, 50);
-  EXPECT_TRUE(engine.ShardStats().empty());  // no fabric, no shard rows
-  EXPECT_EQ(engine.Stats().shard_barriers, 0);
+TEST(EngineShardedTest, ShardsOneRunsOnAOneShardFabric) {
+  // shards == 1 is the same shard set with one worker: same-seed manual
+  // runs are bit-equal, barrier windows are cut and counted, and
+  // ShardStats reports the one shard.
+  const ShardedRun a = RunManualShardedEngine(33, 1, 50);
+  const ShardedRun b = RunManualShardedEngine(33, 1, 50);
+  EXPECT_EQ(a.callbacks, 50);
+  EXPECT_EQ(a.stats.queries_finalized, 50);
+  EXPECT_EQ(a.stats.queries_in_flight, 0);
+  EXPECT_EQ(a.satisfaction_sum, b.satisfaction_sum);
+  EXPECT_EQ(a.stats.mean_response_time, b.stats.mean_response_time);
+  EXPECT_EQ(a.stats.queries_satisfied, b.stats.queries_satisfied);
+  EXPECT_GT(a.stats.shard_barriers, 0);
+  EXPECT_EQ(a.stats.shard_barriers, b.stats.shard_barriers);
+  EXPECT_EQ(a.stats.queries_delegated, 0);
+  ASSERT_EQ(a.shard_stats.size(), 1u);
+  EXPECT_EQ(a.shard_stats[0].shard, 0u);
+  EXPECT_EQ(a.shard_stats[0].queries_submitted, 50);
+  EXPECT_EQ(a.shard_stats[0].queries_finalized, 50);
+  EXPECT_GT(a.shard_stats[0].tasks_executed, 0);
+}
+
+TEST(EngineShardedDeathTest, SimulatedEngineRejectsShards) {
+  // kSimulated is one simulation; sharding it is a configuration error,
+  // not a silent fallback.
+  EngineOptions options;
+  options.mode = EngineMode::kSimulated;
+  options.shards = 2;
+  EXPECT_DEATH({ Engine engine(std::move(options)); }, "CHECK failed");
 }
 
 TEST(EngineShardedTest, PostStartMembershipJoinsThroughTheEpochLog) {

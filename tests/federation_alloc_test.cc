@@ -11,6 +11,7 @@
 // new/delete (via util/counting_alloc.h; counting only).
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +19,7 @@
 #include "core/mediator.h"
 #include "core/registry.h"
 #include "core/sbqa.h"
-#include "core/shard_directory.h"
+#include "experiments/assembly.h"
 #include "model/reputation.h"
 #include "sim/shard_set.h"
 #include "util/counting_alloc.h"
@@ -27,10 +28,11 @@
 namespace sbqa::core {
 namespace {
 
-/// Hand-built 4-shard stack. Shards 0, 1 and 3 carry providers restricted
-/// to class 0, shard 2 carries generalists: consumer 0's class-1 queries
-/// are always delegated 0 -> 2, while consumers 1..3 mediate class 0
-/// locally. Serial shard execution for exact allocation accounting.
+/// A 4-shard stack wired by the one experiments::Assembly. Shards 0, 1
+/// and 3 carry providers restricted to class 0, shard 2 carries
+/// generalists: consumer 0's class-1 queries are always delegated 0 -> 2,
+/// while consumers 1..3 mediate class 0 locally. Serial shard execution
+/// for exact allocation accounting.
 struct DelegationHarness {
   static constexpr uint32_t kShards = 4;
   static constexpr size_t kProviders = 60;
@@ -39,9 +41,7 @@ struct DelegationHarness {
   std::unique_ptr<sim::ShardSet> shards;
   Registry registry;
   std::unique_ptr<model::ReputationRegistry> reputation;
-  std::vector<std::unique_ptr<Mediator>> mediators;
-  std::vector<Mediator*> mediator_ptrs;
-  ShardDirectory directory;
+  std::unique_ptr<experiments::Assembly> assembly;
 
   DelegationHarness() {
     sim_config.seed = 99;
@@ -79,27 +79,29 @@ struct DelegationHarness {
         std::make_unique<model::ReputationRegistry>(registry.provider_count());
     SbqaParams sbqa_params;
     sbqa_params.knbest = KnBestParams{20, 8};
+    experiments::AssemblyOptions wiring;
+    wiring.registry = &registry;
+    wiring.reputation = reputation.get();
     for (uint32_t s = 0; s < kShards; ++s) {
-      mediators.push_back(std::make_unique<Mediator>(
-          &shards->shard(s), &registry, reputation.get(),
-          std::make_unique<SbqaMethod>(sbqa_params), MediatorConfig{}));
-      mediator_ptrs.push_back(mediators.back().get());
+      wiring.runtimes.push_back(&shards->shard(s).runtime());
     }
-    directory.Refresh(registry);
-    for (uint32_t s = 0; s < kShards; ++s) {
-      mediators[s]->ConfigureSharding(shards.get(), s, &directory,
-                                      mediator_ptrs);
-      mediators[s]->ProvisionInflight(256);
-    }
-    shards->SetMembershipHook(
-        [this](double) { registry.PublishConsumerSatisfaction(); });
-    shards->AddBarrierHook(
-        [this](double) { directory.RefreshIfChanged(registry); });
+    wiring.fabric = shards.get();
+    wiring.make_method = [sbqa_params] {
+      return std::make_unique<SbqaMethod>(sbqa_params);
+    };
+    assembly = std::make_unique<experiments::Assembly>(std::move(wiring));
+    assembly->InstallBarrierPhases(shards.get());
+    for (Mediator* m : mediators()) m->ProvisionInflight(256);
+  }
+
+  /// One mediator per shard: mediators()[s] is shard s's.
+  const std::vector<Mediator*>& mediators() const {
+    return assembly->mediators();
   }
 
   int64_t Sum(int64_t MediatorStats::*counter) const {
     int64_t total = 0;
-    for (const Mediator* m : mediator_ptrs) total += m->stats().*counter;
+    for (const Mediator* m : mediators()) total += m->stats().*counter;
     return total;
   }
 };
@@ -119,7 +121,7 @@ TEST(DelegationAllocTest, SteadyStateDelegateAndRehomeAreAllocationFree) {
       query.query_class = s == 0 ? 1 : 0;
       query.n_results = 3;
       query.cost = 0.4;
-      harness.mediator_ptrs[s]->SubmitQuery(query);
+      harness.mediators()[s]->SubmitQuery(query);
     }
   };
   // Rounds advance far enough that completions interleave with new
@@ -150,7 +152,7 @@ TEST(DelegationAllocTest, SteadyStateDelegateAndRehomeAreAllocationFree) {
   pump(300);  // warm-up: every pool reaches its high-water mark
 
   const int64_t warm_delegated =
-      harness.mediator_ptrs[0]->stats().queries_delegated;
+      harness.mediators()[0]->stats().queries_delegated;
   const uint64_t steady_allocs = util::AllocationCount();
   pump(150);
   const double per_query =
@@ -161,14 +163,14 @@ TEST(DelegationAllocTest, SteadyStateDelegateAndRehomeAreAllocationFree) {
 
   // The measured phase really delegated: the origin sent every class-1
   // query to the donor, which borrowed them, and every outcome came home.
-  const MediatorStats& origin = harness.mediator_ptrs[0]->stats();
+  const MediatorStats& origin = harness.mediators()[0]->stats();
   EXPECT_EQ(origin.queries_delegated - warm_delegated, 150);
-  EXPECT_EQ(harness.mediator_ptrs[2]->stats().queries_borrowed,
+  EXPECT_EQ(harness.mediators()[2]->stats().queries_borrowed,
             origin.queries_delegated);
   EXPECT_EQ(harness.Sum(&MediatorStats::queries_delegated),
             harness.Sum(&MediatorStats::queries_borrowed));
   EXPECT_EQ(origin.queries_rehomed, origin.queries_delegated);
-  for (Mediator* m : harness.mediator_ptrs) {
+  for (Mediator* m : harness.mediators()) {
     EXPECT_EQ(m->inflight_count(), 0u);
   }
 }

@@ -118,7 +118,7 @@ void ExpectDelegationStatsConsistent(const metrics::RunSummary& s) {
 
 TEST(FederationShardedTest, DelegationStatsReconcile) {
   const RunResult starved =
-      RunShardedScenario(StarvedConfig(/*seed=*/21, /*shards=*/4, true));
+      RunScenario(StarvedConfig(/*seed=*/21, /*shards=*/4, true));
   EXPECT_GT(starved.summary.queries_delegated, 0);
   ExpectDelegationStatsConsistent(starved.summary);
 
@@ -133,11 +133,11 @@ TEST(FederationShardedTest, DelegationStatsReconcile) {
     return config;
   };
   ShardTraces first;
-  const RunResult churned = RunShardedScenario(first.Attach(churn_config()));
+  const RunResult churned = RunScenario(first.Attach(churn_config()));
   EXPECT_GT(churned.summary.queries_delegated, 0);
   ExpectDelegationStatsConsistent(churned.summary);
   ShardTraces second;
-  RunShardedScenario(second.Attach(churn_config()));
+  RunScenario(second.Attach(churn_config()));
   EXPECT_EQ(first.hashes(), second.hashes());
 }
 
@@ -153,7 +153,7 @@ TEST(FederationShardedTest, DelegationTerminatesWhenEveryShardIsDry) {
       registry->provider(v).RestrictClasses({model::QueryClassId{0}});
     }
   };
-  const RunResult result = RunShardedScenario(std::move(config));
+  const RunResult result = RunScenario(std::move(config));
 
   const metrics::RunSummary& s = result.summary;
   EXPECT_EQ(s.queries_submitted, s.queries_finalized);
@@ -173,23 +173,23 @@ TEST(FederationShardedTest, MediatorGroupsPerShardCompleteAndReproduce) {
   };
 
   ShardTraces first;
-  const RunResult a = RunShardedScenario(first.Attach(group_config(true)));
+  const RunResult a = RunScenario(first.Attach(group_config(true)));
   EXPECT_GT(a.summary.queries_delegated, 0);
   ExpectDelegationStatsConsistent(a.summary);
 
   ShardTraces second;
-  const RunResult b = RunShardedScenario(second.Attach(group_config(true)));
+  const RunResult b = RunScenario(second.Attach(group_config(true)));
   EXPECT_EQ(first.hashes(), second.hashes());
   EXPECT_EQ(a.summary.queries_finalized, b.summary.queries_finalized);
 
   ShardTraces serial;
-  RunShardedScenario(serial.Attach(group_config(false)));
+  RunScenario(serial.Attach(group_config(false)));
   EXPECT_EQ(first.hashes(), serial.hashes());
 
   // A larger group on fewer shards completes too.
   ScenarioConfig wide = StarvedConfig(/*seed=*/17, /*shards=*/2, true);
   wide.mediator_count = 3;
-  const RunResult c = RunShardedScenario(wide);
+  const RunResult c = RunScenario(wide);
   EXPECT_EQ(c.summary.queries_submitted, c.summary.queries_finalized);
 }
 
@@ -256,7 +256,7 @@ TEST(FederationShardedTest, SingleDonorScarcityServesEveryScarceQuery) {
   config.shard_observer_factory = [&counters](uint32_t s) {
     return counters[s].get();
   };
-  const RunResult result = RunShardedScenario(config);
+  const RunResult result = RunScenario(config);
 
   int64_t scarce_finalized = 0;
   int64_t scarce_served = 0;

@@ -99,7 +99,7 @@ TEST(FederationTest, PeerInstancesFailWhenProviderGoesOffline) {
 TEST(FederationTest, CollectorAggregatesAcrossMediators) {
   FederationHarness h;
   metrics::Collector collector(
-      h.simulation.get(), &h.registry,
+      {h.simulation.get()}, &h.registry,
       std::vector<core::Mediator*>{h.mediators[0].get(),
                                    h.mediators[1].get()},
       5.0);

@@ -1,9 +1,10 @@
-// WallClockRuntime unit tests, driven by the injected fake clock
-// (manual_clock mode: the test is the executor and advances time with
-// AdvanceTo), plus a threaded smoke test and the counting-allocator gate
-// that holds the engine facade's Submit path to ZERO heap allocations per
-// query at steady state under the wall-clock runtime — the same contract
-// the simulation's event engine is held to.
+// WallClockRuntime unit tests, driven by a fake clock (the test is the
+// executor and advances time with AdvanceTo), plus a threaded multi-
+// producer test on a one-shard WallClockShardSet (whose worker is the only
+// loop that drives a runtime) and the counting-allocator gate that holds
+// the engine facade's Submit path to ZERO heap allocations per query at
+// steady state under the wall-clock runtime — the same contract the
+// simulation's event engine is held to.
 //
 // Lives in its own test binary because it replaces the global operator
 // new/delete (via util/counting_alloc.h; counting only, allocation
@@ -20,6 +21,7 @@
 
 #include "engine/engine.h"
 #include "runtime/wallclock_runtime.h"
+#include "runtime/wallclock_shard_set.h"
 #include "util/counting_alloc.h"
 
 namespace sbqa {
@@ -27,14 +29,8 @@ namespace {
 
 using util::AllocationCount;
 
-rt::WallClockOptions ManualOptions() {
-  rt::WallClockOptions options;
-  options.manual_clock = true;
-  return options;
-}
-
 TEST(WallClockRuntimeTest, TimersFireInDeadlineOrderUnderFakeClock) {
-  rt::WallClockRuntime runtime(ManualOptions());
+  rt::WallClockRuntime runtime;
   std::vector<int> order;
   runtime.Schedule(0.030, [&order] { order.push_back(3); });
   runtime.Schedule(0.010, [&order] { order.push_back(1); });
@@ -52,7 +48,7 @@ TEST(WallClockRuntimeTest, TimersFireInDeadlineOrderUnderFakeClock) {
 }
 
 TEST(WallClockRuntimeTest, CancelIsExactAndStaleHandlesAreHarmless) {
-  rt::WallClockRuntime runtime(ManualOptions());
+  rt::WallClockRuntime runtime;
   int fired = 0;
   const rt::TaskId keep = runtime.Schedule(0.01, [&fired] { ++fired; });
   const rt::TaskId kill = runtime.Schedule(0.01, [&fired] { ++fired; });
@@ -72,7 +68,7 @@ TEST(WallClockRuntimeTest, CancelIsExactAndStaleHandlesAreHarmless) {
 TEST(WallClockRuntimeTest, FarTimersFireOnlyAtTheirDeadline) {
   // A far deadline stays parked through many small clock steps and fires
   // only once the clock reaches it.
-  rt::WallClockRuntime runtime(ManualOptions());
+  rt::WallClockRuntime runtime;
   std::vector<int> order;
   runtime.Schedule(0.050, [&order] { order.push_back(50); });
   runtime.Schedule(0.002, [&order] { order.push_back(2); });
@@ -85,7 +81,7 @@ TEST(WallClockRuntimeTest, FarTimersFireOnlyAtTheirDeadline) {
 }
 
 TEST(WallClockRuntimeTest, ZeroDelayChainsSettleWithinOnePass) {
-  rt::WallClockRuntime runtime(ManualOptions());
+  rt::WallClockRuntime runtime;
   int depth = 0;
   std::function<void()> step = [&] {
     if (++depth < 5) runtime.Schedule(0, [&] { step(); });
@@ -97,7 +93,7 @@ TEST(WallClockRuntimeTest, ZeroDelayChainsSettleWithinOnePass) {
 }
 
 TEST(WallClockRuntimeTest, PostedWorkDrainsBeforeTimersOfTheSamePass) {
-  rt::WallClockRuntime runtime(ManualOptions());
+  rt::WallClockRuntime runtime;
   std::vector<std::string> order;
   runtime.Schedule(0.005, [&order] { order.push_back("timer"); });
   runtime.Post([&order] { order.push_back("posted"); });
@@ -106,11 +102,14 @@ TEST(WallClockRuntimeTest, PostedWorkDrainsBeforeTimersOfTheSamePass) {
 }
 
 TEST(WallClockRuntimeTest, ThreadedPostFromManyProducers) {
-  // Real service thread: MPSC submissions from several driver threads all
-  // execute, on the single executor, without loss.
-  rt::WallClockRuntime runtime((rt::WallClockOptions()));
+  // A threaded one-shard set: its worker is the executor, and MPSC
+  // submissions from several driver threads all execute on it without
+  // loss.
+  rt::WallClockShardSet shards((rt::WallClockShardOptions()));
+  rt::WallClockRuntime& runtime = shards.runtime(0);
   std::atomic<int> ran{0};
-  runtime.Start();
+  shards.Start();
+  ASSERT_TRUE(shards.threaded());
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 500;
   std::vector<std::thread> producers;
@@ -125,8 +124,41 @@ TEST(WallClockRuntimeTest, ThreadedPostFromManyProducers) {
   for (int spin = 0; spin < 2000 && !runtime.idle(); ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  runtime.Stop();
+  shards.Stop();
   EXPECT_EQ(ran.load(), kProducers * kPerProducer);
+  EXPECT_GT(shards.barriers(), 0u);
+}
+
+TEST(WallClockRuntimeTest, LoneShardParksWithoutWindowEdges) {
+  // A threaded one-shard set with no hooks has nothing to synchronize: its
+  // worker cuts no timed windows and parks until a Post, its next timer, a
+  // control op or Stop. An idle set therefore performs no barrier, a timer
+  // still fires on time, and a control op posted while the worker is
+  // parked runs (a lost wake would hang here, with no edge to rescue it).
+  rt::WallClockShardSet shards((rt::WallClockShardOptions()));
+  rt::WallClockRuntime& runtime = shards.runtime(0);
+  shards.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));  // 20 ticks
+  EXPECT_EQ(shards.barriers(), 0u);
+
+  std::atomic<bool> fired{false};
+  runtime.Post([&runtime, &fired] {
+    runtime.Schedule(0.005, [&fired] { fired.store(true); });
+  });
+  for (int spin = 0; spin < 2000 && !fired.load(); ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(fired.load());
+  EXPECT_EQ(shards.barriers(), 0u);
+
+  for (int i = 0; i < 100; ++i) {
+    int ran = 0;
+    shards.RunAtBarrier([&ran] { ++ran; });
+    ASSERT_EQ(ran, 1);
+  }
+  shards.Stop();
+  // One barrier per control op, plus Stop's final one.
+  EXPECT_EQ(shards.barriers(), 101u);
 }
 
 // --- Engine on the wall-clock runtime ---------------------------------------

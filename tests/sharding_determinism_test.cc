@@ -1,9 +1,10 @@
 // Cross-shard determinism tests — the acceptance gate of the sharded
 // engine:
 //
-//   1. shard_count = 1 through the sharded machinery is bit-identical to
-//      the classic single-engine path (same allocation trace, same
-//      counters) on a demo-scenario golden seed;
+//   1. RunScenario at shard_count = 1 is bit-identical to the classic
+//      single-engine oracle (tests/classic_scenario.h): same allocation
+//      trace, same counters, same metric time series, on a demo-scenario
+//      golden seed;
 //   2. a fixed (seed, shard_count) reproduces identical allocation traces
 //      run after run, with worker threads on;
 //   3. threaded and serial execution produce identical traces;
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,11 +33,13 @@
 #include "core/registry.h"
 #include "core/sbqa.h"
 #include "core/score.h"
-#include "core/shard_directory.h"
+#include "experiments/assembly.h"
 #include "experiments/demo_scenarios.h"
 #include "experiments/runner.h"
 #include "model/reputation.h"
 #include "sim/shard_set.h"
+
+#include "classic_scenario.h"
 
 namespace sbqa::experiments {
 namespace {
@@ -114,17 +118,17 @@ ScenarioConfig SmallConfig(uint64_t seed, uint32_t shards, bool threads) {
 }
 
 TEST(ShardingDeterminismTest, ShardCountOneIsBitIdenticalToClassicEngine) {
-  // Classic engine with a shared trace observer.
+  // The classic single-engine oracle with a shared trace observer.
   TraceRecorder classic;
   ScenarioConfig legacy = SmallConfig(/*seed=*/42, /*shards=*/1, false);
   legacy.observers.push_back(&classic);
-  const RunResult legacy_result = RunScenario(legacy);
+  const RunResult legacy_result = oracle::RunClassicScenario(legacy);
 
-  // Sharded machinery forced at shard_count = 1.
+  // The one runner at shard_count = 1.
   ShardTraces traces;
   const ScenarioConfig sharded =
       traces.Attach(SmallConfig(/*seed=*/42, /*shards=*/1, false));
-  const RunResult sharded_result = RunShardedScenario(sharded);
+  const RunResult sharded_result = RunScenario(sharded);
 
   EXPECT_EQ(classic.hash(), traces.recorders[0]->hash());
   EXPECT_EQ(classic.mediations(), traces.recorders[0]->mediations());
@@ -146,14 +150,15 @@ TEST(ShardingDeterminismTest, ShardCountOneIsBitIdenticalToClassicEngine) {
             std::bit_cast<uint64_t>(b.mean_response_time));
   EXPECT_EQ(b.queries_delegated, 0);
   EXPECT_EQ(b.queries_borrowed, 0);
+  oracle::ExpectSameSeries(legacy_result.series, sharded_result.series);
 }
 
 TEST(ShardingDeterminismTest, FixedSeedAndShardCountReproducesThreaded) {
   ShardTraces first_traces;
-  const RunResult first = RunShardedScenario(
+  const RunResult first = RunScenario(
       first_traces.Attach(SmallConfig(/*seed=*/7, /*shards=*/4, true)));
   ShardTraces second_traces;
-  const RunResult second = RunShardedScenario(
+  const RunResult second = RunScenario(
       second_traces.Attach(SmallConfig(/*seed=*/7, /*shards=*/4, true)));
 
   EXPECT_EQ(first_traces.hashes(), second_traces.hashes());
@@ -166,10 +171,10 @@ TEST(ShardingDeterminismTest, FixedSeedAndShardCountReproducesThreaded) {
 
 TEST(ShardingDeterminismTest, ThreadedAndSerialTracesMatch) {
   ShardTraces threaded_traces;
-  const RunResult threaded = RunShardedScenario(
+  const RunResult threaded = RunScenario(
       threaded_traces.Attach(SmallConfig(/*seed=*/11, /*shards=*/3, true)));
   ShardTraces serial_traces;
-  const RunResult serial = RunShardedScenario(
+  const RunResult serial = RunScenario(
       serial_traces.Attach(SmallConfig(/*seed=*/11, /*shards=*/3, false)));
 
   EXPECT_EQ(threaded_traces.hashes(), serial_traces.hashes());
@@ -181,7 +186,7 @@ TEST(ShardingDeterminismTest, ThreadedAndSerialTracesMatch) {
 
 TEST(ShardingDeterminismTest, EveryShardMediatesWork) {
   ShardTraces traces;
-  const RunResult result = RunShardedScenario(
+  const RunResult result = RunScenario(
       traces.Attach(SmallConfig(/*seed=*/5, /*shards=*/3, true)));
   // Three projects round-robin onto three shards: every shard has a
   // consumer and its own provider block, so every shard mediates.
@@ -213,7 +218,7 @@ TEST(ShardingDeterminismTest, BorrowPathServesStarvedShardDeterministically) {
 
   ShardTraces traces;
   const RunResult result =
-      RunShardedScenario(traces.Attach(starved_config(true)));
+      RunScenario(traces.Attach(starved_config(true)));
 
   // Shard 1's pool for class 1 is dry -> its queries went over the
   // mailbox and were mediated (borrowed) elsewhere, and still completed.
@@ -229,10 +234,10 @@ TEST(ShardingDeterminismTest, BorrowPathServesStarvedShardDeterministically) {
 
   // And the borrow protocol is deterministic, threaded or serial.
   ShardTraces repeat_traces;
-  RunShardedScenario(repeat_traces.Attach(starved_config(true)));
+  RunScenario(repeat_traces.Attach(starved_config(true)));
   EXPECT_EQ(traces.hashes(), repeat_traces.hashes());
   ShardTraces serial_traces;
-  RunShardedScenario(serial_traces.Attach(starved_config(false)));
+  RunScenario(serial_traces.Attach(starved_config(false)));
   EXPECT_EQ(traces.hashes(), serial_traces.hashes());
 }
 
@@ -340,25 +345,22 @@ void RunBorrowedScoring(bool threads, DonorDecision* donor,
   registry.provider(1).RestrictClasses({model::QueryClassId{0}});
 
   model::ReputationRegistry reputation(registry.provider_count());
-  core::ShardDirectory directory;
-  directory.Refresh(registry);
-  core::MediatorConfig mediator_config;
-  mediator_config.simulate_network = false;
   core::SbqaParams sbqa;
   sbqa.knbest = core::KnBestParams{0, 0};  // consult every candidate
-  std::vector<std::unique_ptr<core::Mediator>> mediators;
-  std::vector<core::Mediator*> mediator_ptrs;
+  experiments::AssemblyOptions wiring;
+  wiring.registry = &registry;
+  wiring.reputation = &reputation;
   for (uint32_t s = 0; s < 2; ++s) {
-    mediators.push_back(std::make_unique<core::Mediator>(
-        &shards.shard(s), &registry, &reputation,
-        std::make_unique<core::SbqaMethod>(sbqa), mediator_config));
-    mediator_ptrs.push_back(mediators.back().get());
+    wiring.runtimes.push_back(&shards.shard(s).runtime());
   }
-  for (uint32_t s = 0; s < 2; ++s) {
-    mediators[s]->ConfigureSharding(&shards, s, &directory, mediator_ptrs);
-  }
-  shards.SetMembershipHook(
-      [&registry](double) { registry.PublishConsumerSatisfaction(); });
+  wiring.fabric = &shards;
+  wiring.make_method = [sbqa] {
+    return std::make_unique<core::SbqaMethod>(sbqa);
+  };
+  wiring.mediator.simulate_network = false;
+  experiments::Assembly assembly(std::move(wiring));
+  assembly.InstallBarrierPhases(&shards);
+  const std::vector<core::Mediator*>& mediators = assembly.mediators();
   donor->registry = &registry;
   home->registry = &registry;
   mediators[1]->AddObserver(donor);
@@ -373,7 +375,7 @@ void RunBorrowedScoring(bool threads, DonorDecision* donor,
   model::Query local = borrowed;
   local.id = home->query = 2;
   local.query_class = 0;
-  core::Mediator* origin = mediators[0].get();
+  core::Mediator* origin = mediators[0];
   shards.shard(0).scheduler().ScheduleAt(
       1.2, [origin, local] { origin->SubmitQuery(local); });
   shards.RunUntil(3.0);

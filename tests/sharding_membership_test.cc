@@ -6,9 +6,9 @@
 //      per (seed, shard_count) at 1, 2 and 4 shards, threaded or serial,
 //      with BOTH shared observers (collector mux) and per-shard observers
 //      recording identical traces run to run;
-//   2. shard_count = 1 through the epoch-capable sharded machinery matches
-//      the classic single-engine summaries bit for bit with joins and
-//      churn enabled;
+//   2. RunScenario at shard_count = 1 matches the classic single-engine
+//      oracle (tests/classic_scenario.h) bit for bit, summaries and time
+//      series, with joins and churn enabled;
 //   3. a provider departing (or churning offline) with queries in flight
 //      never leaks an in-flight pool slot, and the availability-churn
 //      steady state stays allocation-free (counting allocator + slot
@@ -25,12 +25,14 @@
 #include "core/mediator.h"
 #include "core/registry.h"
 #include "core/sbqa.h"
-#include "core/shard_directory.h"
+#include "experiments/assembly.h"
 #include "experiments/demo_scenarios.h"
 #include "experiments/runner.h"
 #include "model/reputation.h"
 #include "sim/shard_set.h"
 #include "util/counting_alloc.h"
+
+#include "classic_scenario.h"
 
 namespace sbqa::experiments {
 namespace {
@@ -139,10 +141,10 @@ TEST(ShardingMembershipTest, DynamicScenariosAreBitReproduciblePerShardCount) {
   for (uint32_t shards : {1u, 2u, 4u}) {
     Traces first;
     const RunResult a =
-        RunShardedScenario(first.Attach(DynamicConfig(17, shards, true)));
+        RunScenario(first.Attach(DynamicConfig(17, shards, true)));
     Traces second;
     const RunResult b =
-        RunShardedScenario(second.Attach(DynamicConfig(17, shards, true)));
+        RunScenario(second.Attach(DynamicConfig(17, shards, true)));
 
     EXPECT_EQ(first.hashes(), second.hashes()) << shards << " shards";
     EXPECT_EQ(a.summary.queries_finalized, b.summary.queries_finalized);
@@ -179,10 +181,10 @@ TEST(ShardingMembershipTest, DynamicScenariosAreBitReproduciblePerShardCount) {
 TEST(ShardingMembershipTest, ThreadedAndSerialDynamicTracesMatch) {
   Traces threaded;
   const RunResult a =
-      RunShardedScenario(threaded.Attach(DynamicConfig(23, 3, true)));
+      RunScenario(threaded.Attach(DynamicConfig(23, 3, true)));
   Traces serial;
   const RunResult b =
-      RunShardedScenario(serial.Attach(DynamicConfig(23, 3, false)));
+      RunScenario(serial.Attach(DynamicConfig(23, 3, false)));
 
   EXPECT_EQ(threaded.hashes(), serial.hashes());
   EXPECT_EQ(a.summary.queries_finalized, b.summary.queries_finalized);
@@ -194,16 +196,16 @@ TEST(ShardingMembershipTest, ThreadedAndSerialDynamicTracesMatch) {
 }
 
 TEST(ShardingMembershipTest, EpochPathAtOneShardMatchesClassicEngine) {
-  // Classic single-engine run with joins + churn...
+  // The classic single-engine oracle with joins + churn...
   ScenarioConfig classic_config = DynamicConfig(42, 1, false);
   TraceRecorder classic_trace;
   classic_config.observers.push_back(&classic_trace);
-  const RunResult classic = RunScenario(classic_config);
+  const RunResult classic = oracle::RunClassicScenario(classic_config);
 
-  // ...vs the same scenario through the epoch-capable sharded machinery.
+  // ...vs the same scenario through the one runner at shard_count = 1.
   Traces traces;
   const RunResult sharded =
-      RunShardedScenario(traces.Attach(DynamicConfig(42, 1, false)));
+      RunScenario(traces.Attach(DynamicConfig(42, 1, false)));
 
   EXPECT_EQ(classic_trace.hash(), traces.shared.hash());
   EXPECT_EQ(classic_trace.hash(), traces.per_shard[0]->hash());
@@ -228,13 +230,14 @@ TEST(ShardingMembershipTest, EpochPathAtOneShardMatchesClassicEngine) {
             std::bit_cast<uint64_t>(b.mean_response_time));
   EXPECT_GT(b.provider_joins, 0);
   EXPECT_GT(b.provider_offline_events, 0);
+  oracle::ExpectSameSeries(classic.series, sharded.series);
 }
 
 // --- In-flight slot audit under epoch-applied departures/churn --------------
 
-/// Hand-built 2-shard stack (the sharded pump harness): direct access to
-/// the mediators so the test can audit pool slots and drive the
-/// membership log itself.
+/// A 2-shard stack driven by hand (the sharded pump harness), wired by
+/// the one Assembly: direct access to the mediators so the test can audit
+/// pool slots and drive the membership log itself.
 struct MembershipHarness {
   static constexpr uint32_t kShards = 2;
   static constexpr size_t kProviders = 60;
@@ -243,30 +246,7 @@ struct MembershipHarness {
   std::unique_ptr<sim::ShardSet> shards;
   core::Registry registry;
   std::unique_ptr<model::ReputationRegistry> reputation;
-  std::vector<std::unique_ptr<core::Mediator>> mediators;
-  std::vector<core::Mediator*> mediator_ptrs;
-  core::ShardDirectory directory;
-
-  /// Applier mirroring the experiment runner's RunnerMembership (the
-  /// canonical version, which also wires reputation + churn for joins):
-  /// route to the owning mediator. This harness never queues joins, so a
-  /// join reaching it is a test bug — fail loudly instead of leaving the
-  /// reputation registry unsized for the new id.
-  struct Applier final : core::MembershipApplier {
-    MembershipHarness* harness = nullptr;
-    void ApplyAvailability(model::ProviderId p, bool available) override {
-      harness->mediator_ptrs[harness->registry.ProviderShard(p)]
-          ->ApplyProviderAvailability(p, available);
-    }
-    void ApplyDeparture(model::ProviderId p) override {
-      harness->mediator_ptrs[harness->registry.ProviderShard(p)]
-          ->ApplyProviderDeparture(p);
-    }
-    void OnProviderJoined(model::ProviderId provider) override {
-      FAIL() << "harness does not expect joins (provider " << provider << ")";
-    }
-  };
-  Applier applier;
+  std::unique_ptr<Assembly> assembly;
 
   MembershipHarness() {
     sim_config.seed = 77;
@@ -298,28 +278,33 @@ struct MembershipHarness {
         std::make_unique<model::ReputationRegistry>(registry.provider_count());
     core::SbqaParams sbqa_params;
     sbqa_params.knbest = core::KnBestParams{20, 8};
+    AssemblyOptions wiring;
+    wiring.registry = &registry;
+    wiring.reputation = reputation.get();
     for (uint32_t s = 0; s < kShards; ++s) {
-      mediators.push_back(std::make_unique<core::Mediator>(
-          &shards->shard(s), &registry, reputation.get(),
-          std::make_unique<core::SbqaMethod>(sbqa_params),
-          core::MediatorConfig{}));
-      mediator_ptrs.push_back(mediators.back().get());
+      wiring.runtimes.push_back(&shards->shard(s).runtime());
     }
-    directory.Refresh(registry);
-    for (uint32_t s = 0; s < kShards; ++s) {
-      mediators[s]->ConfigureSharding(shards.get(), s, &directory,
-                                      mediator_ptrs);
-    }
-    applier.harness = this;
-    shards->SetMembershipHook(
-        [this](double) { registry.AdvanceEpoch(&applier); });
-    shards->AddBarrierHook(
-        [this](double) { directory.RefreshIfChanged(registry); });
+    wiring.fabric = shards.get();
+    wiring.make_method = [sbqa_params] {
+      return std::make_unique<core::SbqaMethod>(sbqa_params);
+    };
+    assembly = std::make_unique<Assembly>(std::move(wiring));
+    assembly->InstallBarrierPhases(shards.get());
+  }
+
+  core::Mediator* mediator(uint32_t shard) const {
+    return assembly->gateway(shard);
+  }
+  core::Mediator* owner(model::ProviderId provider) const {
+    return assembly->gateway(registry.ProviderShard(provider));
+  }
+  const std::vector<core::Mediator*>& mediators() const {
+    return assembly->mediators();
   }
 
   size_t TotalInflight() const {
     size_t total = 0;
-    for (const auto& m : mediators) total += m->inflight_count();
+    for (const core::Mediator* m : mediators()) total += m->inflight_count();
     return total;
   }
 };
@@ -351,7 +336,7 @@ TEST(ShardingMembershipTest, DepartingProviderNeverLeaksInflightSlots) {
         // steady state would never become allocation-free).
         query.n_results = 3;
         query.cost = 0.4;
-        harness.mediator_ptrs[s]->SubmitQuery(query);
+        harness.mediator(s)->SubmitQuery(query);
       }
       if (round % 3 == 0) {
         const int k = round / 3;
@@ -365,10 +350,8 @@ TEST(ShardingMembershipTest, DepartingProviderNeverLeaksInflightSlots) {
         const auto victim = static_cast<model::ProviderId>(base + j % 10);
         const auto revived =
             static_cast<model::ProviderId>(base + (j + 5) % 10);
-        harness.mediator_ptrs[harness.registry.ProviderShard(victim)]
-            ->SetProviderAvailability(victim, false);
-        harness.mediator_ptrs[harness.registry.ProviderShard(revived)]
-            ->SetProviderAvailability(revived, true);
+        harness.owner(victim)->SetProviderAvailability(victim, false);
+        harness.owner(revived)->SetProviderAvailability(revived, true);
       }
       // A few permanent departures, pinned to warm-up rounds and to ids
       // OUTSIDE the churn window — each lands while the victim has
@@ -398,7 +381,7 @@ TEST(ShardingMembershipTest, DepartingProviderNeverLeaksInflightSlots) {
       query.consumer = static_cast<model::ConsumerId>(s);
       query.n_results = 3;
       query.cost = 0.4;
-      harness.mediator_ptrs[s]->SubmitQuery(query);
+      harness.mediator(s)->SubmitQuery(query);
     }
   }
   horizon += 700.0;
@@ -410,7 +393,7 @@ TEST(ShardingMembershipTest, DepartingProviderNeverLeaksInflightSlots) {
   EXPECT_EQ(harness.TotalInflight(), 0u);
   EXPECT_GT(harness.registry.membership_epoch(), 0u);
   size_t warm_slots = 0;
-  for (const auto& m : harness.mediators) {
+  for (const core::Mediator* m : harness.mediators()) {
     warm_slots += m->inflight_slot_capacity();
   }
 
@@ -428,7 +411,7 @@ TEST(ShardingMembershipTest, DepartingProviderNeverLeaksInflightSlots) {
   // warm-up high-water mark — a leaked slot would force fresh ones.
   EXPECT_EQ(harness.TotalInflight(), 0u);
   size_t steady_slots = 0;
-  for (const auto& m : harness.mediators) {
+  for (const core::Mediator* m : harness.mediators()) {
     steady_slots += m->inflight_slot_capacity();
   }
   EXPECT_EQ(steady_slots, warm_slots);
@@ -437,7 +420,7 @@ TEST(ShardingMembershipTest, DepartingProviderNeverLeaksInflightSlots) {
   // provider, then failed by a churn event racing its result home).
   int64_t dispatched = 0, completed = 0, failed = 0;
   int64_t offline_events = 0, departures = 0;
-  for (const auto& m : harness.mediators) {
+  for (const core::Mediator* m : harness.mediators()) {
     dispatched += m->stats().instances_dispatched;
     completed += m->stats().instances_completed;
     failed += m->stats().instances_failed;

@@ -291,9 +291,9 @@ TEST(SchedulerDifferentialTest, GoldenSeedScenarioSummariesMatch) {
       config.sim.scheduler_kind = kind;
       return config;
     };
-    const experiments::RunResult ladder = experiments::RunShardedScenario(
+    const experiments::RunResult ladder = experiments::RunScenario(
         config_for(sim::SchedulerKind::kLadder));
-    const experiments::RunResult heap = experiments::RunShardedScenario(
+    const experiments::RunResult heap = experiments::RunScenario(
         config_for(sim::SchedulerKind::kHeap));
 
     const metrics::RunSummary& a = ladder.summary;

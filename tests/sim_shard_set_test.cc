@@ -1,8 +1,10 @@
 // Tests for the ShardSet barrier driver and the deterministic cross-shard
 // mailbox: window/barrier mechanics, fixed drain order, delivery-time
-// clamping, threaded-vs-serial equivalence and the 1-shard passthrough.
+// clamping, threaded-vs-serial equivalence and the 1-shard passthrough
+// (one window when nothing needs a barrier).
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -168,88 +170,6 @@ TEST(ShardSetTest, MembershipPhaseMessagesSettleAtTheHorizon) {
   EXPECT_DOUBLE_EQ(shards.now(), 0.02);
 }
 
-TEST(ShardSetTest, AdaptiveBarrierTickShrinksUnderTrafficAndRecovers) {
-  SimulationConfig config = ShardConfig(2, /*threads=*/false, /*tick=*/0.01);
-  config.adaptive_barrier = true;
-  ShardSet shards(config);
-  EXPECT_DOUBLE_EQ(shards.current_barrier_tick(), 0.01);
-
-  // Phase 1 — heavy cross-shard traffic: every window posts more than one
-  // message per shard, so each barrier halves the window (down to the
-  // 1/64 floor).
-  struct Chatter {
-    ShardSet* shards;
-    void Tick(double until) {
-      for (int i = 0; i < 4; ++i) {
-        shards->PostTo(0, 1, shards->shard(0).now(), [] {});
-      }
-      if (shards->shard(0).now() < until) {
-        shards->shard(0).scheduler().Schedule(0.0001,
-                                              [this, until] { Tick(until); });
-      }
-    }
-  };
-  Chatter chatter{&shards};
-  shards.shard(0).scheduler().Schedule(0.0001,
-                                       [&chatter] { chatter.Tick(0.1); });
-  shards.RunUntil(0.1);
-  EXPECT_LT(shards.current_barrier_tick(), 0.01);
-  EXPECT_GE(shards.current_barrier_tick(), 0.01 / 64.0 - 1e-12);
-
-  // Phase 2 — idle mailboxes: the window doubles back to the configured
-  // maximum and stays there.
-  shards.RunUntil(0.5);
-  EXPECT_DOUBLE_EQ(shards.current_barrier_tick(), 0.01);
-}
-
-TEST(ShardSetTest, AdaptiveBarrierStaysDeterministic) {
-  // Same workload, adaptive on, threaded vs serial: identical traces and
-  // identical adapted tick (the tick depends only on deterministic
-  // drained-message counts).
-  auto run = [](bool threads) {
-    SimulationConfig config = ShardConfig(4, threads, /*tick=*/0.01);
-    config.adaptive_barrier = true;
-    ShardSet shards(config);
-    // Per-target hash slots (single writer each), like the ping workload.
-    std::vector<uint64_t> hashes(4, 0);
-    struct Pinger {
-      ShardSet* shards;
-      std::vector<uint64_t>* hashes;
-      uint32_t shard;
-      void Tick() {
-        Simulation& sim = shards->shard(shard);
-        const uint64_t draw = sim.rng()();
-        const uint32_t target = (shard + 1) % shards->shard_count();
-        auto* h = hashes;
-        shards->PostTo(shard, target, sim.now() + 0.002,
-                       [h, target, draw] {
-                         (*h)[target] = (*h)[target] * 1099511628211ull ^ draw;
-                       });
-        if (sim.now() < 0.2) {
-          sim.scheduler().Schedule(0.003, [this] { Tick(); });
-        }
-      }
-    };
-    std::vector<Pinger> pingers;
-    for (uint32_t s = 0; s < 4; ++s) {
-      pingers.push_back(Pinger{&shards, &hashes, s});
-    }
-    for (uint32_t s = 0; s < 4; ++s) {
-      shards.shard(s).scheduler().Schedule(
-          0.001, [&pingers, s] { pingers[s].Tick(); });
-    }
-    shards.RunUntil(0.4);
-    uint64_t combined = 0;
-    for (uint64_t h : hashes) combined = combined * 1099511628211ull ^ h;
-    return std::pair<uint64_t, double>(combined,
-                                       shards.current_barrier_tick());
-  };
-  const auto serial = run(false);
-  const auto threaded = run(true);
-  EXPECT_EQ(serial.first, threaded.first);
-  EXPECT_DOUBLE_EQ(serial.second, threaded.second);
-}
-
 TEST(ShardSetTest, SingleShardMatchesStandaloneSimulation) {
   // The 1-shard ShardSet must reproduce a standalone Simulation exactly:
   // StreamSeed(seed, 0) == seed, so shard 0 carries the root stream.
@@ -263,6 +183,55 @@ TEST(ShardSetTest, SingleShardMatchesStandaloneSimulation) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(shards.shard(0).rng()(), standalone.rng()());
   }
+}
+
+/// A self-rescheduling event chain whose trace folds every firing time
+/// and RNG draw — the same on any driver that runs the same events.
+struct ChainTrace {
+  Simulation* sim = nullptr;
+  uint64_t hash = 14695981039346656037ull;
+  int fired = 0;
+  void Tick() {
+    hash = (hash ^ std::bit_cast<uint64_t>(sim->now())) * 1099511628211ull;
+    hash = (hash ^ sim->rng()()) * 1099511628211ull;
+    ++fired;
+    if (sim->now() < 3.0) {
+      sim->scheduler().Schedule(0.0037 * (1 + fired % 5), [this] { Tick(); });
+    }
+  }
+};
+
+TEST(ShardSetTest, LoneShardWithoutHooksRunsOneWindow) {
+  // No mailbox, no membership phase, no hook: nothing to synchronize, so
+  // RunUntil(t) is one window and exactly Simulation::RunUntil(t).
+  SimulationConfig config;
+  config.seed = 77;
+  Simulation standalone(config);
+  ChainTrace reference{&standalone};
+  standalone.scheduler().Schedule(0.001, [&reference] { reference.Tick(); });
+  standalone.RunUntil(4.0);
+
+  config.shard_count = 1;
+  config.shard_barrier_tick = 0.005;
+  ShardSet shards(config);
+  ChainTrace trace{&shards.shard(0)};
+  shards.shard(0).scheduler().Schedule(0.001, [&trace] { trace.Tick(); });
+  shards.RunUntil(4.0);
+
+  EXPECT_EQ(shards.barriers(), 1u);
+  EXPECT_GT(trace.fired, 100);
+  EXPECT_EQ(trace.fired, reference.fired);
+  EXPECT_EQ(trace.hash, reference.hash);
+  EXPECT_EQ(shards.now(), 4.0);
+  EXPECT_EQ(shards.shard(0).now(), standalone.now());
+
+  // A hook brings the barrier windows back.
+  ShardSet hooked(config);
+  int hook_runs = 0;
+  hooked.AddBarrierHook([&hook_runs](Time) { ++hook_runs; });
+  hooked.RunUntil(0.1);
+  EXPECT_GE(hooked.barriers(), 20u);
+  EXPECT_EQ(hook_runs, static_cast<int>(hooked.barriers()));
 }
 
 // One synthetic workload, run twice (serial vs threads): each shard
