@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -361,6 +362,10 @@ int main() {
   if (json.ok()) {
     json.BeginObject();
     json.Field("bench", "bench_scaling");
+    json.Field("host_cores",
+               static_cast<uint64_t>(std::thread::hardware_concurrency()));
+    json.Field("compiler", bench::CompilerName());
+    json.Field("build_type", bench::BuildType());
     json.BeginObject("fixed");
     json.Field("k", kK);
     json.Field("kn", kKn);

@@ -40,7 +40,7 @@ void CandidateIndex::RemoveMemberships(model::ProviderId id) {
   if (m.generalist) {
     generalists_.Erase(id);
   } else {
-    for (model::QueryClassId cls : m.classes) by_class_[cls].Erase(id);
+    for (model::QueryClassId cls : m.classes) ClassSetOrInsert(cls).Erase(id);
   }
   m.alive = false;
   m.generalist = false;
@@ -76,15 +76,37 @@ void CandidateIndex::OnProviderChanged(const Provider& provider) {
   } else {
     m.classes.assign(provider.allowed_classes().begin(),
                      provider.allowed_classes().end());
-    for (model::QueryClassId cls : m.classes) by_class_[cls].Insert(id);
+    for (model::QueryClassId cls : m.classes) ClassSetOrInsert(cls).Insert(id);
   }
+}
+
+size_t CandidateIndex::ClassRow(model::QueryClassId query_class) const {
+  const auto it = std::lower_bound(
+      by_class_.begin(), by_class_.end(), query_class,
+      [](const ClassEntry& e, model::QueryClassId c) {
+        return e.query_class < c;
+      });
+  return static_cast<size_t>(it - by_class_.begin());
 }
 
 const CandidateIndex::DenseIdSet* CandidateIndex::ClassSet(
     model::QueryClassId query_class) const {
-  auto it = by_class_.find(query_class);
-  if (it == by_class_.end() || it->second.items.empty()) return nullptr;
-  return &it->second;
+  const size_t row = ClassRow(query_class);
+  if (row == by_class_.size() || by_class_[row].query_class != query_class ||
+      by_class_[row].set.items.empty()) {
+    return nullptr;
+  }
+  return &by_class_[row].set;
+}
+
+CandidateIndex::DenseIdSet& CandidateIndex::ClassSetOrInsert(
+    model::QueryClassId query_class) {
+  const size_t row = ClassRow(query_class);
+  if (row == by_class_.size() || by_class_[row].query_class != query_class) {
+    by_class_.insert(by_class_.begin() + static_cast<long>(row),
+                     ClassEntry{query_class, DenseIdSet{}});
+  }
+  return by_class_[row].set;
 }
 
 size_t CandidateIndex::CountFor(model::QueryClassId query_class) const {
@@ -98,8 +120,8 @@ void CandidateIndex::CollectClassCounts(
   SBQA_CHECK(out != nullptr);
   out->clear();
   out->reserve(by_class_.size());
-  for (const auto& [query_class, set] : by_class_) {
-    out->emplace_back(query_class, set.items.size());
+  for (const ClassEntry& entry : by_class_) {
+    out->emplace_back(entry.query_class, entry.set.items.size());
   }
 }
 
@@ -133,7 +155,7 @@ void CandidateIndex::SampleFor(model::QueryClassId query_class, size_t k,
   }
   // Draw k distinct virtual indices over the concatenation
   // generalists ++ by_class[c] (disjoint sets, so the union is exact).
-  rng.SampleIndices(n, k, &sample_scratch_);
+  rng.SampleIndices(n, k, &sample_stamps_, &sample_scratch_);
   out->clear();
   out->reserve(k);
   for (size_t index : sample_scratch_) {
@@ -192,10 +214,12 @@ void CandidateSet::SampleUniform(size_t k, util::Rng& rng,
     rng.Shuffle(out);
     return;
   }
-  // Explicit-list mode serves tests and crafted contexts, not the
-  // mediation hot path; a local scratch is fine here.
-  std::vector<size_t> picked;
-  rng.SampleIndices(n, k, &picked);
+  // Explicit-list mode serves tests, crafted contexts and the mediator's
+  // retry path (Pq minus the providers already tried). Per-thread scratch
+  // keeps it allocation-free once warm, like the indexed path.
+  static thread_local util::SampleScratch stamps;
+  static thread_local std::vector<size_t> picked;
+  rng.SampleIndices(n, k, &stamps, &picked);
   out->clear();
   out->reserve(k);
   for (size_t index : picked) out->push_back((*list_)[index]);

@@ -24,7 +24,6 @@
 /// the union. Single-threaded, like the simulator that owns it.
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "core/provider.h"
@@ -67,7 +66,7 @@ class CandidateIndex {
   size_t alive_generalist_count() const { return generalists_.items.size(); }
 
   /// Replaces *out with (class, alive restricted-provider count) for every
-  /// class the index currently tracks (arbitrary order, zero counts
+  /// class the index currently tracks (ascending class order, zero counts
   /// included). O(#classes); feeds the cross-shard candidate directory.
   void CollectClassCounts(
       std::vector<std::pair<model::QueryClassId, size_t>>* out) const;
@@ -125,12 +124,29 @@ class CandidateIndex {
     std::vector<model::QueryClassId> classes;
   };
 
+  /// One row of the class table: the alive providers restricted to a set
+  /// containing `query_class`.
+  struct ClassEntry {
+    model::QueryClassId query_class;
+    DenseIdSet set;
+  };
+
   void RemoveMemberships(model::ProviderId id);
+  /// Row of `query_class` in the class table, or where it would be
+  /// inserted. One binary search over a handful of rows.
+  size_t ClassRow(model::QueryClassId query_class) const;
+  /// The class's set, or nullptr when no alive provider is restricted to
+  /// it.
   const DenseIdSet* ClassSet(model::QueryClassId query_class) const;
+  /// The class's set, inserting an empty row in order when it is new.
+  DenseIdSet& ClassSetOrInsert(model::QueryClassId query_class);
 
   DenseIdSet alive_;
   DenseIdSet generalists_;
-  std::unordered_map<model::QueryClassId, DenseIdSet> by_class_;
+  /// `by_class`, as one flat table sorted by class id: a decision finds
+  /// its class without hashing, and rows only ever get added (a class
+  /// whose providers all left keeps an empty row).
+  std::vector<ClassEntry> by_class_;
   std::vector<Membership> members_;  ///< by provider id
   double alive_capacity_ = 0;
   /// Mutations since the last exact re-sum of alive_capacity_.
@@ -138,6 +154,7 @@ class CandidateIndex {
   /// Reused by SampleFor (the index is single-threaded, like the simulator
   /// that owns it) so sampling allocates nothing once warm.
   mutable std::vector<size_t> sample_scratch_;
+  mutable util::SampleScratch sample_stamps_;
 };
 
 /// One mediation's candidate set Pq, as handed to allocation methods.
@@ -147,7 +164,8 @@ class CandidateIndex {
 /// lazy materialization (into a caller-owned scratch buffer, in arbitrary
 /// but deterministic index order) for the full-scan baselines that
 /// genuinely need every candidate. Explicit-list mode exists for tests and
-/// benches that craft contexts by hand.
+/// benches that craft contexts by hand, and for the mediator's retry path
+/// (Pq minus the providers already tried).
 class CandidateSet {
  public:
   /// Index-backed view. `scratch` backs lazy materialization and must
@@ -155,8 +173,8 @@ class CandidateSet {
   CandidateSet(const CandidateIndex* index, model::QueryClassId query_class,
                std::vector<model::ProviderId>* scratch);
 
-  /// Explicit-list view (tests / crafted contexts); `list` must outlive the
-  /// set and is returned by All() verbatim.
+  /// Explicit-list view (tests / crafted contexts / retries); `list` must
+  /// outlive the set and is returned by All() verbatim.
   explicit CandidateSet(const std::vector<model::ProviderId>* list);
 
   /// |Pq|. O(1).

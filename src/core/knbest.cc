@@ -98,11 +98,11 @@ std::vector<model::ProviderId> SelectKnBest(
   SBQA_CHECK_EQ(candidates.size(), backlogs.size());
   if (candidates.empty()) return {};
 
-  // Step 1: uniform K-sample of positions into `candidates`, drawn in O(k)
-  // without materializing an index range.
+  // Step 1: uniform K-sample of positions into `candidates`.
   const size_t k = EffectiveK(params, candidates.size());
+  util::SampleScratch stamps;
   std::vector<size_t> picked;
-  rng.SampleIndices(candidates.size(), k, &picked);
+  rng.SampleIndices(candidates.size(), k, &stamps, &picked);
 
   std::vector<model::ProviderId> sample;
   std::vector<double> sample_backlogs;

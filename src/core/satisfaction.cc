@@ -37,10 +37,12 @@ double ConsumerQueryAllocationSatisfaction(
   for (double ci : candidate_intentions) {
     sorted.push_back(NormalizeIntention(ci));
   }
-  std::sort(sorted.begin(), sorted.end(), std::greater<double>());
-  double best = 0;
+  // Only the n best are summed: order just those, largest first.
   const size_t take =
       std::min(sorted.size(), static_cast<size_t>(n_required));
+  std::partial_sort(sorted.begin(), sorted.begin() + static_cast<long>(take),
+                    sorted.end(), std::greater<double>());
+  double best = 0;
   for (size_t i = 0; i < take; ++i) best += sorted[i];
   best /= static_cast<double>(n_required);
   if (best <= 0) return 1.0;  // nothing achievable: vacuously optimal

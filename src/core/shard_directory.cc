@@ -12,11 +12,7 @@ void ShardDirectory::Refresh(const Registry& registry) {
     Entry& entry = entries_[s];
     entry.generalists = index.alive_generalist_count();
     entry.active_consumers = registry.active_consumer_count(s);
-    index.CollectClassCounts(&scratch_);
-    // Sorted so CountFor can binary-search and so the snapshot's layout
-    // does not depend on hash-map iteration order.
-    std::sort(scratch_.begin(), scratch_.end());
-    entry.class_counts.assign(scratch_.begin(), scratch_.end());
+    index.CollectClassCounts(&entry.class_counts);
   }
   epoch_ = registry.membership_epoch();
   snapshot_valid_ = true;

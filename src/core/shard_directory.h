@@ -85,7 +85,6 @@ class ShardDirectory {
   };
 
   std::vector<Entry> entries_;
-  std::vector<std::pair<model::QueryClassId, size_t>> scratch_;
   uint64_t epoch_ = 0;
   bool snapshot_valid_ = false;
 };

@@ -1,6 +1,7 @@
 #include "metrics/collector.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/network.h"
 #include "util/check.h"
@@ -209,7 +210,7 @@ void Collector::Snapshot() {
       now, total_capacity > 0 ? registry_->AliveCapacity() / total_capacity
                               : 0.0);
   series_.mean_backlog.Add(now, p_alive ? backlog_sum / p_alive : 0.0);
-  series_.backlog_gini.Add(now, util::GiniCoefficient(backlogs));
+  series_.backlog_gini.Add(now, util::GiniCoefficient(std::move(backlogs)));
 
   // Windowed recent-response mean, weighted across the streams' windows.
   double window_sum = 0;

@@ -18,14 +18,15 @@ namespace sbqa::model {
 /// unlisted targets. -1 = strongly against, 0 = indifferent, 1 = strongly
 /// interested.
 ///
-/// Stored as a small sorted flat vector instead of a hash map: the
-/// mediation decision path probes ~8 preferences per query, and a
-/// branch-predictable scan (tiny profiles: a provider's handful of
-/// projects) or a binary search (large profiles: a project's view of the
-/// volunteer population) over one contiguous array beats hashing into
-/// node-allocated buckets on both lookup latency and memory. Profiles are
-/// built in roughly ascending target order (dense registry ids), so Set is
-/// an amortized O(1) append during population construction.
+/// Stored as one flat vector sorted by target. Get first reads the entry
+/// at index `target` and returns it when that entry's target matches —
+/// which it always does in a dense profile (entries for ids 0..n-1, as a
+/// project's view of every volunteer or a volunteer's view of every
+/// project is built from dense registry ids), so the mediation decision's
+/// per-candidate lookup is one load. A mismatch (sparse or gapped
+/// profiles, negative or past-the-end ids) falls back to a binary search.
+/// Profiles are built in ascending target order, so Set is an amortized
+/// O(1) append during population construction.
 class PreferenceProfile {
  public:
   /// `default_value` applies to ids without an explicit entry.
@@ -49,22 +50,11 @@ class PreferenceProfile {
 
   /// Preference for `target`, or the default when unset.
   double Get(int32_t target) const {
-    if (prefs_.size() <= kLinearScanMax) {
-      for (const Entry& e : prefs_) {
-        if (e.target == target) return e.value;
-        if (e.target > target) break;  // sorted: target is absent
-      }
-      return default_value_;
-    }
-    const auto it = LowerBound(target);
-    return (it != prefs_.end() && it->target == target) ? it->value
-                                                        : default_value_;
+    const Entry* e = Find(target);
+    return e != nullptr ? e->value : default_value_;
   }
 
-  bool Has(int32_t target) const {
-    const auto it = LowerBound(target);
-    return it != prefs_.end() && it->target == target;
-  }
+  bool Has(int32_t target) const { return Find(target) != nullptr; }
 
   double default_value() const { return default_value_; }
   size_t explicit_count() const { return prefs_.size(); }
@@ -83,10 +73,17 @@ class PreferenceProfile {
     double value;
   };
 
-  /// Profiles at or below this size are scanned linearly; the scan's
-  /// forward branch is almost always taken, unlike a binary search's
-  /// data-dependent splits.
-  static constexpr size_t kLinearScanMax = 16;
+  /// The entry for `target`, or nullptr. Direct index first: entries are
+  /// sorted with distinct targets, so a match at index `target` is the
+  /// entry (a negative target wraps past the end and falls through).
+  const Entry* Find(int32_t target) const {
+    const size_t slot = static_cast<size_t>(target);
+    if (slot < prefs_.size() && prefs_[slot].target == target) {
+      return &prefs_[slot];
+    }
+    const auto it = LowerBound(target);
+    return (it != prefs_.end() && it->target == target) ? &*it : nullptr;
+  }
 
   std::vector<Entry>::iterator LowerBound(int32_t target) {
     return std::lower_bound(

@@ -1,8 +1,7 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <limits>
 
 namespace sbqa::util {
 
@@ -173,7 +172,19 @@ int64_t Rng::Zipf(int64_t n, double s) {
   }
 }
 
-void Rng::SampleIndices(size_t n, size_t k, std::vector<size_t>* out) {
+void SampleScratch::Begin(size_t n) {
+  SBQA_CHECK_LE(n, std::numeric_limits<uint32_t>::max());
+  if (slots_.size() < n) slots_.resize(n);
+  if (++generation_ == 0) {
+    // Wrapped: clear every stamp so no slot of an old draw reads as live.
+    for (Slot& slot : slots_) slot.stamp = 0;
+    generation_ = 1;
+  }
+}
+
+void Rng::SampleIndices(size_t n, size_t k, SampleScratch* scratch,
+                        std::vector<size_t>* out) {
+  SBQA_CHECK(scratch != nullptr);
   SBQA_CHECK(out != nullptr);
   out->clear();
   if (n == 0 || k == 0) return;
@@ -184,42 +195,30 @@ void Rng::SampleIndices(size_t n, size_t k, std::vector<size_t>* out) {
     return;
   }
   out->reserve(k);
-  if (k > 64) {
-    if (n < k * 16) {
-      // Dense sample: a partial Fisher-Yates over the materialized range
-      // beats per-draw duplicate checks.
-      std::vector<size_t> indices(n);
-      for (size_t i = 0; i < n; ++i) indices[i] = i;
-      for (size_t i = 0; i < k; ++i) {
-        const size_t j =
-            i + static_cast<size_t>(
-                    UniformInt(0, static_cast<int64_t>(n - 1 - i)));
-        std::swap(indices[i], indices[j]);
-      }
-      out->assign(indices.begin(), indices.begin() + static_cast<long>(k));
-      return;
-    }
-    // Large sparse sample: Floyd's algorithm with a hashed duplicate check
-    // keeps the documented O(k) expected bound.
-    std::unordered_set<size_t> taken;
-    taken.reserve(k);
-    for (size_t j = n - k; j < n; ++j) {
-      const size_t t =
-          static_cast<size_t>(UniformInt(0, static_cast<int64_t>(j)));
-      const size_t pick = taken.insert(t).second ? t : j;
-      if (pick == j) taken.insert(j);
-      out->push_back(pick);
+  scratch->Begin(n);
+  if (k > 64 && n < k * 16) {
+    // Dense sample: a partial Fisher-Yates over the identity permutation
+    // of [0, n). Position i is final once step i has swapped into it, so
+    // it is emitted then, and only the swapped-out position is written.
+    for (size_t i = 0; i < k; ++i) {
+      const size_t j =
+          i + static_cast<size_t>(
+                  UniformInt(0, static_cast<int64_t>(n - 1 - i)));
+      const size_t picked = scratch->Get(j);
+      scratch->Put(j, scratch->Get(i));
+      out->push_back(picked);
     }
     return;
   }
-  // Small sample: Floyd's algorithm — each of the C(n, k) subsets is
-  // equally likely — with a linear duplicate scan over the (tiny) output,
-  // keeping the mediation hot path allocation-free.
+  // Floyd's algorithm: each of the C(n, k) subsets is equally likely. Step
+  // j draws t from [0, j] and takes t, or j when t is already taken (j
+  // never is: earlier steps pick below j).
   for (size_t j = n - k; j < n; ++j) {
     const size_t t =
         static_cast<size_t>(UniformInt(0, static_cast<int64_t>(j)));
-    const bool taken = std::find(out->begin(), out->end(), t) != out->end();
-    out->push_back(taken ? j : t);
+    const size_t pick = scratch->Taken(t) ? j : t;
+    scratch->Take(pick);
+    out->push_back(pick);
   }
 }
 

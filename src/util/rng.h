@@ -16,6 +16,40 @@
 
 namespace sbqa::util {
 
+/// Reusable state of Rng::SampleIndices: one slot per index of the
+/// largest range sampled so far, each stamped with the draw that last
+/// wrote it. A draw starts by moving to a fresh generation, which
+/// invalidates every slot at once, so it touches only the O(k) slots it
+/// uses and never clears or allocates once warm. Costs 8 bytes per index
+/// of the largest n; each sampling site owns one (the candidate index
+/// keeps one per partition).
+class SampleScratch {
+ private:
+  friend class Rng;
+
+  struct Slot {
+    uint32_t stamp = 0;
+    uint32_t value = 0;
+  };
+
+  /// Opens a draw over [0, n): covers n slots, invalidates them all.
+  void Begin(size_t n);
+
+  /// Floyd's rule: whether index i was picked in this draw, and picking it.
+  bool Taken(size_t i) const { return slots_[i].stamp == generation_; }
+  void Take(size_t i) { slots_[i].stamp = generation_; }
+
+  /// Fisher-Yates' rule: position i of the permutation of [0, n) being
+  /// shuffled, held sparsely — a slot not written in this draw holds i.
+  size_t Get(size_t i) const { return Taken(i) ? slots_[i].value : i; }
+  void Put(size_t i, size_t value) {
+    slots_[i] = Slot{generation_, static_cast<uint32_t>(value)};
+  }
+
+  std::vector<Slot> slots_;
+  uint32_t generation_ = 0;
+};
+
 /// xoshiro256** pseudo-random generator with convenience distributions.
 ///
 /// Satisfies the UniformRandomBitGenerator concept so it can also be used
@@ -90,14 +124,15 @@ class Rng {
   size_t Discrete(const std::vector<double>& weights);
 
   /// Replaces *out with min(k, n) distinct indices drawn uniformly at
-  /// random from [0, n), without materializing the index range: O(k)
-  /// expected (Floyd's algorithm) for k << n, O(n) otherwise. Every
-  /// k-subset is equally likely; the emission order is NOT a uniform
-  /// random permutation (shuffle or re-randomize downstream when order
-  /// matters). Draws with k <= 64 are allocation-free beyond *out; larger
-  /// draws may allocate internal temporaries proportional to their own
-  /// cost.
-  void SampleIndices(size_t n, size_t k, std::vector<size_t>* out);
+  /// random from [0, n). Every k-subset is equally likely; the emission
+  /// order is NOT a uniform random permutation (shuffle or re-randomize
+  /// downstream when order matters). Two draw rules, both O(k) over
+  /// `scratch`: a partial Fisher-Yates for dense samples (k > 64 and
+  /// n < 16k) and Floyd's algorithm otherwise; k >= n returns a shuffle of
+  /// the whole range. Allocation-free beyond *out once `scratch` has
+  /// covered n.
+  void SampleIndices(size_t n, size_t k, SampleScratch* scratch,
+                     std::vector<size_t>* out);
 
   /// Fisher-Yates shuffle of `items`.
   template <typename T>

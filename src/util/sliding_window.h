@@ -27,11 +27,11 @@ class SlidingWindow {
 
   /// Appends `item`, evicting the oldest element when full.
   void Push(T item) {
-    items_[(head_ + size_) % capacity_] = std::move(item);
+    items_[Wrap(head_ + size_)] = std::move(item);
     if (size_ < capacity_) {
       ++size_;
     } else {
-      head_ = (head_ + 1) % capacity_;
+      head_ = Wrap(head_ + 1);
     }
   }
 
@@ -43,7 +43,7 @@ class SlidingWindow {
   /// Element `i` in age order: 0 = oldest retained, size()-1 = newest.
   const T& operator[](size_t i) const {
     SBQA_DCHECK_LT(i, size_);
-    return items_[(head_ + i) % capacity_];
+    return items_[Wrap(head_ + i)];
   }
 
   /// Most recent element; window must be non-empty.
@@ -72,6 +72,11 @@ class SlidingWindow {
   }
 
  private:
+  /// Maps a ring position in [0, 2 * capacity) onto the storage by one
+  /// compare: head_ < capacity and every offset added to it is at most
+  /// capacity, so no position needs a division.
+  size_t Wrap(size_t i) const { return i < capacity_ ? i : i - capacity_; }
+
   size_t capacity_;
   size_t head_;
   size_t size_;

@@ -47,15 +47,18 @@ struct AllocHarness {
         std::make_unique<SbqaMethod>(SbqaParams{}), config);
   }
 
-  /// In-place allocation into the pooled decision (Clear keeps capacity).
-  void Allocate(SbqaMethod& method) {
+  /// In-place allocation into the pooled decision (Clear keeps capacity),
+  /// over the explicit candidate list or, with `from_index`, over the
+  /// registry's candidate index as the mediator draws it.
+  void Allocate(SbqaMethod& method, bool from_index = false) {
     query.id = ++next_id;
     query.consumer = 0;
     query.n_results = 2;
     query.cost = 1.0;
+    const CandidateSet indexed = registry.CandidatesFor(query, &index_scratch);
     AllocationContext ctx;
     ctx.query = &query;
-    ctx.candidates = &candidate_set;
+    ctx.candidates = from_index ? &indexed : &candidate_set;
     ctx.mediator = mediator.get();
     ctx.now = simulation->now();
     decision.Clear();
@@ -68,6 +71,7 @@ struct AllocHarness {
   std::unique_ptr<Mediator> mediator;
   std::vector<model::ProviderId> candidates;
   CandidateSet candidate_set{&candidates};
+  std::vector<model::ProviderId> index_scratch;
   model::Query query;
   AllocationDecision decision;
   model::QueryId next_id = 0;
@@ -78,10 +82,9 @@ TEST(ScoreKernelAllocTest, SteadyStateDecisionPathAllocatesNothing) {
        {ScoreKernelKind::kExact, ScoreKernelKind::kBatched}) {
     AllocHarness h(32, kind);
     SbqaParams params;
-    // k = 0 samples the whole explicit candidate list: the k < n branch of
-    // the explicit-list CandidateSet is a documented test-only path that
-    // allocates scratch (the mediation hot path runs on the pooled
-    // candidate index instead, which this test cannot reach directly).
+    // k = 0 samples the whole explicit candidate list (a full shuffle);
+    // IndexBackedWideDecisionAllocatesNothing below samples off the
+    // candidate index, as the mediation hot path does.
     params.knbest = KnBestParams{0, 8};
     params.scoring_kernel = kind;
     // Timing on: the steady-clock brackets must not allocate either.
@@ -95,6 +98,42 @@ TEST(ScoreKernelAllocTest, SteadyStateDecisionPathAllocatesNothing) {
     const uint64_t allocs = util::AllocationCount() - before;
     EXPECT_EQ(allocs, 0u) << "kernel " << ToString(kind);
     EXPECT_EQ(method.kernel().phases().decisions, 220);
+  }
+}
+
+TEST(ScoreKernelAllocTest, WarmSamplerAllocatesNothingAtK256) {
+  // Both draw rules at k = 256: dense Fisher-Yates (n = 2,000) and Floyd
+  // (n = 100,000). Once the stamped scratch covers n and the output holds
+  // k, a draw touches only memory it already owns.
+  util::Rng rng(37);
+  util::SampleScratch stamps;
+  std::vector<size_t> out;
+  for (size_t n : {size_t{2000}, size_t{100000}}) {
+    rng.SampleIndices(n, 256, &stamps, &out);
+    const uint64_t before = util::AllocationCount();
+    for (int i = 0; i < 100; ++i) rng.SampleIndices(n, 256, &stamps, &out);
+    EXPECT_EQ(util::AllocationCount() - before, 0u) << "n=" << n;
+    EXPECT_EQ(out.size(), 256u);
+  }
+}
+
+TEST(ScoreKernelAllocTest, IndexBackedWideDecisionAllocatesNothing) {
+  // The mediation hot path's own candidate source at k = 256 / kn = 128
+  // over 2,000 providers, where the draw takes the dense-sample rule
+  // (k > 64, n < 16k).
+  for (ScoreKernelKind kind :
+       {ScoreKernelKind::kExact, ScoreKernelKind::kBatched}) {
+    AllocHarness h(2000, kind);
+    SbqaParams params;
+    params.knbest = KnBestParams{256, 128};
+    params.scoring_kernel = kind;
+    SbqaMethod method(params);
+    for (int i = 0; i < 20; ++i) h.Allocate(method, /*from_index=*/true);
+    const uint64_t before = util::AllocationCount();
+    for (int i = 0; i < 100; ++i) h.Allocate(method, /*from_index=*/true);
+    EXPECT_EQ(util::AllocationCount() - before, 0u)
+        << "kernel " << ToString(kind);
+    EXPECT_EQ(h.decision.consulted.size(), 128u);
   }
 }
 

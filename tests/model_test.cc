@@ -1,7 +1,10 @@
 // Tests for the domain model: preferences, reputation, intention policies
 // and the geometric balance operator.
 
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,7 @@
 #include "model/query.h"
 #include "model/reputation.h"
 #include "util/balance.h"
+#include "util/rng.h"
 
 namespace sbqa::model {
 namespace {
@@ -134,8 +138,9 @@ TEST(PreferenceTest, OutOfOrderInsertionStaysConsistent) {
 }
 
 TEST(PreferenceTest, LargeProfileUsesBinarySearchPath) {
-  // Above the linear-scan cutoff the profile switches to binary search;
-  // exercise both boundaries of the sorted array and an interior miss.
+  // A sparse profile misses the direct index and falls back to binary
+  // search; exercise both boundaries of the sorted array and an interior
+  // miss.
   PreferenceProfile p(0.0);
   for (int32_t id = 0; id < 200; ++id) {
     p.Set(id * 2, (id % 2 == 0) ? 0.25 : -0.25);  // even targets only
@@ -148,6 +153,64 @@ TEST(PreferenceTest, LargeProfileUsesBinarySearchPath) {
   EXPECT_DOUBLE_EQ(p.Get(400), 0.0);
   EXPECT_TRUE(p.Has(398));
   EXPECT_FALSE(p.Has(399));
+}
+
+/// Sets every (target, value) of `build` in order on both a profile and a
+/// std::map, then checks Get and Has for every id of [lo, hi) against the
+/// map, the profile's default standing in for absent ids.
+void ExpectProfileMatchesMap(
+    const std::vector<std::pair<int32_t, double>>& build, int32_t lo,
+    int32_t hi) {
+  PreferenceProfile profile(-0.125);
+  std::map<int32_t, double> reference;
+  for (const auto& [target, value] : build) {
+    profile.Set(target, value);
+    reference[target] = value;
+  }
+  ASSERT_EQ(profile.explicit_count(), reference.size());
+  for (int32_t id = lo; id < hi; ++id) {
+    const auto it = reference.find(id);
+    const bool present = it != reference.end();
+    ASSERT_EQ(profile.Has(id), present) << "id " << id;
+    ASSERT_EQ(profile.Get(id), present ? it->second : -0.125) << "id " << id;
+  }
+}
+
+TEST(PreferenceTest, LookupsMatchMapReference) {
+  util::Rng rng(11);
+  const auto value = [&rng] { return rng.Uniform(-1.0, 1.0); };
+  std::vector<std::pair<int32_t, double>> build;
+
+  // Dense: ids 0..n-1, the direct-index case.
+  for (int32_t id = 0; id < 500; ++id) build.emplace_back(id, value());
+  ExpectProfileMatchesMap(build, -40, 540);
+
+  // Sparse: every 7th id, so index i never holds target i past 0.
+  build.clear();
+  for (int32_t i = 0; i < 100; ++i) build.emplace_back(7 * i + 3, value());
+  ExpectProfileMatchesMap(build, -40, 760);
+
+  // Mixed: a dense prefix, then gaps; indexes past the prefix hold larger
+  // targets than their own.
+  build.clear();
+  for (int32_t id = 0; id < 64; ++id) build.emplace_back(id, value());
+  for (int32_t id = 64; id < 1000; ++id) {
+    if (rng.Bernoulli(0.2)) build.emplace_back(id, value());
+  }
+  ExpectProfileMatchesMap(build, -40, 1040);
+
+  // Out of order, with negative ids and overwrites: a shuffled subset of
+  // [-20, 300), then a second pass re-setting a third of it.
+  build.clear();
+  for (int32_t id = -20; id < 300; ++id) {
+    if (rng.Bernoulli(0.6)) build.emplace_back(id, value());
+  }
+  rng.Shuffle(&build);
+  const size_t first_pass = build.size();
+  for (size_t i = 0; i < first_pass; i += 3) {
+    build.emplace_back(build[i].first, value());
+  }
+  ExpectProfileMatchesMap(build, -60, 340);
 }
 
 // --- ReputationRegistry -----------------------------------------------------

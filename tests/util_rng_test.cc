@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -356,9 +357,10 @@ TEST(RngTest, SampleWithoutReplacementIsUnbiased) {
 
 TEST(RngTest, SampleIndicesDistinctAndInRange) {
   Rng rng(31);
+  SampleScratch stamps;
   std::vector<size_t> out;
   for (int round = 0; round < 200; ++round) {
-    rng.SampleIndices(100, 7, &out);
+    rng.SampleIndices(100, 7, &stamps, &out);
     EXPECT_EQ(out.size(), 7u);
     std::set<size_t> unique(out.begin(), out.end());
     EXPECT_EQ(unique.size(), out.size());
@@ -368,12 +370,13 @@ TEST(RngTest, SampleIndicesDistinctAndInRange) {
 
 TEST(RngTest, SampleIndicesEdgeCases) {
   Rng rng(32);
+  SampleScratch stamps;
   std::vector<size_t> out{99};  // stale content must be replaced
-  rng.SampleIndices(0, 5, &out);
+  rng.SampleIndices(0, 5, &stamps, &out);
   EXPECT_TRUE(out.empty());
-  rng.SampleIndices(5, 0, &out);
+  rng.SampleIndices(5, 0, &stamps, &out);
   EXPECT_TRUE(out.empty());
-  rng.SampleIndices(4, 10, &out);  // k >= n returns a full shuffle
+  rng.SampleIndices(4, 10, &stamps, &out);  // k >= n: a full shuffle
   std::set<size_t> unique(out.begin(), out.end());
   EXPECT_EQ(unique, (std::set<size_t>{0, 1, 2, 3}));
 }
@@ -382,10 +385,11 @@ TEST(RngTest, SampleIndicesIsUnbiasedSmallK) {
   // Floyd path (k << n): each index appears with probability k/n.
   Rng rng(33);
   std::vector<int> counts(20, 0);
+  SampleScratch stamps;
   std::vector<size_t> out;
   const int rounds = 40000;
   for (int i = 0; i < rounds; ++i) {
-    rng.SampleIndices(20, 3, &out);
+    rng.SampleIndices(20, 3, &stamps, &out);
     for (size_t index : out) ++counts[index];
   }
   for (int c : counts) {
@@ -394,14 +398,15 @@ TEST(RngTest, SampleIndicesIsUnbiasedSmallK) {
 }
 
 TEST(RngTest, SampleIndicesLargeSparseKStaysDistinctAndUniform) {
-  // Exercises the hashed-Floyd branch (k > 64, n >= 16k).
+  // Exercises Floyd's rule above k = 64 (n >= 16k).
   Rng rng(36);
   const size_t n = 5000, k = 128;
+  SampleScratch stamps;
   std::vector<size_t> out;
   std::vector<int> counts(n, 0);
   const int rounds = 2000;
   for (int i = 0; i < rounds; ++i) {
-    rng.SampleIndices(n, k, &out);
+    rng.SampleIndices(n, k, &stamps, &out);
     EXPECT_EQ(out.size(), k);
     std::set<size_t> unique(out.begin(), out.end());
     EXPECT_EQ(unique.size(), k);
@@ -421,16 +426,50 @@ TEST(RngTest, SampleIndicesIsUnbiasedDenseK) {
   Rng rng(34);
   const size_t n = 200, k = 100;
   std::vector<int> counts(n, 0);
+  SampleScratch stamps;
   std::vector<size_t> out;
   const int rounds = 4000;
   for (int i = 0; i < rounds; ++i) {
-    rng.SampleIndices(n, k, &out);
+    rng.SampleIndices(n, k, &stamps, &out);
     EXPECT_EQ(out.size(), k);
     for (size_t index : out) ++counts[index];
   }
   for (int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / rounds, 0.5, 0.05);
   }
+}
+
+TEST(RngTest, SampleIndicesPickSequencesMatchGolden) {
+  // 2,850 draws on both sides of the rule switches at k = 64 and n = 16k,
+  // plus full shuffles and empty draws, interleaved so one scratch serves
+  // every range size. The hash was recorded from the earlier
+  // implementation (a linear duplicate scan for k <= 64, a materialized
+  // index range for dense samples, a hash set otherwise); any drift in a
+  // pick or in the number of draws changes it.
+  Rng rng(20261017);
+  SampleScratch stamps;
+  std::vector<size_t> out;
+  uint64_t hash = 14695981039346656037ull;  // FNV-1a, byte by byte
+  const auto mix = [&hash](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (v >> (8 * b)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  };
+  const std::pair<size_t, size_t> shapes[] = {
+      {20, 3},     {100, 7},   {2000, 16},  {5000, 64},   {65, 64},
+      {1024, 64},  {66, 65},   {1039, 65},  {200, 100},   {2000, 256},
+      {4095, 256}, {1040, 65}, {4096, 256}, {5000, 128},  {100000, 256},
+      {4, 10},     {7, 7},     {0, 5},      {9, 0}};
+  for (int round = 0; round < 150; ++round) {
+    for (const auto& [n, k] : shapes) {
+      rng.SampleIndices(n, k, &stamps, &out);
+      mix(out.size());
+      for (size_t index : out) mix(index);
+    }
+  }
+  mix(rng.Next());
+  EXPECT_EQ(hash, 0x1f95407842c23348ull);
 }
 
 // Property sweep: all distributions stay in range across many seeds.

@@ -2,6 +2,7 @@
 
 #include "util/sliding_window.h"
 
+#include <deque>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -119,6 +120,35 @@ TEST_P(WindowedMeanSweep, RunningSumMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, WindowedMeanSweep,
                          ::testing::Values(1, 2, 3, 7, 16, 50, 128));
+
+// Property: the ring matches a std::deque trimmed to the capacity, element
+// by element, across wrap-arounds and a Clear() mid-stream.
+class SlidingWindowSweep : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(SlidingWindowSweep, MatchesDequeReference) {
+  const size_t capacity = GetParam();
+  SlidingWindow<int> window(capacity);
+  std::deque<int> reference;
+  for (int i = 0; i < 400; ++i) {
+    if (i == 150 + static_cast<int>(capacity) / 2) {
+      window.Clear();
+      reference.clear();
+    }
+    window.Push(i);
+    reference.push_back(i);
+    if (reference.size() > capacity) reference.pop_front();
+    ASSERT_EQ(window.size(), reference.size());
+    ASSERT_EQ(window.full(), reference.size() == capacity);
+    for (size_t j = 0; j < reference.size(); ++j) {
+      ASSERT_EQ(window[j], reference[j]) << "push " << i << ", age " << j;
+    }
+    ASSERT_EQ(window.oldest(), reference.front());
+    ASSERT_EQ(window.newest(), reference.back());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, SlidingWindowSweep,
+                         ::testing::Values(1, 2, 3, 50));
 
 }  // namespace
 }  // namespace sbqa::util
