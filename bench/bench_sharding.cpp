@@ -6,9 +6,9 @@
 // same RunScenario, which at one shard has no barrier work and runs the
 // horizon as one window, so the speedup column is what the extra shards
 // buy over a plain single-engine run. Wall-clock speedup requires
-// hardware parallelism — the JSON records host_cores so the regression
-// gate (scripts/check_bench_regression.py --mode sharding) only enforces
-// the 4-shard >= 2x bar on hosts with >= 4 cores.
+// hardware parallelism — the JSON records host_cores, compiler and build
+// type, and the regression gate (scripts/check_bench_regression.py --mode
+// sharding) only enforces the 4-shard >= 2x bar on hosts with >= 4 cores.
 //
 // Part 2 — steady-state allocations: a controlled pump harness (the
 // sharded analogue of bench_event_engine's) drives queries through a
@@ -354,8 +354,8 @@ int main() {
               "deterministic cross-shard mailbox: end-to-end scaling 1 -> 8 "
               "shards and steady-state allocation audit.");
   std::printf("host cores: %u (wall-clock speedup needs hardware "
-              "parallelism)\n\n",
-              host_cores);
+              "parallelism); %s, %s build\n\n",
+              host_cores, CompilerName().c_str(), BuildType());
 
   std::vector<Sweep> sweeps;
   for (size_t providers : {size_t{10000}, size_t{100000}}) {
@@ -403,6 +403,8 @@ int main() {
   json.BeginObject();
   json.Field("bench", "sharding");
   json.Field("host_cores", static_cast<uint64_t>(host_cores));
+  json.Field("compiler", CompilerName());
+  json.Field("build_type", BuildType());
   json.Field("seed", seed);
   json.Field("duration_s", duration, 1);
   json.BeginArray("sweeps");

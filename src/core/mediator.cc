@@ -94,7 +94,7 @@ void Mediator::NotifyPeersProviderGone(model::ProviderId provider) {
   }
 }
 
-void Mediator::ConfigureSharding(rt::ShardFabric* shards, uint32_t shard,
+void Mediator::ConfigureSharding(rt::BarrierCore* shards, uint32_t shard,
                                  const ShardDirectory* directory,
                                  std::vector<Mediator*> shard_mediators) {
   SBQA_CHECK(shards != nullptr);

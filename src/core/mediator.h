@@ -41,8 +41,8 @@
 #include "core/score_kernel.h"
 #include "model/query.h"
 #include "model/reputation.h"
+#include "runtime/barrier_core.h"
 #include "runtime/runtime.h"
-#include "runtime/shard_fabric.h"
 #include "util/rng.h"
 #include "util/slot_pool.h"
 #include "util/small_vec.h"
@@ -182,18 +182,18 @@ class Mediator {
   void SetPeers(std::vector<Mediator*> peers);
 
   /// Sharded mode: wires this mediator as shard `shard`'s mediator of a
-  /// shard fabric (sim::ShardSet or rt::WallClockShardSet). Its candidate
-  /// pool becomes registry partition `shard`, its
-  /// departure sweep covers only shard-owned participants, and a dry
-  /// candidate pool triggers the cross-shard borrow path: the query is
-  /// forwarded over the mailbox to the least-loaded shard that has
+  /// shard set (an rt::BarrierCore: sim::ShardSet or
+  /// rt::WallClockShardSet). Its candidate pool becomes registry partition
+  /// `shard`, its departure sweep covers only shard-owned participants,
+  /// and a dry candidate pool triggers the cross-shard borrow path: the
+  /// query is forwarded over the mailbox to the least-loaded shard that has
   /// candidates for the class (per `directory`), mediated there against
   /// that shard's providers, and the outcome is routed back here for the
   /// consumer-side bookkeeping — so provider state is only ever touched by
   /// its owning shard, and consumer state by its own. `shards` and
   /// `directory` must outlive the mediator; `shard_mediators[s]` is shard
   /// s's mediator (including this one).
-  void ConfigureSharding(rt::ShardFabric* shards, uint32_t shard,
+  void ConfigureSharding(rt::BarrierCore* shards, uint32_t shard,
                          const ShardDirectory* directory,
                          std::vector<Mediator*> shard_mediators);
 
@@ -532,7 +532,7 @@ class Mediator {
 
   /// Sharded-mode wiring (null/empty when unsharded; shard_id_ 0 then
   /// selects registry partition 0 == the whole population).
-  rt::ShardFabric* shard_set_ = nullptr;
+  rt::BarrierCore* shard_set_ = nullptr;
   const ShardDirectory* directory_ = nullptr;
   std::vector<Mediator*> shard_mediators_;
   uint32_t shard_id_ = 0;

@@ -71,6 +71,14 @@ Assembly::Assembly(AssemblyOptions options) : options_(std::move(options)) {
 
 Assembly::~Assembly() = default;
 
+void Assembly::InstallBarrierPhases(rt::BarrierCore* shards) {
+  if (shard_count() == 1) return;
+  shards->SetMembershipHook([this](double) { MembershipPhase(); });
+  SettleMembership();
+  shards->AddBarrierHook(
+      [this](double) { directory_.RefreshIfChanged(*options_.registry); });
+}
+
 void Assembly::MembershipPhase() {
   options_.registry->AdvanceEpoch(this);
   // Published after the epoch: applying it can finalize queries too.

@@ -33,9 +33,9 @@
 #include "core/score_kernel.h"
 #include "core/shard_directory.h"
 #include "model/reputation.h"
+#include "runtime/barrier_core.h"
 #include "runtime/fault.h"
 #include "runtime/runtime.h"
-#include "runtime/shard_fabric.h"
 
 namespace sbqa::experiments {
 
@@ -48,7 +48,7 @@ struct AssemblyOptions {
   std::vector<rt::Runtime*> runtimes;
   /// The cross-shard transport behind `runtimes`; needed only at more than
   /// one shard.
-  rt::ShardFabric* fabric = nullptr;
+  rt::BarrierCore* fabric = nullptr;
   /// Mediators per shard.
   size_t group = 1;
   /// Builds one allocation-method instance per mediator, shard-major.
@@ -89,14 +89,7 @@ class Assembly final : private core::MembershipApplier {
   /// which runs first among the barrier hooks. Ops already queued (churn
   /// processes starting offline) are applied here, so the run starts from
   /// a settled population. Nothing to wire at one shard.
-  template <typename ShardSet>
-  void InstallBarrierPhases(ShardSet* shards) {
-    if (shard_count() == 1) return;
-    shards->SetMembershipHook([this](double) { MembershipPhase(); });
-    SettleMembership();
-    shards->AddBarrierHook(
-        [this](double) { directory_.RefreshIfChanged(*options_.registry); });
-  }
+  void InstallBarrierPhases(rt::BarrierCore* shards);
 
   /// Adds one provider to a running system through the epoch join log and
   /// applies it at once, so the newcomer is wired like any other join.

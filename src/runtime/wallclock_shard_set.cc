@@ -9,23 +9,19 @@
 namespace sbqa::rt {
 
 WallClockShardSet::WallClockShardSet(const WallClockShardOptions& options)
-    : options_(options) {
+    : BarrierCore(options.barrier_tick, options.outbox_fill_threshold),
+      options_(options) {
   SBQA_CHECK_GT(options_.shard_count, 0u);
-  SBQA_CHECK_GT(options_.barrier_tick, 0);
   const uint32_t n = options_.shard_count;
-  runtimes_.reserve(n);
+  shards_.reserve(n);
+  std::vector<Runtime*> runtimes;
   for (uint32_t s = 0; s < n; ++s) {
     WallClockOptions rt_options = options_.runtime;
     rt_options.seed = util::Rng::StreamSeed(options_.seed, s);
-    runtimes_.push_back(std::make_unique<WallClockRuntime>(rt_options));
+    shards_.push_back(std::make_unique<WallClockRuntime>(rt_options));
+    runtimes.push_back(shards_.back().get());
   }
-  out_.resize(n);
-  for (Outbox& box : out_) {
-    box.to.resize(n);
-    for (std::vector<Pending>& channel : box.to) {
-      channel.reserve(std::max<size_t>(options_.outbox_fill_threshold, 16));
-    }
-  }
+  Attach(std::move(runtimes));
   control_queue_.reserve(16);
   control_scratch_.reserve(16);
 }
@@ -38,14 +34,6 @@ double WallClockShardSet::ElapsedSeconds() const {
       .count();
 }
 
-void WallClockShardSet::AddBarrierHook(std::function<void(Time)> hook) {
-  hooks_.push_back(std::move(hook));
-}
-
-void WallClockShardSet::SetMembershipHook(std::function<void(Time)> hook) {
-  membership_hook_ = std::move(hook);
-}
-
 Time WallClockShardSet::WindowEnd(Time from) const {
   return windowless_ ? WallClockRuntime::kNever : from + options_.barrier_tick;
 }
@@ -55,7 +43,7 @@ void WallClockShardSet::Start() {
   started_ = true;
   if (options_.runtime.manual_clock) return;
   epoch_ = std::chrono::steady_clock::now();
-  windowless_ = shard_count() == 1 && hooks_.empty() && !membership_hook_;
+  windowless_ = lone();
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_requested_ = false;
@@ -76,7 +64,7 @@ void WallClockShardSet::Stop() {
   if (workers_.empty()) {
     // Manual mode: flush whatever control ops are still queued so
     // RunAtBarrier callers posted-then-stopped are not silently dropped.
-    BarrierPhase(now());
+    Phase(/*run_hooks=*/true);
     started_ = false;
     return;
   }
@@ -93,16 +81,8 @@ void WallClockShardSet::Stop() {
   started_ = false;
 }
 
-// --- ShardFabric -------------------------------------------------------------
-
-void WallClockShardSet::PostTo(uint32_t src, uint32_t dst, Time deliver_at,
-                               TaskFn fn) {
-  Outbox& box = out_[src];
-  box.to[dst].push_back(Pending{deliver_at, std::move(fn)});
-  ++box.posted;
-  ++box.buffered;
-  if (options_.outbox_fill_threshold > 0 &&
-      box.buffered >= options_.outbox_fill_threshold && !workers_.empty() &&
+void WallClockShardSet::OnOutboxFull() {
+  if (!workers_.empty() &&
       !barrier_now_requested_.exchange(true, std::memory_order_relaxed)) {
     early_barriers_.fetch_add(1, std::memory_order_relaxed);
     WakeAllShards();
@@ -147,67 +127,29 @@ void WallClockShardSet::RunAtBarrier(std::function<void()> fn) {
   done_cv.wait(lock, [&] { return done; });
 }
 
-// --- Barrier machinery -------------------------------------------------------
-
-bool WallClockShardSet::MailboxesNonEmpty() const {
-  for (const Outbox& box : out_) {
-    for (const std::vector<Pending>& channel : box.to) {
-      if (!channel.empty()) return true;
-    }
-  }
-  return false;
-}
-
-size_t WallClockShardSet::DrainMailboxes(Time barrier_time) {
-  size_t delivered = 0;
-  const uint32_t n = shard_count();
-  for (uint32_t dst = 0; dst < n; ++dst) {
-    WallClockRuntime& rt = *runtimes_[dst];
-    for (uint32_t src = 0; src < n; ++src) {
-      std::vector<Pending>& channel = out_[src].to[dst];
-      for (Pending& p : channel) {
-        // A message that ripened mid-window is clamped to the barrier — it
-        // fires on dst's first pass of the next window, so the mailbox adds
-        // at most one window of latency, exactly like the simulation.
-        rt.ScheduleAt(std::max(p.deliver_at, barrier_time), std::move(p.fn));
-        ++delivered;
-      }
-      channel.clear();  // capacity retained
-    }
-  }
-  for (Outbox& box : out_) box.buffered = 0;
-  return delivered;
-}
-
-bool WallClockShardSet::BarrierPhase(Time barrier_time) {
-  const size_t delivered = DrainMailboxes(barrier_time);
-  size_t control_ran = 0;
+void WallClockShardSet::RunControlOps() {
   {
     std::lock_guard<std::mutex> lock(control_mu_);
     control_scratch_.swap(control_queue_);  // capacities circulate
   }
-  for (std::function<void()>& op : control_scratch_) {
-    op();
-    ++control_ran;
-  }
+  for (std::function<void()>& op : control_scratch_) op();
   control_scratch_.clear();
-  if (membership_hook_) membership_hook_(barrier_time);
-  for (const std::function<void(Time)>& hook : hooks_) {
-    hook(barrier_time);
-  }
-  // Control ops and membership application may themselves post cross-shard
-  // traffic (departure outcome re-homing); the caller settles until false.
-  return delivered > 0 || control_ran > 0 || MailboxesNonEmpty();
+}
+
+// --- Windows -----------------------------------------------------------------
+
+void WallClockShardSet::AdvanceAll(Time t) {
+  for (const std::unique_ptr<WallClockRuntime>& rt : shards_) rt->AdvanceTo(t);
 }
 
 void WallClockShardSet::WakeAllShards() {
-  for (const std::unique_ptr<WallClockRuntime>& rt : runtimes_) {
+  for (const std::unique_ptr<WallClockRuntime>& rt : shards_) {
     rt->WakeExecutor();
   }
 }
 
 void WallClockShardSet::WorkerLoop(uint32_t s) {
-  WallClockRuntime& rt = *runtimes_[s];
+  WallClockRuntime& rt = *shards_[s];
   uint64_t seq;
   Time window_end;
   {
@@ -247,10 +189,7 @@ void WallClockShardSet::WorkerLoop(uint32_t s) {
       // wakes the workers again, instead of being stranded until a window
       // edge that a windowless shard never reaches.
       barrier_now_requested_.store(false, std::memory_order_relaxed);
-      const Time barrier_time = ElapsedSeconds();
-      BarrierPhase(barrier_time);
-      barrier_now_.store(barrier_time, std::memory_order_relaxed);
-      barriers_.fetch_add(1, std::memory_order_relaxed);
+      Barrier(ElapsedSeconds());
       arrived_ = 0;
       window_end_ = WindowEnd(ElapsedSeconds());
       if (stopping) stopped_ = true;
@@ -279,43 +218,6 @@ void WallClockShardSet::WorkerLoop(uint32_t s) {
   // still-queued submissions. Cross-shard messages produced here are
   // dropped (callers WaitIdle before Stop).
   rt.AdvanceTo(ElapsedSeconds());
-}
-
-// --- Manual-mode driver ------------------------------------------------------
-
-void WallClockShardSet::RunUntil(Time t) {
-  SBQA_CHECK(workers_.empty());  // manual_clock (or pre-Start) only
-  const uint32_t n = shard_count();
-  Time cursor = now();
-  while (cursor < t) {
-    const Time window = std::min(t, cursor + options_.barrier_tick);
-    for (uint32_t s = 0; s < n; ++s) runtimes_[s]->AdvanceTo(window);
-    cursor = window;
-    barrier_now_.store(cursor, std::memory_order_relaxed);
-    BarrierPhase(cursor);
-    barriers_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Settlement: messages clamped to the final barrier (and any traffic the
-  // membership phase produced) are delivered and run through zero-width
-  // windows until the horizon is quiescent.
-  while (true) {
-    for (uint32_t s = 0; s < n; ++s) runtimes_[s]->AdvanceTo(t);
-    if (!MailboxesNonEmpty() && !HasPendingControl()) break;
-    BarrierPhase(t);
-    barriers_.fetch_add(1, std::memory_order_relaxed);
-  }
-  barrier_now_.store(t, std::memory_order_relaxed);
-}
-
-uint64_t WallClockShardSet::cross_shard_messages() const {
-  uint64_t total = 0;
-  for (const Outbox& box : out_) total += box.posted;
-  return total;
-}
-
-bool WallClockShardSet::HasPendingControl() {
-  std::lock_guard<std::mutex> lock(control_mu_);
-  return !control_queue_.empty();
 }
 
 }  // namespace sbqa::rt

@@ -2,42 +2,33 @@
 #define SBQA_RUNTIME_WALLCLOCK_SHARD_SET_H_
 
 /// \file
-/// WallClockShardSet: thread-per-shard wall-clock serving. N manual-clock
-/// WallClockRuntimes, each driven by its own worker thread, exchange
-/// traffic through the same per-(src, dst) single-writer mailbox protocol
-/// the simulation's sim::ShardSet proved out — but the barrier windows are
-/// cut by the steady clock (every `barrier_tick` seconds) or by outbox
-/// fill (a shard buffering `outbox_fill_threshold` cross-shard messages
-/// pulls the barrier early), not by virtual time.
+/// WallClockShardSet: thread-per-shard wall-clock serving. N
+/// WallClockRuntimes, each driven by its own worker thread, joined by the
+/// barrier protocol of rt::BarrierCore (src/runtime/README.md, "Barrier
+/// core"). This class is the wall-clock window policy: a window ends at
+/// the steady-clock edge (every `barrier_tick` seconds), when a shard's
+/// outbox fills (`outbox_fill_threshold` buffered messages pull the
+/// barrier early), or when a control op arrives.
 ///
 /// Within a window each shard services only its own runtime: no locks, no
 /// shared mutable state on the hot path. At the rendezvous the LAST
-/// arriving worker becomes the barrier leader and — with every other
-/// worker parked on the barrier condition variable — drains the mailboxes
-/// in fixed (destination, source, FIFO) order, runs queued control ops
-/// (Stats gathering, post-Start membership), runs the membership hook
-/// (Registry::AdvanceEpoch) and the barrier hooks (directory refresh),
-/// then opens the next window. That is exactly the simulation's barrier
-/// sequence with the driver thread role rotating among the workers.
+/// arriving worker becomes the barrier leader and, with every other
+/// worker parked on the barrier condition variable, runs the core's
+/// barrier sequence (its control ops are Stats gathering and post-Start
+/// membership), then opens the next window.
 ///
-/// Determinism contract (vs. sim::ShardSet): intra-window execution on one
-/// shard is still deterministic given its task arrival order, and the
-/// barrier drain order is still fixed — but WHICH window a submission or
-/// cross-shard message lands in depends on real time, so wall-clock runs
-/// are not bit-reproducible. The manual-clock mode
-/// (`runtime.manual_clock`) removes that last source of nondeterminism for
-/// tests: no worker threads, the caller drives lock-step windows serially
-/// with RunUntil(), and a run is a pure function of the Post sequence. See
-/// src/runtime/README.md.
+/// WHICH window a submission or cross-shard message lands in depends on
+/// real time, so threaded runs are not bit-reproducible. The manual-clock
+/// mode (`runtime.manual_clock`) removes that for tests: no worker
+/// threads, the caller drives the core's lock-step windows with
+/// RunUntil(), and a run is a pure function of the Post sequence.
 ///
-/// One shard is a valid fabric and the only way a WallClockRuntime is
-/// served: its worker is the one loop that drives an executor. A lone
-/// shard with no membership phase and no barrier hook has nothing to
-/// synchronize, so its worker cuts no windows: it parks until a Post, its
-/// next timer, a control op or Stop (the same rule as sim::ShardSet's
-/// one-window lone shard), and barriers happen only for control ops and
-/// Stop. The manual-clock driver still cuts `barrier_tick` windows, whose
-/// edges set the clock its tasks observe.
+/// One shard is a valid set and the only way a WallClockRuntime is
+/// served. A threaded lone shard (BarrierCore's lone-shard rule) cuts no
+/// windows: its worker parks until a Post, its next timer, a control op
+/// or Stop, so barriers happen only for control ops and Stop. The manual
+/// driver still cuts `barrier_tick` windows, whose edges set the clock
+/// its tasks observe.
 ///
 /// The steady state is allocation-free per message: outbox vectors,
 /// per-shard timer cores and the control queue all retain their capacity.
@@ -52,7 +43,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/shard_fabric.h"
+#include "runtime/barrier_core.h"
 #include "runtime/wallclock_runtime.h"
 
 namespace sbqa::rt {
@@ -79,22 +70,15 @@ struct WallClockShardOptions {
   WallClockOptions runtime;
 };
 
-/// Owns the per-shard runtimes and worker threads, and runs the barrier
-/// protocol. Implements rt::ShardFabric, which is all the mediator sees.
-class WallClockShardSet final : public ShardFabric {
+/// Owns the per-shard runtimes and worker threads.
+class WallClockShardSet final : public BarrierCore {
  public:
   explicit WallClockShardSet(const WallClockShardOptions& options);
   ~WallClockShardSet() override;
 
-  WallClockShardSet(const WallClockShardSet&) = delete;
-  WallClockShardSet& operator=(const WallClockShardSet&) = delete;
-
-  uint32_t shard_count() const override {
-    return static_cast<uint32_t>(runtimes_.size());
-  }
   /// Shard s's executor. External threads may only Post/TryPost to it;
   /// everything else is shard s's worker context.
-  WallClockRuntime& runtime(uint32_t s) { return *runtimes_[s]; }
+  WallClockRuntime& runtime(uint32_t s) { return *shards_[s]; }
 
   /// Launches the worker threads and anchors t = 0 (no threads under
   /// manual_clock). Wire entities (mediators, hooks) BEFORE calling this.
@@ -105,27 +89,6 @@ class WallClockShardSet final : public ShardFabric {
   /// produced by that final pass are dropped — drain traffic (WaitIdle)
   /// before stopping. Idempotent; the destructor calls it.
   void Stop();
-
-  // --- ShardFabric -----------------------------------------------------------
-
-  /// Buffers `fn` in the (src, dst) outbox; the next barrier delivers it
-  /// onto shard dst's runtime at max(deliver_at, barrier time). MUST be
-  /// called from shard src's execution context (its worker mid-window, or
-  /// the barrier leader) — src is the channel's only writer.
-  void PostTo(uint32_t src, uint32_t dst, Time deliver_at,
-              TaskFn fn) override;
-
-  // --- Barrier-phase hooks (wire before Start) -------------------------------
-
-  /// Registers a hook run by the barrier leader at every barrier, after
-  /// the membership phase, with every worker parked. Hooks run in
-  /// registration order and may read any shard's state.
-  void AddBarrierHook(std::function<void(Time)> hook);
-
-  /// Installs the membership phase (at most one): runs right after the
-  /// mailbox drain and the control ops, every barrier. Typically wraps
-  /// Registry::AdvanceEpoch.
-  void SetMembershipHook(std::function<void(Time)> hook);
 
   // --- Control plane (thread-safe once started) ------------------------------
 
@@ -141,76 +104,37 @@ class WallClockShardSet final : public ShardFabric {
 
   // --- Manual-mode driver ----------------------------------------------------
 
-  /// Advances every shard to time `t` through lock-step barrier windows
-  /// (manual_clock only). Runs control ops, membership and hooks at every
-  /// barrier, including the final one at `t`, then settles: extra
-  /// zero-width windows drain cross-shard messages due at `t`.
-  void RunUntil(Time t);
+  /// The core's lock-step windows up to `t` (manual_clock only).
+  void RunUntil(Time t) {
+    SBQA_CHECK(workers_.empty());
+    RunWindows(t, /*one_window=*/false);
+  }
   /// RunUntil(now() + d).
   void RunFor(Time d) { RunUntil(now() + d); }
 
   // --- Telemetry -------------------------------------------------------------
 
-  /// Barrier clock: the time every shard has reached together. Individual
-  /// shard clocks run ahead of this inside a window.
-  Time now() const { return barrier_now_.load(std::memory_order_relaxed); }
-  /// Barrier synchronizations performed since Start.
-  uint64_t barriers() const {
-    return barriers_.load(std::memory_order_relaxed);
-  }
   /// Barriers pulled early by the outbox fill trigger.
   uint64_t early_barriers() const {
     return early_barriers_.load(std::memory_order_relaxed);
   }
-  /// Cross-shard messages posted since construction (quiescent read:
-  /// between windows, at a barrier, or after Stop).
-  uint64_t cross_shard_messages() const;
   bool threaded() const { return !workers_.empty(); }
 
  private:
-  struct Pending {
-    Time deliver_at;
-    TaskFn fn;
-  };
-  /// One source shard's outboxes (slot d = messages for shard d), padded
-  /// so two shards' mailbox bookkeeping never shares a cache line.
-  struct alignas(64) Outbox {
-    std::vector<std::vector<Pending>> to;
-    uint64_t posted = 0;
-    /// Messages buffered since the last barrier (the fill trigger's
-    /// signal; reset by the leader at every drain).
-    size_t buffered = 0;
-  };
+  void AdvanceAll(Time t) override;
+  void RunControlOps() override;
+  void OnOutboxFull() override;
 
   double ElapsedSeconds() const;
   /// End of a window opened at `from`: one barrier_tick later, or never
-  /// for a windowless lone shard.
+  /// for a lone shard.
   Time WindowEnd(Time from) const;
-  /// Drains every (src, dst) outbox onto the destination runtimes in
-  /// (destination, source, FIFO) order. Leader/driver only, workers
-  /// parked. Returns messages delivered.
-  size_t DrainMailboxes(Time barrier_time);
-  /// The full barrier sequence: drain -> control ops -> membership ->
-  /// hooks. Leader/driver only, workers parked. Returns whether another
-  /// settlement pass is warranted (messages delivered, control ops run,
-  /// or fresh outbox traffic produced by the phase itself).
-  bool BarrierPhase(Time barrier_time);
-  bool MailboxesNonEmpty() const;
-  bool HasPendingControl();
   /// Wakes every worker that may be parked inside WaitForWork.
   void WakeAllShards();
   void WorkerLoop(uint32_t s);
 
   WallClockShardOptions options_;
-  std::vector<std::unique_ptr<WallClockRuntime>> runtimes_;
-  std::vector<Outbox> out_;
-  std::vector<std::function<void(Time)>> hooks_;
-  std::function<void(Time)> membership_hook_;
-
-  /// Barrier clock; written by the leader at barriers, atomically readable
-  /// from any thread.
-  std::atomic<double> barrier_now_{0};
-  std::atomic<uint64_t> barriers_{0};
+  std::vector<std::unique_ptr<WallClockRuntime>> shards_;
   std::atomic<uint64_t> early_barriers_{0};
 
   /// Control queue (thread-safe; drained by the leader at barriers).
@@ -238,8 +162,7 @@ class WallClockShardSet final : public ShardFabric {
 
   std::vector<std::thread> workers_;
   bool started_ = false;
-  /// One shard, no membership hook, no barrier hook (fixed at Start): the
-  /// worker's window never ends on its own.
+  /// lone(), fixed at Start: the worker's window never ends on its own.
   bool windowless_ = false;
   std::chrono::steady_clock::time_point epoch_;
 };

@@ -45,7 +45,7 @@ uint32_t Network::AcquireBatch() {
 }
 
 void Network::EnqueueBatched(Destination destination, double latency,
-                             EventFn fn) {
+                             util::EventFn fn) {
   SBQA_CHECK_LT(destination, open_.size());
   const double deliver_at = scheduler_->now() + latency;
   // Quantize UP to the tick boundary: a batched message is never delivered
@@ -88,7 +88,7 @@ void Network::FireBatch(uint32_t batch_index) {
   }
   batch.destination = kNoDestination;
   batch_free_.push_back(batch_index);
-  for (EventFn& deliver : firing_) deliver();
+  for (util::EventFn& deliver : firing_) deliver();
   firing_.clear();
 }
 

@@ -20,8 +20,8 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_fn.h"
 #include "sim/scheduler.h"
+#include "util/event_fn.h"
 #include "util/rng.h"
 
 namespace sbqa::sim {
@@ -66,7 +66,8 @@ class Network {
   template <typename Fn>
   EventId SendWithLatency(double latency, Fn&& deliver) {
     AccountMessage(latency);
-    return scheduler_->Schedule(latency, EventFn(std::forward<Fn>(deliver)));
+    return scheduler_->Schedule(latency,
+                                util::EventFn(std::forward<Fn>(deliver)));
   }
 
   /// Registers a delivery endpoint for batched sends.
@@ -90,7 +91,8 @@ class Network {
       return;
     }
     AccountMessage(latency);
-    EnqueueBatched(destination, latency, EventFn(std::forward<Fn>(deliver)));
+    EnqueueBatched(destination, latency,
+                   util::EventFn(std::forward<Fn>(deliver)));
   }
 
   /// Samples a one-way latency without sending; used to compute the
@@ -113,7 +115,7 @@ class Network {
   /// One open batch's payload, pooled and recycled so steady-state batching
   /// allocates nothing.
   struct Batch {
-    std::vector<EventFn> deliveries;
+    std::vector<util::EventFn> deliveries;
     Destination destination = kNoDestination;
   };
   /// An open (not yet fired) batch of one destination.
@@ -123,7 +125,8 @@ class Network {
   };
 
   void AccountMessage(double latency);
-  void EnqueueBatched(Destination destination, double latency, EventFn fn);
+  void EnqueueBatched(Destination destination, double latency,
+                      util::EventFn fn);
   void FireBatch(uint32_t batch_index);
   uint32_t AcquireBatch();
 
@@ -144,7 +147,7 @@ class Network {
   std::vector<uint32_t> batch_free_;
   /// Swapped with a firing batch's deliveries so the pool entry can be
   /// recycled before the callbacks run (which may open new batches).
-  std::vector<EventFn> firing_;
+  std::vector<util::EventFn> firing_;
 };
 
 }  // namespace sbqa::sim

@@ -6,18 +6,18 @@
 
 namespace sbqa::sim {
 
-EventId Scheduler::Schedule(Time delay, EventFn cb) {
+EventId Scheduler::Schedule(Time delay, util::EventFn cb) {
   SBQA_CHECK_GE(delay, 0);
   return ScheduleAt(now_ + delay, std::move(cb));
 }
 
-EventId Scheduler::ScheduleAt(Time when, EventFn cb) {
+EventId Scheduler::ScheduleAt(Time when, util::EventFn cb) {
   SBQA_CHECK_GE(when, now_);
   return core_.Schedule(when, std::move(cb));
 }
 
 bool Scheduler::Step() {
-  EventFn fn;
+  util::EventFn fn;
   Time when;
   // PopDue releases the event's slot before handing the callback back, so
   // self-scheduling callbacks are safe (they may reuse that very slot).
@@ -32,7 +32,7 @@ size_t Scheduler::RunUntil(Time t) {
   SBQA_CHECK_GE(t, now_);
   size_t n = 0;
   stop_requested_ = false;
-  EventFn fn;
+  util::EventFn fn;
   Time when;
   while (!stop_requested_ && core_.PopDue(t, &fn, &when)) {
     now_ = when;

@@ -21,7 +21,7 @@
 
 #include <cstdint>
 
-#include "sim/event_fn.h"
+#include "util/event_fn.h"
 #include "util/timer_core.h"
 
 namespace sbqa::sim {
@@ -43,7 +43,7 @@ using SchedulerKind = util::TimerQueueKind;
 /// events, a slot-versioned event pool and lazy queue removal.
 class Scheduler {
  public:
-  using Callback = EventFn;
+  using Callback = util::EventFn;
 
   explicit Scheduler(SchedulerKind kind = SchedulerKind::kLadder)
       : core_(kind) {}
@@ -51,10 +51,10 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Schedules `cb` to fire `delay` seconds from now. Requires delay >= 0.
-  EventId Schedule(Time delay, EventFn cb);
+  EventId Schedule(Time delay, util::EventFn cb);
 
   /// Schedules `cb` at absolute time `when`. Requires when >= now().
-  EventId ScheduleAt(Time when, EventFn cb);
+  EventId ScheduleAt(Time when, util::EventFn cb);
 
   /// Cancels a pending event. Returns false when the event already fired or
   /// was cancelled (including when its slot has been recycled by a newer

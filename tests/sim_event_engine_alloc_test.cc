@@ -35,15 +35,15 @@ TEST(EventFnAllocTest, SmallClosuresAreInline) {
     double b[5];
     void operator()() {}
   };
-  static_assert(sizeof(Small) <= EventFn::kInlineSize);
-  EventFn fn(Small{});
+  static_assert(sizeof(Small) <= util::EventFn::kInlineSize);
+  util::EventFn fn(Small{});
   EXPECT_FALSE(fn.heap_allocated());
 
   struct Big {
     double payload[16];  // 128 bytes: exceeds the inline buffer
     void operator()() {}
   };
-  EventFn big(Big{});
+  util::EventFn big(Big{});
   EXPECT_TRUE(big.heap_allocated());
 }
 
