@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -311,6 +312,10 @@ int main() {
   if (!json.ok()) return 0;
   json.BeginObject();
   json.Field("bench", "chaos");
+  json.Field("host_cores",
+             static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  json.Field("compiler", CompilerName());
+  json.Field("build_type", BuildType());
   json.Field("seed", seed);
   json.Field("duration_s", duration, 1);
   json.BeginArray("sweep");

@@ -32,6 +32,7 @@
 #include <functional>
 #include <new>
 #include <queue>
+#include <thread>
 #include <unordered_set>
 
 #include "bench_common.h"
@@ -573,6 +574,10 @@ int main() {
   if (json.ok()) {
     json.BeginObject();
     json.Field("bench", "bench_event_engine");
+    json.Field("host_cores",
+               static_cast<uint64_t>(std::thread::hardware_concurrency()));
+    json.Field("compiler", bench::CompilerName());
+    json.Field("build_type", bench::BuildType());
     json.BeginArray("scheduler");
     for (const auto& r : engines) {
       json.BeginObject();

@@ -19,13 +19,14 @@ EconomicMethod::EconomicMethod(const EconomicParams& params)
 
 double EconomicMethod::BidOf(const core::AllocationContext& ctx,
                              model::ProviderId provider) const {
-  const core::Provider& p = ctx.mediator->registry().provider(provider);
-  const double processing_seconds = ctx.query->cost / p.capacity();
+  const core::ProviderHotState& hot = ctx.mediator->registry().hot();
+  const auto slot = static_cast<uint32_t>(provider);
+  const double processing_seconds = ctx.query->cost / hot.capacity(slot);
   double bid = processing_seconds * params_.price_per_second *
-               (1.0 + params_.load_markup * p.UtilizationNorm(ctx.now));
+               (1.0 + params_.load_markup * hot.UtilizationNorm(slot, ctx.now));
   if (params_.interest_discount > 0) {
     // Interested providers (preference > 0) shave their margin.
-    const double pref = p.preferences().Get(ctx.query->consumer);
+    const double pref = hot.Preference(slot, ctx.query->consumer);
     if (pref > 0) bid *= 1.0 - params_.interest_discount * pref;
   }
   return bid;

@@ -12,14 +12,15 @@ void InterestOnlyMethod::Allocate(const core::AllocationContext& ctx,
   const std::vector<model::ProviderId>& candidates = ctx.candidates->All();
   const core::Registry& registry = ctx.mediator->registry();
   const core::Consumer& consumer = registry.consumer(ctx.query->consumer);
+  const core::ProviderHotState& hot = registry.hot();
 
   scored_.clear();
   scored_.reserve(candidates.size());
   for (model::ProviderId p : candidates) {
-    const core::Provider& provider = registry.provider(p);
     core::ScoredProvider sp;
     sp.provider = p;
-    sp.provider_intention = provider.preferences().Get(ctx.query->consumer);
+    sp.provider_intention =
+        hot.Preference(static_cast<uint32_t>(p), ctx.query->consumer);
     sp.consumer_intention = consumer.preferences().Get(p);
     sp.omega = 0.5;
     sp.score = core::ProviderScore(sp.provider_intention,

@@ -1,6 +1,7 @@
 #include "boinc/population.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 #include "util/check.h"
@@ -86,6 +87,14 @@ BuiltPopulation BuildPopulation(const BoincSpec& spec,
 
   const VolunteerPopulationSpec& vols = spec.volunteers;
   SBQA_CHECK_LT(vols.capacity_min, vols.capacity_max + 1e-12);
+  // One reservation for the whole population: windows are sized for the
+  // largest k a volunteer can draw, and no entry is written until a
+  // proposal lands.
+  const size_t providers = registry->provider_count() + vols.count;
+  const double k_max = static_cast<double>(vols.memory_k) *
+                       (1.0 + std::max(0.0, vols.memory_k_spread));
+  registry->ReserveProviders(
+      providers, providers * static_cast<size_t>(std::ceil(k_max)));
   for (size_t i = 0; i < vols.count; ++i) {
     built.volunteers.push_back(
         AddVolunteer(spec, built.projects, registry, rng));
@@ -120,8 +129,6 @@ model::ProviderId AddVolunteer(const BoincSpec& spec,
   }
   const model::ProviderId id = registry->AddProvider(params);
 
-  core::Provider& volunteer = registry->provider(id);
-
   // Hardware restrictions: some hosts can only run a subset of the
   // applications (query class == consumer id in this instantiation).
   if (vols.restricted_fraction > 0 &&
@@ -133,7 +140,7 @@ model::ProviderId AddVolunteer(const BoincSpec& spec,
       classes.insert(
           registry->consumer(project).params().query_class);
     }
-    volunteer.RestrictClasses(std::move(classes));
+    registry->provider(id).RestrictClasses(std::move(classes));
   }
 
   // Popularity-driven interests towards each project.
@@ -146,7 +153,7 @@ model::ProviderId AddVolunteer(const BoincSpec& spec,
                                            vols.interested_pref_max)
                             : rng->Uniform(vols.uninterested_pref_min,
                                            vols.uninterested_pref_max);
-    volunteer.preferences().Set(projects[j], pref);
+    registry->SetProviderPreference(id, projects[j], pref);
   }
 
   // Projects' preferences towards the volunteer: mildly positive with

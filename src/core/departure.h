@@ -18,7 +18,8 @@
 #include <cstdint>
 
 #include "core/consumer.h"
-#include "core/provider.h"
+#include "core/hot_state.h"
+#include "model/types.h"
 
 namespace sbqa::core {
 
@@ -54,11 +55,13 @@ class DepartureModel {
     return GraceDeadline(static_cast<uint32_t>(id) * 40503u + 17u);
   }
 
-  /// Whether `p` would leave at time `now`.
-  bool ShouldProviderLeave(const Provider& p, double now) const {
-    if (!config_.providers_can_leave || !p.alive()) return false;
-    if (now < ProviderGraceDeadline(p.id())) return false;
-    return p.satisfaction() < config_.provider_threshold;
+  /// Whether provider `p` (a slot of `hot`) would leave at time `now`.
+  bool ShouldProviderLeave(const ProviderHotState& hot, model::ProviderId p,
+                           double now) const {
+    const auto slot = static_cast<uint32_t>(p);
+    if (!config_.providers_can_leave || !hot.alive(slot)) return false;
+    if (now < ProviderGraceDeadline(p)) return false;
+    return hot.Satisfaction(slot) < config_.provider_threshold;
   }
 
   /// Whether `c` would stop issuing queries at time `now`.

@@ -451,6 +451,9 @@ void Mediator::Dispatch(InflightHandle h) {
               h, f->attempt);
 
   // Mediator -> provider hops (batched per provider inbox when enabled).
+  // Provider state is read and written through the registry's id-indexed
+  // hot block from here to completion: no Provider object on the path.
+  ProviderHotState& hot = registry_->hot();
   const double cost = f->query.cost;
   for (model::ProviderId p : decision.selected) {
     ++stats_.instances_dispatched;
@@ -460,7 +463,9 @@ void Mediator::Dispatch(InflightHandle h) {
     // still goes out (the arrival path accounts the failure), but count it
     // explicitly: under the fault plane the arrival may never happen, and
     // then only the attempt deadline reclaims the slot.
-    if (!registry_->provider(p).alive()) ++stats_.instances_dispatched_dead;
+    if (!hot.alive(static_cast<uint32_t>(p))) {
+      ++stats_.instances_dispatched_dead;
+    }
     LinkProviderInflight(p, h);
     if (config_.simulate_network) {
       rt_->SendTo(
@@ -475,11 +480,14 @@ void Mediator::Dispatch(InflightHandle h) {
   // the proposal (Definition 2's PPI window) whether or not it was chosen.
   const size_t consulted_n = decision.consulted.size();
   for (size_t i = 0; i < consulted_n; ++i) {
+    hot.PrefetchProposal(static_cast<uint32_t>(decision.consulted[i]));
+  }
+  for (size_t i = 0; i < consulted_n; ++i) {
     const model::ProviderId p = decision.consulted[i];
-    Provider& provider = registry_->provider(p);
-    if (!provider.alive()) continue;
-    provider.satisfaction_tracker().RecordProposal(
-        decision.provider_intentions[i], selected_contains(p));
+    const auto slot = static_cast<uint32_t>(p);
+    if (!hot.alive(slot)) continue;
+    hot.RecordProposal(slot, decision.provider_intentions[i],
+                       selected_contains(p));
   }
   // Dissatisfied providers may now decide to leave (autonomous mode). A
   // departure can fail this very query's instances and finalize it,
@@ -495,7 +503,6 @@ void Mediator::Dispatch(InflightHandle h) {
 void Mediator::OnInstanceArrival(InflightHandle h, model::ProviderId provider,
                                  double cost) {
   InFlight* f = Resolve(h);
-  Provider& p = registry_->provider(provider);
   if (f == nullptr) return;  // already finalized (timeout)
   Instance* inst = nullptr;
   for (Instance& candidate : f->instances) {
@@ -506,29 +513,35 @@ void Mediator::OnInstanceArrival(InflightHandle h, model::ProviderId provider,
     }
   }
   if (inst == nullptr) return;  // failed meanwhile (provider departure)
-  if (!p.alive()) {
+  ProviderHotState& hot = registry_->hot();
+  const auto slot = static_cast<uint32_t>(provider);
+  if (!hot.alive(slot)) {
     inst->status = InstanceStatus::kFailed;
     ++stats_.instances_failed;
     UnlinkProviderInflight(provider, h);
     if (--f->pending == 0) Finalize(h, /*timed_out=*/false);
     return;
   }
-  const double finish_at = p.Enqueue(rt_->now(), cost);
-  const uint64_t epoch = p.queue_epoch();
+  const double finish_at = hot.Enqueue(slot, rt_->now(), cost);
+  const uint64_t epoch = hot.queue_epoch(slot);
   rt_->ScheduleAt(finish_at, [this, h, provider, cost, epoch] {
-    if (registry_->provider(provider).queue_epoch() != epoch) return;
+    if (registry_->hot().queue_epoch(static_cast<uint32_t>(provider)) !=
+        epoch) {
+      return;
+    }
     OnInstanceProcessed(h, provider, cost);
   });
 }
 
 void Mediator::OnInstanceProcessed(InflightHandle h,
                                    model::ProviderId provider, double cost) {
-  Provider& p = registry_->provider(provider);
-  p.OnInstanceFinished(cost);
+  ProviderHotState& hot = registry_->hot();
+  const auto slot = static_cast<uint32_t>(provider);
+  hot.OnInstanceFinished(slot, cost);
   ++stats_.instances_completed;
   // Result validation (BOINC layer): a faulty/malicious provider returns an
   // invalid result with its configured error rate; reputation tracks this.
-  const bool valid = !rng_.Bernoulli(p.params().error_rate);
+  const bool valid = !rng_.Bernoulli(hot.error_rate(slot));
   reputation_->Record(provider, valid ? 1.0 : 0.0);
   // Provider -> consumer result hop (fans into the mediator inbox).
   if (config_.simulate_network) {
@@ -973,8 +986,10 @@ void Mediator::ApplyProviderAvailability(model::ProviderId provider,
 
 void Mediator::MaybeDepartProvider(model::ProviderId provider) {
   if (departure_ == nullptr) return;
-  Provider& p = registry_->provider(provider);
-  if (!departure_->ShouldProviderLeave(p, rt_->now())) return;
+  if (!departure_->ShouldProviderLeave(registry_->hot(), provider,
+                                       rt_->now())) {
+    return;
+  }
   if (deferred_membership()) {
     // The provider keeps serving until the barrier; later mediations this
     // window may queue the same departure again (deduped at apply).

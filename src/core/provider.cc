@@ -1,79 +1,30 @@
 #include "core/provider.h"
 
-#include <algorithm>
-
 namespace sbqa::core {
 
 Provider::Provider(model::ProviderId id, const ProviderParams& params)
     : id_(id),
-      params_(params),
-      policy_(model::MakeProviderPolicy(params.policy_kind, params.psi)),
-      tracker_(params.memory_k, params.satisfaction_mode),
-      owned_hot_(std::make_unique<ProviderHotState>()) {
-  SBQA_CHECK_GT(params.capacity, 0);
-  SBQA_CHECK_GT(params.tau_utilization, 0);
-  SBQA_CHECK_GE(params.error_rate, 0);
-  SBQA_CHECK_LE(params.error_rate, 1);
-  hot_ = owned_hot_.get();
-  hot_slot_ = hot_->Append(params.capacity, params.tau_utilization);
-  allowed_classes_.insert(params.allowed_classes.begin(),
-                          params.allowed_classes.end());
+      allowed_classes_(params.allowed_classes.begin(),
+                       params.allowed_classes.end()),
+      label_(params.label),
+      owned_hot_(std::make_unique<ProviderHotState>()),
+      hot_(owned_hot_.get()) {
+  hot_->Reserve(1, params.memory_k);
+  hot_slot_ = hot_->Append(params);
 }
 
 Provider::Provider(model::ProviderId id, const ProviderParams& params,
                    ProviderHotState* hot, uint32_t hot_slot)
     : id_(id),
-      params_(params),
-      policy_(model::MakeProviderPolicy(params.policy_kind, params.psi)),
-      tracker_(params.memory_k, params.satisfaction_mode),
+      // No observer yet at construction: the registry indexes the provider
+      // (restrictions included) right after, via OnProviderAdded.
+      allowed_classes_(params.allowed_classes.begin(),
+                       params.allowed_classes.end()),
+      label_(params.label),
       hot_(hot),
       hot_slot_(hot_slot) {
-  SBQA_CHECK_GT(params.capacity, 0);
-  SBQA_CHECK_GT(params.tau_utilization, 0);
-  SBQA_CHECK_GE(params.error_rate, 0);
-  SBQA_CHECK_LE(params.error_rate, 1);
   SBQA_CHECK(hot_ != nullptr);
-  SBQA_CHECK_LT(hot_slot_, hot_->size());
-  // No observer yet at construction: the registry indexes the provider
-  // (restrictions included) right after, via OnProviderAdded.
-  allowed_classes_.insert(params.allowed_classes.begin(),
-                          params.allowed_classes.end());
-}
-
-double Provider::Backlog(double now) const {
-  return hot_->Backlog(hot_slot_, now);
-}
-
-double Provider::ExpectedCompletion(double now, double cost) const {
-  SBQA_DCHECK_GE(cost, 0);
-  return hot_->ExpectedCompletion(hot_slot_, now, cost);
-}
-
-double Provider::Enqueue(double now, double cost) {
-  SBQA_DCHECK_GE(cost, 0);
-  return hot_->Enqueue(hot_slot_, now, cost);
-}
-
-void Provider::OnInstanceFinished(double cost) {
-  SBQA_DCHECK_GT(hot_->outstanding(hot_slot_), 0);
-  hot_->OnInstanceFinished(hot_slot_);
-  busy_seconds_ += cost / params_.capacity;
-  ++instances_performed_;
-}
-
-void Provider::DropQueue(double now) { hot_->DropQueue(hot_slot_, now); }
-
-double Provider::UtilizationNorm(double now) const {
-  return hot_->UtilizationNorm(hot_slot_, now);
-}
-
-double Provider::ComputeIntention(const model::Query& query,
-                                  double now) const {
-  model::ProviderIntentionContext ctx;
-  ctx.query = &query;
-  ctx.preference = preferences_.Get(query.consumer);
-  ctx.utilization = UtilizationNorm(now);
-  return std::clamp(policy_->Compute(ctx), -1.0, 1.0);
+  SBQA_CHECK_LT(static_cast<size_t>(hot_slot_), hot_->size());
 }
 
 }  // namespace sbqa::core

@@ -3,7 +3,8 @@
 
 /// \file
 /// Provider runtime state: processing queue, utilization, preferences,
-/// intention policy and the Definition-2 satisfaction memory. In the BOINC
+/// intention policy and the Definition-2 satisfaction memory, all held in
+/// the registry's ProviderHotState block (core/hot_state.h). In the BOINC
 /// instantiation a provider is one volunteer host.
 
 #include <cstdint>
@@ -15,7 +16,6 @@
 #include "core/hot_state.h"
 #include "core/satisfaction.h"
 #include "model/intention.h"
-#include "model/preference.h"
 #include "model/query.h"
 #include "model/types.h"
 #include "util/check.h"
@@ -65,34 +65,59 @@ class ProviderObserver {
   virtual void OnProviderEligibilityChanged(const Provider& provider) = 0;
 };
 
-/// A provider p ∈ P. Owns a FIFO work queue modelled as an absolute
-/// busy-until horizon (sufficient because instances are non-preemptive and
-/// ordered).
+/// A provider's preferences towards consumers (BOINC: towards projects),
+/// in [-1, 1], 0 when unset: a view over its entries of the hot block's
+/// per-consumer preference columns.
+class ProviderPreferences {
+ public:
+  ProviderPreferences(ProviderHotState* hot, uint32_t slot)
+      : hot_(hot), slot_(slot) {}
+
+  double Get(model::ConsumerId consumer) const {
+    return hot_->Preference(slot_, consumer);
+  }
+  /// Clamped into [-1, 1]. Quiescent points only (setup, barriers).
+  void Set(model::ConsumerId consumer, double preference) {
+    hot_->SetPreference(slot_, consumer, preference);
+  }
+
+ private:
+  ProviderHotState* hot_;
+  uint32_t slot_;
+};
+
+/// A provider p ∈ P: a view over its slot of a ProviderHotState block
+/// (queue, liveness, policy, preferences, Definition-2 window, completion
+/// counters), plus the cold fields no query reads (label, class
+/// restrictions, departure flag). Its queue is a FIFO modelled as an
+/// absolute busy-until horizon (sufficient because instances are
+/// non-preemptive and ordered).
 class Provider {
  public:
   /// Standalone construction (tests, tools): the provider owns a private
   /// single-slot hot-state block.
   Provider(model::ProviderId id, const ProviderParams& params);
 
-  /// Registry construction: queueing state lives in the registry's shared
-  /// struct-of-arrays block at `hot_slot` (appended by the caller). `hot`
-  /// must outlive the provider.
+  /// Registry construction: the provider's state lives at `hot_slot` of
+  /// the registry's shared block (appended from the same params by the
+  /// caller). `hot` must outlive the provider.
   Provider(model::ProviderId id, const ProviderParams& params,
            ProviderHotState* hot, uint32_t hot_slot);
 
   model::ProviderId id() const { return id_; }
-  const ProviderParams& params() const { return params_; }
-  double capacity() const { return params_.capacity; }
+  const std::string& label() const { return label_; }
+  double capacity() const { return hot_->capacity(hot_slot_); }
+  double error_rate() const { return hot_->error_rate(hot_slot_); }
 
   /// Eligibility-change subscriber (at most one: the owning registry).
   void set_observer(ProviderObserver* observer) { observer_ = observer; }
 
   /// Whether the provider currently accepts work (false while offline or
   /// after departing).
-  bool alive() const { return alive_; }
+  bool alive() const { return hot_->alive(hot_slot_); }
   void set_alive(bool alive) {
-    if (alive_ == alive) return;
-    alive_ = alive;
+    if (this->alive() == alive) return;
+    hot_->set_alive(hot_slot_, alive);
     NotifyEligibilityChanged();
   }
 
@@ -106,8 +131,8 @@ class Provider {
   }
 
   /// Preferences towards consumers (BOINC: towards projects), in [-1, 1].
-  model::PreferenceProfile& preferences() { return preferences_; }
-  const model::PreferenceProfile& preferences() const { return preferences_; }
+  ProviderPreferences preferences() { return {hot_, hot_slot_}; }
+  const ProviderPreferences preferences() const { return {hot_, hot_slot_}; }
 
   /// Restricts the query classes this provider can treat; empty = all.
   void RestrictClasses(std::unordered_set<model::QueryClassId> classes) {
@@ -122,58 +147,72 @@ class Provider {
   }
 
   // --- Queueing -----------------------------------------------------------
-  // The fields behind these accessors live in a struct-of-arrays
-  // ProviderHotState block (shared with all registry providers), so hot
-  // readers can scan dense arrays instead of Provider objects.
 
   /// Seconds of queued work remaining at time `now` (0 when idle).
-  double Backlog(double now) const;
+  double Backlog(double now) const { return hot_->Backlog(hot_slot_, now); }
 
   /// Expected completion delay (seconds from `now`) if a query of `cost`
   /// work units were enqueued now: backlog + cost / capacity.
-  double ExpectedCompletion(double now, double cost) const;
+  double ExpectedCompletion(double now, double cost) const {
+    SBQA_DCHECK_GE(cost, 0);
+    return hot_->ExpectedCompletion(hot_slot_, now, cost);
+  }
 
   /// Enqueues an instance of `cost` work units at time `now`; returns the
   /// absolute finish time. The caller schedules the completion event.
-  double Enqueue(double now, double cost);
+  double Enqueue(double now, double cost) {
+    SBQA_DCHECK_GE(cost, 0);
+    return hot_->Enqueue(hot_slot_, now, cost);
+  }
 
   /// Accounting hook on instance completion.
-  void OnInstanceFinished(double cost);
+  void OnInstanceFinished(double cost) {
+    hot_->OnInstanceFinished(hot_slot_, cost);
+  }
 
   /// Drops all queued work (provider departure) and bumps the queue epoch,
   /// invalidating any already-scheduled completion events.
-  void DropQueue(double now);
+  void DropQueue(double now) { hot_->DropQueue(hot_slot_, now); }
 
   /// Incremented by DropQueue; completion events capture the epoch at
   /// enqueue time and no-op when it changed (stale events of dropped work).
   uint64_t queue_epoch() const { return hot_->queue_epoch(hot_slot_); }
 
   /// Normalized utilization in [0, 1): backlog / (backlog + tau).
-  double UtilizationNorm(double now) const;
+  double UtilizationNorm(double now) const {
+    return hot_->UtilizationNorm(hot_slot_, now);
+  }
 
   /// Instances currently queued or in service.
   int outstanding() const { return hot_->outstanding(hot_slot_); }
 
-  /// The shared hot-state block and this provider's slot in it.
+  /// The hot-state block holding this provider and its slot in it.
   const ProviderHotState& hot_state() const { return *hot_; }
   uint32_t hot_slot() const { return hot_slot_; }
 
   /// Total seconds of work completed (for run-level utilization stats).
-  double busy_seconds() const { return busy_seconds_; }
-  int64_t instances_performed() const { return instances_performed_; }
+  double busy_seconds() const { return hot_->busy_seconds(hot_slot_); }
+  int64_t instances_performed() const {
+    return hot_->instances_performed(hot_slot_);
+  }
 
   // --- Intentions & satisfaction -------------------------------------------
 
   /// PI_q[p]: this provider's intention to perform `q` at time `now`.
-  double ComputeIntention(const model::Query& query, double now) const;
+  double ComputeIntention(const model::Query& query, double now) const {
+    return hot_->Intention(hot_slot_, query, now);
+  }
 
-  ProviderSatisfactionTracker& satisfaction_tracker() { return tracker_; }
-  const ProviderSatisfactionTracker& satisfaction_tracker() const {
-    return tracker_;
+  /// Definition-2 memory (a view over the slot's window).
+  ProviderSatisfactionTracker satisfaction_tracker() {
+    return {hot_, hot_slot_};
+  }
+  const ProviderSatisfactionTracker satisfaction_tracker() const {
+    return {hot_, hot_slot_};
   }
 
   /// Definition 2 shorthand.
-  double satisfaction() const { return tracker_.satisfaction(); }
+  double satisfaction() const { return hot_->Satisfaction(hot_slot_); }
 
  private:
   void NotifyEligibilityChanged() {
@@ -181,23 +220,14 @@ class Provider {
   }
 
   model::ProviderId id_;
-  ProviderParams params_;
   ProviderObserver* observer_ = nullptr;
-  bool alive_ = true;
   bool departed_ = false;
-  model::PreferenceProfile preferences_;
   std::unordered_set<model::QueryClassId> allowed_classes_;
-  std::unique_ptr<model::ProviderIntentionPolicy> policy_;
-  ProviderSatisfactionTracker tracker_;
-
-  /// Queueing state lives here (registry-shared SoA block, or the private
-  /// `owned_hot_` block for standalone providers).
-  ProviderHotState* hot_;
-  uint32_t hot_slot_;
+  std::string label_;
+  /// The standalone provider's private block (null for registry providers).
   std::unique_ptr<ProviderHotState> owned_hot_;
-
-  double busy_seconds_ = 0;  ///< cold run statistics, updated on completion
-  int64_t instances_performed_ = 0;
+  ProviderHotState* hot_;
+  uint32_t hot_slot_ = 0;
 };
 
 }  // namespace sbqa::core

@@ -17,7 +17,7 @@ Registry::Registry() {
 
 model::ProviderId Registry::AddProvider(const ProviderParams& params) {
   const auto id = static_cast<model::ProviderId>(providers_.size());
-  const uint32_t slot = hot_.Append(params.capacity, params.tau_utilization);
+  const uint32_t slot = hot_.Append(params);
   SBQA_CHECK_EQ(static_cast<size_t>(slot), static_cast<size_t>(id));
   providers_.emplace_back(id, params, &hot_, slot);
   providers_.back().set_observer(this);
@@ -29,6 +29,20 @@ model::ProviderId Registry::AddProvider(const ProviderParams& params) {
   partitions_[provider_shard_.back()]->OnProviderAdded(providers_.back());
   total_capacity_ += params.capacity;
   return id;
+}
+
+void Registry::ReserveProviders(size_t providers, size_t window_entries) {
+  providers_.reserve(providers);
+  provider_shard_.reserve(providers);
+  hot_.Reserve(providers, window_entries);
+}
+
+void Registry::SetProviderPreference(model::ProviderId provider,
+                                     model::ConsumerId consumer,
+                                     double preference) {
+  SBQA_CHECK_GE(provider, 0);
+  SBQA_CHECK_LT(static_cast<size_t>(provider), providers_.size());
+  hot_.SetPreference(static_cast<uint32_t>(provider), consumer, preference);
 }
 
 model::ConsumerId Registry::AddConsumer(const ConsumerParams& params) {

@@ -101,6 +101,18 @@ class Registry : private ProviderObserver, private ConsumerObserver {
   model::ProviderId AddProvider(const ProviderParams& params);
   model::ConsumerId AddConsumer(const ConsumerParams& params);
 
+  /// Makes room for `providers` providers in all, whose Definition-2
+  /// windows hold `window_entries` proposals in all (vector::reserve
+  /// semantics), so building a population grows the provider table and the
+  /// hot-state planes once instead of at every doubling.
+  void ReserveProviders(size_t providers, size_t window_entries);
+
+  /// Provider `provider`'s preference towards `consumer` (clamped into
+  /// [-1, 1]); written into the hot block's preference column. Quiescent
+  /// points only (population setup, barriers).
+  void SetProviderPreference(model::ProviderId provider,
+                             model::ConsumerId consumer, double preference);
+
   size_t provider_count() const { return providers_.size(); }
   size_t consumer_count() const { return consumers_.size(); }
 
@@ -247,9 +259,10 @@ class Registry : private ProviderObserver, private ConsumerObserver {
   /// registry.
   const CandidateIndex& candidate_index() const { return *partitions_[0]; }
 
-  /// The shared struct-of-arrays hot state of all registry providers,
-  /// indexed by dense provider id (hot readers bypass the Provider
-  /// objects). Shard threads only touch their own contiguous slice.
+  /// The id-indexed hot state of all registry providers: the only copy of
+  /// every per-provider value the query lifecycle touches (the per-query
+  /// path indexes it directly; Provider is a view over it). A shard thread
+  /// only writes the slots of the providers it owns.
   const ProviderHotState& hot() const { return hot_; }
   ProviderHotState& hot() { return hot_; }
 

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/hot_state.h"
+#include "core/provider.h"
+
 namespace sbqa::core {
 
 double ConsumerQuerySatisfaction(std::span<const double> performer_intentions,
@@ -65,57 +68,54 @@ void ConsumerSatisfactionTracker::RecordQuery(double satisfaction,
 
 ProviderSatisfactionTracker::ProviderSatisfactionTracker(
     size_t k, ProviderSatisfactionDenominator mode)
-    : window_(k), mode_(mode) {}
+    : owned_(std::make_unique<ProviderHotState>()), hot_(owned_.get()) {
+  ProviderParams params;
+  params.memory_k = k;
+  params.satisfaction_mode = mode;
+  hot_->Reserve(1, k);
+  slot_ = hot_->Append(params);
+}
+
+ProviderSatisfactionTracker::ProviderSatisfactionTracker(ProviderHotState* hot,
+                                                         uint32_t slot)
+    : hot_(hot), slot_(slot) {
+  SBQA_CHECK(hot_ != nullptr);
+  SBQA_CHECK_LT(static_cast<size_t>(slot_), hot_->size());
+}
+
+ProviderSatisfactionTracker::~ProviderSatisfactionTracker() = default;
 
 void ProviderSatisfactionTracker::RecordProposal(double intention,
                                                  bool performed) {
-  const Proposal incoming{NormalizeIntention(intention), performed};
-  if (window_.full()) {
-    const Proposal& evicted = window_.oldest();
-    sum_norm_all_ -= evicted.normalized_intention;
-    if (evicted.performed) {
-      sum_norm_performed_ -= evicted.normalized_intention;
-      --performed_count_;
-    }
-  }
-  window_.Push(incoming);
-  sum_norm_all_ += incoming.normalized_intention;
-  if (incoming.performed) {
-    sum_norm_performed_ += incoming.normalized_intention;
-    ++performed_count_;
-  }
+  hot_->RecordProposal(slot_, intention, performed);
 }
 
 double ProviderSatisfactionTracker::satisfaction() const {
-  if (performed_count_ == 0) return 0.0;  // Definition 2: SQ^k_p = ∅ case
-  switch (mode_) {
-    case ProviderSatisfactionDenominator::kPerformedOnly:
-      return sum_norm_performed_ / static_cast<double>(performed_count_);
-    case ProviderSatisfactionDenominator::kAllProposed:
-      return sum_norm_performed_ / static_cast<double>(window_.size());
-  }
-  return 0.0;
+  return hot_->Satisfaction(slot_);
 }
 
 double ProviderSatisfactionTracker::adequation() const {
-  if (window_.empty()) return 0.0;
-  return sum_norm_all_ / static_cast<double>(window_.size());
+  return hot_->Adequation(slot_);
 }
 
 double ProviderSatisfactionTracker::allocation_satisfaction() const {
-  if (performed_count_ == 0) return 1.0;  // vacuous
-  std::vector<double> intentions;
-  intentions.reserve(window_.size());
-  for (size_t i = 0; i < window_.size(); ++i) {
-    intentions.push_back(window_[i].normalized_intention);
-  }
-  std::sort(intentions.begin(), intentions.end(), std::greater<double>());
-  double best = 0;
-  for (size_t i = 0; i < performed_count_; ++i) best += intentions[i];
-  if (best <= 0) return 1.0;
-  const double obtained = sum_norm_performed_;
-  const double ratio = obtained / best;
-  return std::clamp(ratio, 0.0, 1.0);
+  return hot_->AllocationSatisfaction(slot_);
+}
+
+size_t ProviderSatisfactionTracker::proposal_count() const {
+  return hot_->proposal_count(slot_);
+}
+
+size_t ProviderSatisfactionTracker::performed_count() const {
+  return hot_->performed_count(slot_);
+}
+
+size_t ProviderSatisfactionTracker::capacity() const {
+  return hot_->memory_k(slot_);
+}
+
+ProviderSatisfactionDenominator ProviderSatisfactionTracker::mode() const {
+  return hot_->satisfaction_mode(slot_);
 }
 
 }  // namespace sbqa::core

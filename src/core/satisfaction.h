@@ -21,12 +21,16 @@
 /// satisfaction to the best satisfaction achievable for the same window.
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <span>
 
 #include "util/check.h"
 #include "util/sliding_window.h"
 
 namespace sbqa::core {
+
+class ProviderHotState;
 
 /// Maps an intention in [-1, 1] to the unit interval: (i + 1) / 2.
 inline double NormalizeIntention(double intention) {
@@ -104,11 +108,22 @@ enum class ProviderSatisfactionDenominator {
 /// Long-run provider-side memory over the k last *proposed* queries
 /// (Definition 2). Each proposal records the provider's expressed intention
 /// PPI_p[q] and whether the provider ended up performing q.
+///
+/// A view over one slot of a ProviderHotState block, where the window and
+/// its running sums live (one copy: the registry's provider views and the
+/// mediator's hot path read and write the same slot). A standalone tracker
+/// (tests, tools) owns a private single-slot block.
 class ProviderSatisfactionTracker {
  public:
+  /// Standalone: a private block holding one window of `k` proposals.
   explicit ProviderSatisfactionTracker(
       size_t k, ProviderSatisfactionDenominator mode =
                     ProviderSatisfactionDenominator::kPerformedOnly);
+
+  /// View over `slot` of `hot`, which must outlive the view.
+  ProviderSatisfactionTracker(ProviderHotState* hot, uint32_t slot);
+
+  ~ProviderSatisfactionTracker();  // out of line: ProviderHotState is opaque
 
   /// Records one mediation in which this provider was consulted.
   void RecordProposal(double intention, bool performed);
@@ -124,29 +139,21 @@ class ProviderSatisfactionTracker {
   /// Reconstructed allocation satisfaction: Definition-2 satisfaction
   /// relative to the best achievable had the provider performed the queries
   /// it wanted most (the top-m intentions among proposals, m = performed
-  /// count). 1 when optimal or vacuous. O(k log k).
+  /// count). 1 when optimal or vacuous. O(k log k), allocation-free once
+  /// warm.
   double allocation_satisfaction() const;
 
-  size_t proposal_count() const { return window_.size(); }
-  size_t performed_count() const { return performed_count_; }
-  size_t capacity() const { return window_.capacity(); }
-  bool window_full() const { return window_.full(); }
+  size_t proposal_count() const;
+  size_t performed_count() const;
+  size_t capacity() const;
+  bool window_full() const { return proposal_count() == capacity(); }
 
-  ProviderSatisfactionDenominator mode() const { return mode_; }
+  ProviderSatisfactionDenominator mode() const;
 
  private:
-  struct Proposal {
-    double normalized_intention = 0;
-    bool performed = false;
-  };
-
-  util::SlidingWindow<Proposal> window_;
-  ProviderSatisfactionDenominator mode_;
-  // Running sums for O(1) satisfaction()/adequation(): maintained across
-  // window eviction.
-  double sum_norm_all_ = 0;
-  double sum_norm_performed_ = 0;
-  size_t performed_count_ = 0;
+  std::unique_ptr<ProviderHotState> owned_;  ///< standalone trackers only
+  ProviderHotState* hot_;
+  uint32_t slot_ = 0;
 };
 
 }  // namespace sbqa::core

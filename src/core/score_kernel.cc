@@ -7,7 +7,6 @@
 #include "core/consumer.h"
 #include "core/hot_state.h"
 #include "core/mediator.h"
-#include "core/provider.h"
 #include "core/registry.h"
 #include "model/intention.h"
 #include "model/query.h"
@@ -300,17 +299,21 @@ void ScoreKernel::ScoreAndSelect(Mediator& mediator, const model::Query& query,
     ppolicy_.resize(n);
     const model::ReputationRegistry& reputation = mediator.reputation();
     const model::PreferenceProfile& consumer_prefs = consumer.preferences();
+    // Provider-side inputs come straight from the registry's id-indexed
+    // planes; the query's consumer selects one preference column.
+    const ProviderHotState& hot = registry.hot();
+    const double* pref_column = hot.PreferenceColumn(query.consumer);
     for (size_t i = 0; i < n; ++i) {
       const model::ProviderId p = kn[i];
-      const Provider& provider = registry.provider(p);
+      const auto slot = static_cast<uint32_t>(p);
       rep_[i] = reputation.Get(p);
       pref_c_[i] = consumer_prefs.Get(p);
-      pref_p_[i] = provider.preferences().Get(query.consumer);
-      util_[i] = provider.UtilizationNorm(now);
-      psat_[i] = provider.satisfaction();
-      psi_[i] = provider.params().psi;
+      pref_p_[i] = pref_column != nullptr ? pref_column[slot] : 0.0;
+      util_[i] = hot.UtilizationNorm(slot, now);
+      psat_[i] = hot.Satisfaction(slot);
+      psi_[i] = hot.psi(slot);
       ppolicy_[i] =
-          static_cast<double>(static_cast<int>(provider.params().policy_kind));
+          static_cast<double>(static_cast<int>(hot.policy_kind(slot)));
       max_ect = std::max(max_ect, ect_[i]);
     }
   } else {
@@ -353,7 +356,8 @@ void ScoreKernel::ScoreAndSelect(Mediator& mediator, const model::Query& query,
     pi.clear();
     pi.reserve(n);
     for (model::ProviderId p : kn) {
-      pi.push_back(registry.provider(p).ComputeIntention(query, now));
+      pi.push_back(registry.hot().Intention(static_cast<uint32_t>(p), query,
+                                            now));
     }
     ci.clear();
     ci.reserve(n);
@@ -383,8 +387,9 @@ void ScoreKernel::ScoreAndSelect(Mediator& mediator, const model::Query& query,
     omega_.resize(n);
     if (spec.omega_mode == OmegaMode::kAdaptive) {
       for (size_t i = 0; i < n; ++i) {
-        omega_[i] = AdaptiveOmega(consumer_satisfaction,
-                                  registry.provider(kn[i]).satisfaction());
+        omega_[i] = AdaptiveOmega(
+            consumer_satisfaction,
+            registry.hot().Satisfaction(static_cast<uint32_t>(kn[i])));
       }
     } else {
       for (size_t i = 0; i < n; ++i) omega_[i] = spec.fixed_omega;
@@ -424,22 +429,21 @@ void ScoreKernel::ProviderIntentions(
     const Mediator& mediator, const model::Query& query,
     std::span<const model::ProviderId> providers, IntentionList* out) {
   SBQA_CHECK(out != nullptr);
-  const Registry& registry = mediator.registry();
+  const ProviderHotState& hot = mediator.registry().hot();
   const double now = mediator.now();
   out->clear();
   out->reserve(providers.size());
   if (kind_ == ScoreKernelKind::kExact) {
     for (model::ProviderId p : providers) {
-      out->push_back(registry.provider(p).ComputeIntention(query, now));
+      out->push_back(hot.Intention(static_cast<uint32_t>(p), query, now));
     }
     return;
   }
   for (model::ProviderId p : providers) {
-    const Provider& provider = registry.provider(p);
+    const auto slot = static_cast<uint32_t>(p);
     out->push_back(BatchedProviderIntention(
-        provider.params().policy_kind, provider.params().psi,
-        provider.preferences().Get(query.consumer),
-        provider.UtilizationNorm(now)));
+        hot.policy_kind(slot), hot.psi(slot),
+        hot.Preference(slot, query.consumer), hot.UtilizationNorm(slot, now)));
   }
 }
 

@@ -205,15 +205,17 @@ struct Engine::Impl final : core::MediationObserver {
     EngineSnapshot snapshot;
     snapshot.now = runtime->now();
     snapshot.providers.reserve(registry.provider_count());
+    const core::ProviderHotState& hot = registry.hot();
     for (const core::Provider& p : registry.providers()) {
+      const uint32_t slot = p.hot_slot();
       ProviderSnapshot row;
       row.id = p.id();
-      row.label = p.params().label;
-      row.alive = p.alive();
-      row.satisfaction = p.satisfaction();
-      row.adequation = p.satisfaction_tracker().adequation();
-      row.instances_performed = p.instances_performed();
-      row.busy_seconds = p.busy_seconds();
+      row.label = p.label();
+      row.alive = hot.alive(slot);
+      row.satisfaction = hot.Satisfaction(slot);
+      row.adequation = hot.Adequation(slot);
+      row.instances_performed = hot.instances_performed(slot);
+      row.busy_seconds = hot.busy_seconds(slot);
       snapshot.providers.push_back(std::move(row));
     }
     snapshot.consumers.reserve(registry.consumer_count());
@@ -312,7 +314,7 @@ void Engine::SetProviderPreference(model::ProviderId provider,
   Impl& impl = *impl_;
   std::lock_guard<std::mutex> lifecycle(impl.lifecycle_mu);
   impl.RunQuiescent([&] {
-    impl.registry.provider(provider).preferences().Set(consumer, preference);
+    impl.registry.SetProviderPreference(provider, consumer, preference);
   });
 }
 

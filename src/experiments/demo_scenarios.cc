@@ -95,11 +95,10 @@ ScenarioConfig Scenario7Config(uint64_t seed) {
     }
     // The guest volunteer is the last provider: an Einstein@home devotee
     // (project index 2) who dislikes everything else.
-    core::Provider& guest_volunteer =
-        registry->provider(population.volunteers.back());
+    const model::ProviderId guest_volunteer = population.volunteers.back();
     for (size_t j = 0; j < population.projects.size(); ++j) {
-      guest_volunteer.preferences().Set(
-          population.projects[j],
+      registry->SetProviderPreference(
+          guest_volunteer, population.projects[j],
           j == 2 ? 0.95 : rng->Uniform(-0.9, -0.6));
     }
   };

@@ -47,7 +47,7 @@ void Collector::Stream::OnProviderDeparted(model::ProviderId provider,
   // The departing provider is owned by the mediator's shard, so this read
   // stays within the single-writer discipline.
   departed_provider_satisfaction.push_back(
-      owner->registry_->provider(provider).satisfaction());
+      owner->registry_->hot().Satisfaction(static_cast<uint32_t>(provider)));
   if (!owner->shared_observers_.empty()) {
     Buffer(PendingEvent::Kind::kDeparted, now).provider = provider;
   }
@@ -187,15 +187,18 @@ void Collector::Snapshot() {
   series_.consumer_satisfaction.Add(now, c_n ? c_sat / c_n : 0.0);
   series_.consumer_adequation.Add(now, c_n ? c_adq / c_n : 0.0);
 
-  // Provider-side aggregates over alive providers.
+  // Provider-side aggregates over alive providers, read off the
+  // registry's hot block slot by slot.
+  const core::ProviderHotState& hot = registry_->hot();
   double p_sat = 0, p_adq = 0, backlog_sum = 0;
   std::vector<double> backlogs;
+  backlogs.reserve(hot.size());
   size_t p_alive = 0;
-  for (const core::Provider& p : registry_->providers()) {
-    if (!p.alive()) continue;
-    p_sat += p.satisfaction();
-    p_adq += p.satisfaction_tracker().adequation();
-    const double b = p.Backlog(now);
+  for (uint32_t slot = 0; slot < hot.size(); ++slot) {
+    if (!hot.alive(slot)) continue;
+    p_sat += hot.Satisfaction(slot);
+    p_adq += hot.Adequation(slot);
+    const double b = hot.Backlog(slot, now);
     backlog_sum += b;
     backlogs.push_back(b);
     ++p_alive;
@@ -257,20 +260,24 @@ RunSummary Collector::Summarize(double duration) const {
   double p_sat = 0, p_adq = 0, p_alloc = 0, busy = 0;
   double p_min = 1.0;
   size_t p_alive = 0;
+  const core::ProviderHotState& hot = registry_->hot();
   std::vector<double> busy_seconds;
   std::vector<double> instance_counts;
+  busy_seconds.reserve(hot.size());
+  instance_counts.reserve(hot.size());
   double p_sat_all = 0;
-  for (const core::Provider& p : registry_->providers()) {
-    busy_seconds.push_back(p.busy_seconds());
-    instance_counts.push_back(static_cast<double>(p.instances_performed()));
-    busy += p.busy_seconds();
-    if (!p.alive()) continue;
-    const double v = p.satisfaction();
+  for (uint32_t slot = 0; slot < hot.size(); ++slot) {
+    busy_seconds.push_back(hot.busy_seconds(slot));
+    instance_counts.push_back(
+        static_cast<double>(hot.instances_performed(slot)));
+    busy += hot.busy_seconds(slot);
+    if (!hot.alive(slot)) continue;
+    const double v = hot.Satisfaction(slot);
     p_sat += v;
     p_sat_all += v;
     p_min = std::min(p_min, v);
-    p_adq += p.satisfaction_tracker().adequation();
-    p_alloc += p.satisfaction_tracker().allocation_satisfaction();
+    p_adq += hot.Adequation(slot);
+    p_alloc += hot.AllocationSatisfaction(slot);
     ++p_alive;
   }
   for (const auto& stream : streams_) {
@@ -381,19 +388,19 @@ std::vector<ParticipantSnapshot> Collector::ProviderSnapshots() const {
   std::vector<ParticipantSnapshot> out;
   out.reserve(registry_->provider_count());
   const double now = sims_.front()->now();
+  const core::ProviderHotState& hot = registry_->hot();
   for (const core::Provider& p : registry_->providers()) {
+    const uint32_t slot = p.hot_slot();
     ParticipantSnapshot snap;
     snap.id = p.id();
-    snap.label = p.params().label;
-    snap.alive = p.alive();
-    snap.satisfaction = p.satisfaction();
-    snap.adequation = p.satisfaction_tracker().adequation();
-    snap.allocation_satisfaction =
-        p.satisfaction_tracker().allocation_satisfaction();
-    snap.interactions =
-        static_cast<int64_t>(p.satisfaction_tracker().proposal_count());
-    snap.performed = p.instances_performed();
-    snap.busy_fraction = now > 0 ? p.busy_seconds() / now : 0.0;
+    snap.label = p.label();
+    snap.alive = hot.alive(slot);
+    snap.satisfaction = hot.Satisfaction(slot);
+    snap.adequation = hot.Adequation(slot);
+    snap.allocation_satisfaction = hot.AllocationSatisfaction(slot);
+    snap.interactions = static_cast<int64_t>(hot.proposal_count(slot));
+    snap.performed = hot.instances_performed(slot);
+    snap.busy_fraction = now > 0 ? hot.busy_seconds(slot) / now : 0.0;
     out.push_back(std::move(snap));
   }
   return out;

@@ -117,9 +117,9 @@ TEST(BuildPopulationTest, MaliciousFractionRoughlyRespected) {
   BuildPopulation(spec, &registry, &rng);
   int malicious = 0;
   for (const core::Provider& p : registry.providers()) {
-    if (p.params().error_rate > 0) {
+    if (p.error_rate() > 0) {
       ++malicious;
-      EXPECT_DOUBLE_EQ(p.params().error_rate, 0.5);
+      EXPECT_DOUBLE_EQ(p.error_rate(), 0.5);
     }
   }
   EXPECT_NEAR(malicious, 200, 50);

@@ -1,6 +1,8 @@
 // Zero-allocation regression test for the decision hot path: once the
 // kernel's SoA planes and the pooled decision vectors are warm, Allocate
-// must not touch the heap under either scoring kernel. The counting
+// must not touch the heap under either scoring kernel — nor must a whole
+// query cycle through the registry's hot block (decision, dispatch with
+// proposal recording, arrival, completion). The counting
 // allocator replaces global new/delete for this binary (one TU only), so
 // keep this test out of the sanitizer ctest filters — sanitizer runtimes
 // allocate on their own schedule.
@@ -134,6 +136,50 @@ TEST(ScoreKernelAllocTest, IndexBackedWideDecisionAllocatesNothing) {
     EXPECT_EQ(util::AllocationCount() - before, 0u)
         << "kernel " << ToString(kind);
     EXPECT_EQ(h.decision.consulted.size(), 128u);
+  }
+}
+
+TEST(ScoreKernelAllocTest, WarmQueryCycleAllocatesNothing) {
+  // One query's cycle on the hot block: the decision gathers the consulted
+  // providers' planes, Dispatch records the proposal into each consulted
+  // provider's arena window, the arrival enqueues on the selected ones and
+  // the completion updates their counters. Once the pools and scratch
+  // buffers are warm, a cycle must not touch the heap.
+  for (ScoreKernelKind kind :
+       {ScoreKernelKind::kExact, ScoreKernelKind::kBatched}) {
+    AllocHarness h(64, kind);
+    SbqaParams params;
+    params.knbest = KnBestParams{16, 8};
+    params.scoring_kernel = kind;
+    MediatorConfig config;
+    config.scoring_kernel = kind;
+    Mediator mediator(h.simulation.get(), &h.registry, h.reputation.get(),
+                      std::make_unique<SbqaMethod>(params), config);
+    const auto pump = [&](int queries) {
+      for (int i = 0; i < queries; ++i) {
+        model::Query query;
+        query.id = ++h.next_id;
+        query.consumer = 0;
+        query.n_results = 2;
+        query.cost = 0.5;
+        mediator.SubmitQuery(query);
+        h.simulation->RunFor(0.05);
+      }
+      h.simulation->RunFor(600.0);  // drain: every instance completes
+    };
+    pump(300);
+    const int64_t performed_before = mediator.stats().instances_completed;
+    const uint64_t before = util::AllocationCount();
+    pump(200);
+    EXPECT_EQ(util::AllocationCount() - before, 0u)
+        << "kernel " << ToString(kind);
+    EXPECT_EQ(mediator.inflight_count(), 0u);
+    EXPECT_EQ(mediator.stats().instances_completed - performed_before, 400);
+    size_t proposals = 0;
+    for (uint32_t slot = 0; slot < h.registry.hot().size(); ++slot) {
+      proposals += h.registry.hot().proposal_count(slot);
+    }
+    EXPECT_GT(proposals, 0u);
   }
 }
 

@@ -210,10 +210,19 @@ TEST(JoinTest, VolunteersJoinAtConfiguredRate) {
   EXPECT_NEAR(static_cast<double>(joins.joined()), 50.0, 25.0);
   EXPECT_EQ(registry.provider_count(), 20u + static_cast<size_t>(joins.joined()));
   EXPECT_EQ(reputation.size(), registry.provider_count());
-  // Newcomers have popularity-driven preferences for every project.
+  // Newcomers have popularity-driven preferences for every project: each
+  // lies in the interested or the uninterested draw range, neither of
+  // which holds the unset default 0.
+  const boinc::VolunteerPopulationSpec& vols = spec.volunteers;
   for (model::ProviderId id : joins.joined_ids()) {
     for (model::ConsumerId project : built.projects) {
-      EXPECT_TRUE(registry.provider(id).preferences().Has(project));
+      const double pref = registry.provider(id).preferences().Get(project);
+      const bool interested = pref >= vols.interested_pref_min &&
+                              pref <= vols.interested_pref_max;
+      const bool uninterested = pref >= vols.uninterested_pref_min &&
+                                pref <= vols.uninterested_pref_max;
+      EXPECT_TRUE(interested || uninterested)
+          << "provider " << id << " project " << project << ": " << pref;
     }
   }
 }
