@@ -6,23 +6,22 @@
 ///    faithful replica of the seed engine — std::function callbacks, one
 ///    priority_queue entry carrying the closure, an unordered_set for
 ///    lazy cancellation — and (b) the EventFn + slot-versioned pool
-///    engine that replaced it.
-/// 2. Pending-depth sweep: the 4-ary heap vs the ladder queue behind the
-///    unified timer core, at standing event depths 1k -> 1M. The heap pays
-///    O(log n) per operation against the standing depth; the ladder is
-///    amortized O(1), which is the whole point of carrying it — the gate
-///    requires the ladder to match the heap at shallow depths and beat it
-///    >= 3x at million-event depth, at zero allocations per event.
-/// 3. Batched dispatch: same-destination fan-in through the Network's
-///    per-(destination, tick) batches — scheduler events consumed per
-///    message as the fan-in rate grows (1 / 8 / 64 msgs per ms, the sweep
-///    behind the delivery_batch_tick default documented in src/sim/README).
-/// 4. End-to-end: the 800-volunteer demo scenario (the BENCH_scaling.json
+///    engine that replaced it. The replica's rows double as the machine
+///    speed reference the CI gate normalizes by.
+/// 2. Pending-depth sweep, at standing event depths 1k -> 1M: the ladder
+///    queue against the 4-ary reference heap (util/event_heap.h) as raw
+///    structures, and the ladder through the full sim::Scheduler. The
+///    heap pays O(log n) per operation against the standing depth; the
+///    ladder is amortized O(1), which is the whole point of carrying it —
+///    the gate requires the raw ladder to match the heap at shallow
+///    depths and beat it >= 3x at million-event depth, at zero
+///    allocations per event.
+/// 3. End-to-end: the 800-volunteer demo scenario (the BENCH_scaling.json
 ///    `end_to_end` configuration) — wall time, ns per finalized query and
 ///    steady-state heap allocations per query (counting allocator; the
 ///    committed number must be zero).
 ///
-/// The JSON dump (BENCH_event_engine.json) records all four layers plus
+/// The JSON dump (BENCH_event_engine.json) records all three layers plus
 /// the committed BENCH_scaling.json baseline for the regression gate in CI.
 
 #include <atomic>
@@ -40,10 +39,9 @@
 #include "core/registry.h"
 #include "core/sbqa.h"
 #include "model/reputation.h"
-#include "sim/latency.h"
-#include "sim/network.h"
 #include "sim/scheduler.h"
 #include "sim/simulation.h"
+#include "util/event_heap.h"
 
 #include "util/counting_alloc.h"
 
@@ -119,10 +117,9 @@ struct EngineRow {
 
 /// Depth-sweep flavour of MeasureEngine: same standing-depth shape, but
 /// the event body is a trivial counter bump, so the measurement is
-/// dominated by the scheduling machinery instead of closure construction
-/// and callback work. The common per-event overhead (slot pool, EventFn
-/// moves, dispatch) is identical between the two queue kinds by
-/// construction.
+/// dominated by the scheduling machinery (slot pool, EventFn moves,
+/// dispatch, the ladder) instead of closure construction and callback
+/// work.
 template <typename ScheduleFn, typename RunUntilFn>
 EngineRow MeasureQueueDepth(ScheduleFn&& schedule, RunUntilFn&& run_until,
                             size_t depth) {
@@ -157,7 +154,7 @@ EngineRow MeasureQueueDepth(ScheduleFn&& schedule, RunUntilFn&& run_until,
 }
 
 /// Raw-structure flavour: drives the two priority structures themselves
-/// (util::LadderQueue vs util::TimerCore::EventHeap, bare 16-byte
+/// (util::LadderQueue vs the reference util::EventHeap, bare 16-byte
 /// entries, no pool and no callbacks) through the same standing-depth
 /// workload. This is where the asymptotic difference is visible
 /// undiluted — the heap's sift cost grows with the standing depth, the
@@ -253,13 +250,11 @@ struct E2eRow {
   double mean_rt = 0;
 };
 
-E2eRow RunEndToEnd(const char* label, size_t volunteers, double duration,
-                   double batch_tick) {
+E2eRow RunEndToEnd(const char* label, size_t volunteers, double duration) {
   experiments::ScenarioConfig config = experiments::WithCaptiveEnvironment(
       experiments::BaseDemoConfig(/*seed=*/42, volunteers, duration));
   config.method =
       experiments::MethodSpec::Sbqa(experiments::DefaultSbqaParams());
-  config.sim.delivery_batch_tick = batch_tick;
   // Best-of-3 wall time: the simulation is deterministic, so run-to-run
   // spread is pure scheduler/machine noise and the minimum is the honest
   // cost.
@@ -373,10 +368,10 @@ double ReadScalingBaselineWallMs(const char* path) {
 
 int main() {
   bench::PrintHeader(
-      "Event-engine bench: allocation-free scheduler, batching, end-to-end",
+      "Event-engine bench: allocation-free scheduler, queue depth, end-to-end",
       "Seed-engine replica (std::function + unordered_set) vs EventFn SBO +\n"
-      "slot-versioned pool; batched dispatch; 800-volunteer wall time and\n"
-      "steady-state allocations per query.");
+      "slot-versioned pool; ladder vs reference heap by standing depth;\n"
+      "800-volunteer wall time and steady-state allocations per query.");
 
   // 1. Raw scheduler.
   util::TextTable engine_table;
@@ -409,11 +404,12 @@ int main() {
   }
   std::printf("%s\n", engine_table.ToString().c_str());
 
-  // 2. Pending-depth sweep: heap vs ladder (same timer core, same slot
-  // pool, same (when, seq) pop order — only the priority structure
-  // differs) with 1k -> 1M far-future events standing in the queue while
-  // the due traffic churns. This is the tentpole measurement: the heap's
-  // per-event cost grows with the standing depth, the ladder's does not.
+  // 2. Pending-depth sweep with 1k -> 1M far-future events standing in the
+  // queue while the due traffic churns: the raw ladder against the raw
+  // reference heap (same (when, key) pop order — only the priority
+  // structure differs), then the ladder through the full scheduler. The
+  // heap's per-event cost grows with the standing depth, the ladder's
+  // does not.
   util::TextTable depth_table;
   depth_table.SetHeader(
       {"layer", "queue", "depth", "events/sec", "allocs/event", "vs.heap"});
@@ -424,6 +420,8 @@ int main() {
     EngineRow row;
   };
   std::vector<DepthResult> depth_sweep;
+  // `heap_rate` is the raw heap's rate at the same depth; the scheduler
+  // row has no heap of its own to compare with and passes 0.
   const auto add_depth_row = [&](const char* layer, const char* engine,
                                  size_t depth, const EngineRow& row,
                                  double heap_rate) {
@@ -433,12 +431,12 @@ int main() {
          util::FormatDouble(row.events_per_sec / 1e6, 1) + "M",
          util::FormatDouble(row.allocs_per_event, 2),
          heap_rate <= 0
-             ? "1.00x"
+             ? "-"
              : util::StrFormat("%.2fx", row.events_per_sec / heap_rate)});
   };
   for (size_t depth : {1000u, 10000u, 100000u, 1000000u}) {
     // Raw structures: bare entries, the gated layer.
-    util::TimerCore::EventHeap raw_heap;
+    util::EventHeap raw_heap;
     const EngineRow raw_heap_row = MeasureRawQueue(
         [&raw_heap](double when, uint64_t key) {
           raw_heap.push(util::LadderQueue::Entry{when, key});
@@ -467,83 +465,32 @@ int main() {
           return n;
         },
         depth);
-    add_depth_row("structure", "heap", depth, raw_heap_row, 0);
+    add_depth_row("structure", "heap", depth, raw_heap_row,
+                  raw_heap_row.events_per_sec);
     add_depth_row("structure", "ladder", depth, raw_ladder_row,
                   raw_heap_row.events_per_sec);
     // Full scheduler: the same sweep through sim::Scheduler (slot pool +
-    // EventFn dispatch around the queue) — what consumers actually feel.
-    double heap_rate = 0;
-    for (const sim::SchedulerKind kind :
-         {sim::SchedulerKind::kHeap, sim::SchedulerKind::kLadder}) {
-      sim::Scheduler scheduler(kind);
-      const EngineRow row = MeasureQueueDepth(
-          [&scheduler](double d, auto cb) {
-            scheduler.Schedule(d, std::move(cb));
-          },
-          [&scheduler](double t) { return scheduler.RunUntil(t); }, depth);
-      const bool is_heap = kind == sim::SchedulerKind::kHeap;
-      if (is_heap) heap_rate = row.events_per_sec;
-      add_depth_row("scheduler", is_heap ? "heap" : "ladder", depth, row,
-                    is_heap ? 0 : heap_rate);
-    }
+    // EventFn dispatch around the ladder) — what consumers actually feel.
+    sim::Scheduler scheduler;
+    const EngineRow scheduler_row = MeasureQueueDepth(
+        [&scheduler](double d, auto cb) {
+          scheduler.Schedule(d, std::move(cb));
+        },
+        [&scheduler](double t) { return scheduler.RunUntil(t); }, depth);
+    add_depth_row("scheduler", "ladder", depth, scheduler_row, 0);
   }
   std::printf("%s\n", depth_table.ToString().c_str());
 
-  // 3. Batched dispatch: fan-in of `burst` same-destination messages per
-  // simulated millisecond through a 1 ms batch tick.
-  util::TextTable batch_table;
-  batch_table.SetHeader({"burst/ms", "messages", "scheduler.events",
-                         "coalesced", "events/msg"});
-  struct BatchResult {
-    size_t burst;
-    uint64_t messages;
-    uint64_t events;
-    uint64_t coalesced;
-  };
-  std::vector<BatchResult> batches;
-  for (size_t burst : {1u, 8u, 64u}) {
-    sim::Scheduler scheduler;
-    sim::NetworkConfig net_config;
-    net_config.batch_tick = 0.001;
-    sim::Network net(&scheduler, util::Rng(11),
-                     std::make_unique<sim::ConstantLatency>(0.0004),
-                     net_config);
-    const sim::Network::Destination inbox = net.RegisterDestination();
-    uint64_t sink = 0;
-    const uint64_t events_before = scheduler.executed();
-    for (int tick = 0; tick < 1000; ++tick) {
-      for (size_t i = 0; i < burst; ++i) {
-        net.SendTo(inbox, [&sink] { ++sink; });
-      }
-      scheduler.RunFor(0.001);
-    }
-    scheduler.Run();
-    batches.push_back({burst, net.messages_sent(),
-                       scheduler.executed() - events_before,
-                       net.messages_coalesced()});
-    batch_table.AddRow(
-        {util::StrFormat("%zu", burst),
-         util::StrFormat("%llu", (unsigned long long)net.messages_sent()),
-         util::StrFormat("%llu",
-                         (unsigned long long)(scheduler.executed() -
-                                              events_before)),
-         util::StrFormat("%llu", (unsigned long long)net.messages_coalesced()),
-         util::FormatDouble(
-             static_cast<double>(scheduler.executed() - events_before) /
-                 static_cast<double>(net.messages_sent()),
-             2)});
-  }
-  std::printf("%s\n", batch_table.ToString().c_str());
-
-  // 4. End-to-end + allocations.
+  // 3. End-to-end + allocations.
   const size_t volunteers = bench::EnvOr("SBQA_BENCH_VOLUNTEERS", 800);
   const double duration =
       static_cast<double>(bench::EnvOr("SBQA_BENCH_DURATION", 300));
   const double baseline_wall = ReadScalingBaselineWallMs("BENCH_scaling.json");
 
   std::vector<E2eRow> e2e;
-  e2e.push_back(RunEndToEnd("exact", volunteers, duration, 0.0));
-  e2e.push_back(RunEndToEnd("batched_1ms", volunteers, duration, 0.001));
+  // The CI gate and the committed baseline find the end-to-end row by its
+  // "exact" (per-message delivery) label.
+  e2e.push_back(RunEndToEnd("exact", volunteers, duration));
 
   const AllocRow allocs = MeasureQueryAllocations(volunteers);
 
@@ -596,20 +543,6 @@ int main() {
       json.Field("depth", r.depth);
       json.Field("events_per_sec", r.row.events_per_sec, 0);
       json.Field("allocs_per_event", r.row.allocs_per_event, 3);
-      json.EndObject();
-    }
-    json.EndArray();
-    json.BeginArray("batching");
-    for (const auto& b : batches) {
-      json.BeginObject();
-      json.Field("burst_per_ms", b.burst);
-      json.Field("messages", b.messages);
-      json.Field("scheduler_events", b.events);
-      json.Field("messages_coalesced", b.coalesced);
-      json.Field("events_per_message",
-                 static_cast<double>(b.events) /
-                     static_cast<double>(b.messages),
-                 3);
       json.EndObject();
     }
     json.EndArray();

@@ -8,7 +8,6 @@
 ///            [--volunteers=N] [--duration=S] [--seed=N]
 ///            [--env=captive|autonomous] [--mediators=N] [--shards=N]
 ///            [--k=N] [--kn=N] [--omega=adaptive|0..1]
-///            [--score-kernel=batched|exact]
 ///            [--fault-profile=none|drops|delays|crashes|chaos]
 ///            [--fault-seed=N] [--deadline-ms=N] [--max-retries=N]
 ///            [--churn] [--joins] [--charts] [--json] [--list-methods]
@@ -27,12 +26,18 @@
 /// exits; --json replaces the tables with a machine-readable run summary
 /// on stdout (comparison pipelines diff/plot it directly), including the
 /// terminal-outcome taxonomy, fault counters and the per-phase decision
-/// timings of the scoring kernel selected by --score-kernel.
+/// timings of the scoring kernel. A numeric flag must parse whole (no
+/// trailing characters, no sign on counts) and --omega must lie in
+/// [0, 1]; anything else prints the usage and exits 2.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "experiments/demo_scenarios.h"
 #include "experiments/report.h"
@@ -54,8 +59,8 @@ struct Flags {
   size_t shards = 1;
   size_t k = 20;
   size_t kn = 8;
-  std::string omega = "adaptive";
-  std::string score_kernel = "batched";
+  bool adaptive_omega = true;
+  double omega = 0;  ///< fixed omega, used when !adaptive_omega
   std::string fault_profile = "none";
   uint64_t fault_seed = 1;
   double deadline_ms = 0;
@@ -75,6 +80,22 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
+/// Parses all of `text` as one T: false on an empty string, trailing
+/// characters, a sign on an unsigned type, an out-of-range value or a
+/// non-finite double. *out is untouched on failure.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  *out = value;
+  return true;
+}
+
 int Usage() {
   std::fprintf(
       stderr,
@@ -84,7 +105,6 @@ int Usage() {
       "                [--env=captive|autonomous] [--mediators=N]\n"
       "                [--shards=N]\n"
       "                [--k=N] [--kn=N] [--omega=adaptive|0..1]\n"
-      "                [--score-kernel=batched|exact]\n"
       "                [--fault-profile=%s]\n"
       "                [--fault-seed=N] [--deadline-ms=N] [--max-retries=N]\n"
       "                [--churn] [--joins] [--charts] [--json]\n"
@@ -112,9 +132,9 @@ experiments::MethodSpec MakeSpec(const Flags& flags) {
   // Apply the tuning flags where the technique takes them.
   core::SbqaParams sbqa_params = experiments::DefaultSbqaParams();
   sbqa_params.knbest = core::KnBestParams{flags.k, flags.kn};
-  if (flags.omega != "adaptive") {
+  if (!flags.adaptive_omega) {
     sbqa_params.omega_mode = core::OmegaMode::kFixed;
-    sbqa_params.fixed_omega = std::atof(flags.omega.c_str());
+    sbqa_params.fixed_omega = flags.omega;
   }
   if (flags.method == "sbqa") {
     spec = experiments::MethodSpec::Sbqa(sbqa_params);
@@ -131,36 +151,38 @@ int main(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    bool ok = true;
     if (ParseFlag(argv[i], "--method", &value)) {
       flags.method = value;
     } else if (ParseFlag(argv[i], "--volunteers", &value)) {
-      flags.volunteers = static_cast<size_t>(std::atoll(value.c_str()));
+      ok = ParseWhole(value, &flags.volunteers);
     } else if (ParseFlag(argv[i], "--duration", &value)) {
-      flags.duration = std::atof(value.c_str());
+      ok = ParseWhole(value, &flags.duration);
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      flags.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseWhole(value, &flags.seed);
     } else if (ParseFlag(argv[i], "--env", &value)) {
       flags.env = value;
     } else if (ParseFlag(argv[i], "--mediators", &value)) {
-      flags.mediators = static_cast<size_t>(std::atoll(value.c_str()));
+      ok = ParseWhole(value, &flags.mediators);
     } else if (ParseFlag(argv[i], "--shards", &value)) {
-      flags.shards = static_cast<size_t>(std::atoll(value.c_str()));
+      ok = ParseWhole(value, &flags.shards);
     } else if (ParseFlag(argv[i], "--k", &value)) {
-      flags.k = static_cast<size_t>(std::atoll(value.c_str()));
+      ok = ParseWhole(value, &flags.k);
     } else if (ParseFlag(argv[i], "--kn", &value)) {
-      flags.kn = static_cast<size_t>(std::atoll(value.c_str()));
+      ok = ParseWhole(value, &flags.kn);
     } else if (ParseFlag(argv[i], "--omega", &value)) {
-      flags.omega = value;
-    } else if (ParseFlag(argv[i], "--score-kernel", &value)) {
-      flags.score_kernel = value;
+      flags.adaptive_omega = value == "adaptive";
+      ok = flags.adaptive_omega ||
+           (ParseWhole(value, &flags.omega) && flags.omega >= 0 &&
+            flags.omega <= 1);
     } else if (ParseFlag(argv[i], "--fault-profile", &value)) {
       flags.fault_profile = value;
     } else if (ParseFlag(argv[i], "--fault-seed", &value)) {
-      flags.fault_seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseWhole(value, &flags.fault_seed);
     } else if (ParseFlag(argv[i], "--deadline-ms", &value)) {
-      flags.deadline_ms = std::atof(value.c_str());
+      ok = ParseWhole(value, &flags.deadline_ms);
     } else if (ParseFlag(argv[i], "--max-retries", &value)) {
-      flags.max_retries = std::atoi(value.c_str());
+      ok = ParseWhole(value, &flags.max_retries);
     } else if (std::strcmp(argv[i], "--churn") == 0) {
       flags.churn = true;
     } else if (std::strcmp(argv[i], "--joins") == 0) {
@@ -174,6 +196,7 @@ int main(int argc, char** argv) {
     } else {
       return Usage();
     }
+    if (!ok) return Usage();
   }
   if (flags.volunteers == 0 || flags.duration <= 0 || flags.mediators == 0 ||
       flags.shards == 0 || flags.deadline_ms < 0 || flags.max_retries < 0) {
@@ -187,12 +210,6 @@ int main(int argc, char** argv) {
                : experiments::WithCaptiveEnvironment(config);
   config.mediator_count = flags.mediators;
   config.sim.shard_count = static_cast<uint32_t>(flags.shards);
-  if (!core::ScoreKernelKindFromName(flags.score_kernel,
-                                     &config.sim.scoring_kernel)) {
-    std::fprintf(stderr, "unknown score kernel: %s (known: batched, exact)\n",
-                 flags.score_kernel.c_str());
-    return 2;
-  }
   // The JSON summary carries the per-phase decision timings.
   config.sim.decision_timing = flags.json;
   config.method = MakeSpec(flags);

@@ -9,15 +9,12 @@
 ///
 ///   sbqa_serve [--queries=N] [--rate=Q_PER_S] [--providers=N]
 ///              [--shards=N] [--method=NAME] [--seed=N]
-///              [--score-kernel=batched|exact]
 ///              [--fault-profile=none|drops|delays|crashes|chaos]
 ///              [--deadline-ms=N] [--max-retries=N] [--max-pending=N]
 ///              [--json]
 ///
-/// --score-kernel selects the decision-path scoring kernel (the batched
-/// SoA planes by default; exact = the per-candidate std::pow pipeline);
 /// --json replaces the human report with a machine-readable summary that
-/// includes the kernel name and its per-phase decision timings.
+/// includes the per-phase decision timings of the scoring kernel.
 ///
 /// The robustness flags exercise the hardened lifecycle under live
 /// traffic: --fault-profile interposes the deterministic fault plane,
@@ -57,7 +54,6 @@ struct Flags {
   int shards = 1;
   std::string method = "sbqa";
   uint64_t seed = 42;
-  std::string score_kernel = "batched";
   std::string fault_profile = "none";
   double deadline_ms = 0;
   int max_retries = 0;
@@ -92,8 +88,6 @@ int main(int argc, char** argv) {
       flags.method = value;
     } else if (ParseFlag(argv[i], "--seed", &value)) {
       flags.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
-    } else if (ParseFlag(argv[i], "--score-kernel", &value)) {
-      flags.score_kernel = value;
     } else if (ParseFlag(argv[i], "--fault-profile", &value)) {
       flags.fault_profile = value;
     } else if (ParseFlag(argv[i], "--deadline-ms", &value)) {
@@ -108,7 +102,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: sbqa_serve [--queries=N] [--rate=Q_PER_S] "
                    "[--providers=N] [--shards=N] [--method=NAME] [--seed=N]\n"
-                   "                  [--score-kernel=batched|exact]\n"
                    "                  [--fault-profile=%s]\n"
                    "                  [--deadline-ms=N] [--max-retries=N] "
                    "[--max-pending=N] [--json]\n",
@@ -134,12 +127,6 @@ int main(int argc, char** argv) {
   options.mode = EngineMode::kWallClock;
   options.seed = flags.seed;
   options.method = flags.method;
-  if (!core::ScoreKernelKindFromName(flags.score_kernel,
-                                     &options.scoring_kernel)) {
-    std::fprintf(stderr, "unknown score kernel: %s (known: batched, exact)\n",
-                 flags.score_kernel.c_str());
-    return 2;
-  }
   // The JSON summary carries the per-phase decision timings.
   options.decision_timing = flags.json;
   options.shards = static_cast<uint32_t>(flags.shards);
@@ -283,7 +270,6 @@ int main(int argc, char** argv) {
   const EngineStats stats = engine.Stats();
   if (flags.json) {
     const core::ScoreKernelPhases phases = engine.DecisionPhases();
-    const std::string kernel = engine.ScoringKernelName();
     engine.Stop();
     std::printf("{\n");
     std::printf("  \"queries\": %ld,\n", flags.queries);
@@ -299,7 +285,6 @@ int main(int argc, char** argv) {
                 steady_queries > 0 ? static_cast<double>(steady_allocs) /
                                          static_cast<double>(steady_queries)
                                    : 0.0);
-    std::printf("  \"scoring_kernel\": \"%s\",\n", kernel.c_str());
     std::printf("  \"decisions_timed\": %lld,\n",
                 static_cast<long long>(phases.decisions));
     std::printf("  \"decision_sample_ns\": %.0f,\n", phases.sample_ns);

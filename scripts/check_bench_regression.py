@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Bench regression gates for CI.
 
-Two modes:
+Five modes:
 
 --mode event_engine (default): compares a freshly measured
 BENCH_event_engine.json against the baseline committed in the repository

@@ -223,8 +223,7 @@ void Mediator::SubmitQuery(model::Query query) {
   query.issued_at = rt_->now();
   ++stats_.queries_submitted;
   registry_->consumer(query.consumer).OnQueryIssued();
-  // Consumer -> mediator hop (batched into the mediator's inbox when the
-  // network runs in batching mode).
+  // Consumer -> mediator hop, into the mediator's inbox.
   if (config_.simulate_network) {
     rt_->SendTo(inbox_, [this, query] { OnQueryArrival(query); });
   } else {
@@ -450,7 +449,7 @@ void Mediator::Dispatch(InflightHandle h) {
   PushTimeout(std::min(rt_->now() + config_.query_timeout, f->abs_deadline),
               h, f->attempt);
 
-  // Mediator -> provider hops (batched per provider inbox when enabled).
+  // Mediator -> provider hops, one per selected provider's inbox.
   // Provider state is read and written through the registry's id-indexed
   // hot block from here to completion: no Provider object on the path.
   ProviderHotState& hot = registry_->hot();

@@ -89,9 +89,9 @@ struct MediatorConfig {
   double probe_delay = 30.0;
   /// Kernel backing the mediator's own intention computations (the
   /// normalization path when a method leaves the intention vectors empty,
-  /// and the dispatch path's single-candidate rescore). Stamped from one
-  /// master switch (SimulationConfig / EngineOptions) together with the
-  /// method's kernel.
+  /// and the dispatch path's single-candidate rescore). Set it together
+  /// with SbqaParams::scoring_kernel: kExact is the oracle that tests and
+  /// the scaling bench build, the batched default is what every run uses.
   ScoreKernelKind scoring_kernel = ScoreKernelKind::kBatched;
 };
 
@@ -252,7 +252,7 @@ class Mediator {
   void ApplyProviderDeparture(model::ProviderId provider);
 
   /// Grows the dense per-provider tables (load view, health, inflight
-  /// lists, batching destinations) to cover `provider` (inclusive), so a
+  /// lists, delivery destinations) to cover `provider` (inclusive), so a
   /// join's growth allocations happen at the barrier instead of on first
   /// contact mid-query. O(population) amortized, independent of the pool
   /// size. Must run on this mediator's shard context (or with its worker

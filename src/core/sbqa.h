@@ -42,8 +42,10 @@ struct SbqaParams {
   /// Equation 2 at cold start; providers start at the paper-mandated 0).
   double cold_start_consumer_satisfaction = 0.5;
   /// Which decision-path kernel scores Kn (see core/score_kernel.h): the
-  /// batched SoA planes by default, ScoreKernelKind::kExact for the seed's
-  /// bit-exact per-candidate std::pow pipeline.
+  /// batched SoA planes by default. ScoreKernelKind::kExact, the seed's
+  /// bit-exact per-candidate std::pow pipeline, is the differential
+  /// oracle that tests and the scaling bench build here; no run-level
+  /// option or flag selects it.
   ScoreKernelKind scoring_kernel = ScoreKernelKind::kBatched;
   /// Collect per-phase decision timings (sample / gather / intentions /
   /// score / rank ns) on the kernel. Off by default: two steady-clock

@@ -219,19 +219,6 @@ const char* ToString(ScoreKernelKind kind) {
   return "?";
 }
 
-bool ScoreKernelKindFromName(const std::string& name, ScoreKernelKind* out) {
-  SBQA_CHECK(out != nullptr);
-  if (name == "exact") {
-    *out = ScoreKernelKind::kExact;
-    return true;
-  }
-  if (name == "batched") {
-    *out = ScoreKernelKind::kBatched;
-    return true;
-  }
-  return false;
-}
-
 void ScoreKernelPhases::Clear() { *this = ScoreKernelPhases(); }
 
 void ScoreKernelPhases::Accumulate(const ScoreKernelPhases& other) {

@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/allocation_method.h"
@@ -62,10 +61,6 @@ enum class ScoreKernelKind {
 };
 
 const char* ToString(ScoreKernelKind kind);
-
-/// Parses "exact" / "batched" (case-sensitive); returns false and leaves
-/// *out untouched on any other spelling.
-bool ScoreKernelKindFromName(const std::string& name, ScoreKernelKind* out);
 
 /// Accumulated per-phase decision-path nanoseconds. Phases only accumulate
 /// while timing is enabled on the kernel; `decisions` counts every

@@ -351,9 +351,6 @@ void Engine::Start() {
   } else {
     experiments::MethodSpec spec;
     SBQA_CHECK(experiments::MethodSpecFromName(impl.options.method, &spec));
-    // One master switch for the run's scoring kernel (a custom_method keeps
-    // its own configuration).
-    spec.sbqa.scoring_kernel = impl.options.scoring_kernel;
     spec.sbqa.decision_timing = impl.options.decision_timing;
     wiring.make_method = [spec] { return experiments::MakeMethod(spec); };
   }
@@ -370,7 +367,6 @@ void Engine::Start() {
   config.max_retries = impl.options.max_retries;
   config.failure_threshold = impl.options.failure_threshold;
   config.probe_delay = impl.options.probe_delay;
-  config.scoring_kernel = impl.options.scoring_kernel;
   wiring.fault_plan = impl.options.fault_plan;
   impl.assembly = std::make_unique<experiments::Assembly>(std::move(wiring));
   for (core::Mediator* m : impl.assembly->mediators()) m->AddObserver(&impl);
@@ -500,14 +496,6 @@ std::vector<EngineShardStats> Engine::ShardStats() const {
   std::vector<EngineShardStats> rows;
   impl.RunQuiescent([&] { rows = impl.GatherShardStats(); });
   return rows;
-}
-
-std::string Engine::ScoringKernelName() const {
-  Impl& impl = *impl_;
-  std::lock_guard<std::mutex> lifecycle(impl.lifecycle_mu);
-  if (!impl.started) return "";
-  // The kernel kind is immutable after Start, so no quiescent point needed.
-  return impl.assembly->scoring_kernel();
 }
 
 core::ScoreKernelPhases Engine::DecisionPhases() const {

@@ -76,12 +76,6 @@ struct EngineOptions {
   /// Fully configured method instance (overrides `method`).
   std::unique_ptr<core::AllocationMethod> custom_method;
 
-  /// Decision-path scoring kernel (see core/score_kernel.h): the batched
-  /// SoA planes by default, ScoreKernelKind::kExact for the bit-exact
-  /// per-candidate std::pow pipeline. Stamped into both the method (when
-  /// built from `method`; a custom_method keeps its own configuration) and
-  /// the mediators' normalization/rescore kernel.
-  core::ScoreKernelKind scoring_kernel = core::ScoreKernelKind::kBatched;
   /// Collect per-phase decision timings (sample / gather / intentions /
   /// score / rank ns); read them via Engine::DecisionPhases(). Off by
   /// default (two steady-clock reads per phase).
@@ -356,9 +350,6 @@ class Engine {
   /// at shards = 1; empty in kSimulated), read at one barrier so the rows
   /// are a consistent cut. Thread-safe like Stats.
   std::vector<EngineShardStats> ShardStats() const;
-  /// Name of the decision-path scoring kernel ("exact" / "batched"; empty
-  /// before Start or when the method is not SbQA-based).
-  std::string ScoringKernelName() const;
   /// Accumulated per-phase decision timings, aggregated across shard
   /// mediators (zeros unless EngineOptions::decision_timing; `decisions`
   /// counts regardless). Call after Stop(), or from a quiescent point —

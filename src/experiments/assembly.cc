@@ -147,15 +147,6 @@ rt::FaultStats Assembly::fault_stats() const {
   return total;
 }
 
-std::string Assembly::scoring_kernel() const {
-  std::string name;
-  for (core::Mediator* mediator : all_) {
-    auto* sbqa = dynamic_cast<core::SbqaMethod*>(&mediator->method());
-    if (sbqa != nullptr) name = core::ToString(sbqa->kernel().kind());
-  }
-  return name;
-}
-
 core::ScoreKernelPhases Assembly::decision_phases() const {
   core::ScoreKernelPhases phases;
   for (core::Mediator* mediator : all_) {

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/allocation_method.h"
@@ -101,8 +100,6 @@ class Assembly final : private core::MembershipApplier {
   core::MediatorStats stats() const;
   /// Injector counters summed over every shard (zeros when unfaulted).
   rt::FaultStats fault_stats() const;
-  /// "exact" / "batched", or empty when the method is not SbQA-based.
-  std::string scoring_kernel() const;
   /// Per-phase decision timings accumulated over every mediator.
   core::ScoreKernelPhases decision_phases() const;
 

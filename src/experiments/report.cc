@@ -229,7 +229,6 @@ void AppendRunSummaryJson(const RunResult& result, int indent,
   obj.Field("membership_epochs", result.membership_epochs);
   obj.Field("membership_ops", result.membership_ops);
   obj.Field("membership_apply_seconds", result.membership_apply_seconds);
-  obj.Field("scoring_kernel", result.scoring_kernel);
   obj.Field("decisions_timed", result.decision_phases.decisions);
   obj.Field("decision_sample_ns", result.decision_phases.sample_ns);
   obj.Field("decision_gather_ns", result.decision_phases.gather_ns);

@@ -31,22 +31,12 @@ double QueryLifetimeBound(const ScenarioConfig& config) {
   return lifetime;
 }
 
-/// Stamps the run's one master scoring-kernel switch (sim.scoring_kernel /
-/// sim.decision_timing) into the method spec: the same run config always
-/// drives both the decision path and the mediator's normalization kernel.
+/// Stamps the run's decision-timing switch (sim.decision_timing) into the
+/// method spec.
 MethodSpec StampedMethod(const ScenarioConfig& config) {
   MethodSpec spec = config.method;
-  spec.sbqa.scoring_kernel = config.sim.scoring_kernel;
   spec.sbqa.decision_timing = config.sim.decision_timing;
   return spec;
-}
-
-/// The mediator half of the master switch (normalization path + dispatch
-/// rescore).
-core::MediatorConfig StampedMediator(const ScenarioConfig& config) {
-  core::MediatorConfig mediator = config.mediator;
-  mediator.scoring_kernel = config.sim.scoring_kernel;
-  return mediator;
 }
 
 }  // namespace
@@ -87,7 +77,7 @@ RunResult RunScenario(const ScenarioConfig& config) {
   wiring.group = std::max<size_t>(config.mediator_count, 1);
   const MethodSpec method = StampedMethod(config);
   wiring.make_method = [&method] { return MakeMethod(method); };
-  wiring.mediator = StampedMediator(config);
+  wiring.mediator = config.mediator;
   wiring.fault_plan = config.fault_plan;
   wiring.departure = config.departure;
   if (config.churn.enabled) {
@@ -235,7 +225,6 @@ RunResult RunScenario(const ScenarioConfig& config) {
   result.membership_epochs = registry.membership_epoch();
   result.membership_ops = registry.membership_ops_applied();
   result.membership_apply_seconds = shards.membership_apply_seconds();
-  result.scoring_kernel = assembly.scoring_kernel();
   result.decision_phases = assembly.decision_phases();
   return result;
 }

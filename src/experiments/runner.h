@@ -6,7 +6,6 @@
 /// returns the aggregated results. This is the single entry point used by
 /// the bench binaries, the examples and the integration tests.
 
-#include <string>
 #include <vector>
 
 #include "core/score_kernel.h"
@@ -29,11 +28,9 @@ struct RunResult {
   uint64_t membership_epochs = 0;
   uint64_t membership_ops = 0;
   double membership_apply_seconds = 0;
-  /// Decision-path telemetry: which scoring kernel ran ("exact"/"batched";
-  /// empty when the method is not SbQA-based) and the accumulated per-phase
-  /// nanoseconds (all zero unless sim.decision_timing was on; `decisions`
-  /// counts regardless). Sharded runs aggregate across shard mediators.
-  std::string scoring_kernel;
+  /// Decision-path telemetry: the accumulated per-phase nanoseconds (all
+  /// zero unless sim.decision_timing was on; `decisions` counts
+  /// regardless). Sharded runs aggregate across shard mediators.
   core::ScoreKernelPhases decision_phases;
 };
 

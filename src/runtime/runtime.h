@@ -83,8 +83,8 @@ class Runtime {
 
   /// Delivers `fn` to `destination` after one sampled one-way latency
   /// (zero in wall-clock runtimes: real traffic brings its own latency).
-  /// Deliveries to one destination preserve send order; they may be
-  /// batched and are not individually cancellable.
+  /// Each message is delivered on its own, at its own latency, and is not
+  /// cancellable.
   virtual void SendTo(Destination destination, TaskFn fn) = 0;
 
   /// Samples a one-way message latency without sending (the mediation

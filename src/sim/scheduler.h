@@ -10,14 +10,11 @@
 /// The scheduler is a thin clock-and-run loop over util::TimerCore, the
 /// unified timer engine shared with the wall-clock runtime: callbacks are
 /// EventFn (small-buffer, no heap for the simulator's closures) in a
-/// slot-versioned pool, ordered by the O(1) ladder queue by default —
-/// amortized constant Schedule/Step/Cancel even at million-event depths —
-/// with the 4-ary heap selectable (SchedulerKind::kHeap) for differential
-/// testing. Both kinds pop the identical (time, seq) sequence, so the
-/// choice never changes a trace. An EventId is the pool handle,
-/// (generation << 32) | slot; Cancel just releases the slot, leaving the
-/// queue entry to be discarded lazily on pop, and the generation makes a
-/// stale id from a recycled slot harmless.
+/// slot-versioned pool, ordered by the O(1) ladder queue — amortized
+/// constant Schedule/Step/Cancel even at million-event depths. An EventId
+/// is the pool handle, (generation << 32) | slot; Cancel just releases the
+/// slot, leaving the queue entry to be discarded lazily on pop, and the
+/// generation makes a stale id from a recycled slot harmless.
 
 #include <cstdint>
 
@@ -34,19 +31,13 @@ using Time = double;
 /// sentinel.
 using EventId = uint64_t;
 
-/// Which priority structure orders the event queue (see util::TimerCore):
-/// the O(1) ladder queue by default, the 4-ary heap as the differential-
-/// testing fallback. Pop order is bit-identical either way.
-using SchedulerKind = util::TimerQueueKind;
-
 /// Discrete-event scheduler with stable FIFO ordering among same-timestamp
 /// events, a slot-versioned event pool and lazy queue removal.
 class Scheduler {
  public:
   using Callback = util::EventFn;
 
-  explicit Scheduler(SchedulerKind kind = SchedulerKind::kLadder)
-      : core_(kind) {}
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -92,8 +83,6 @@ class Scheduler {
     return bound >= util::TimerCore::kNoDeadline ? kNoEvent : bound;
   }
   static constexpr Time kNoEvent = 1e300;
-  /// Which queue kind this scheduler runs on.
-  SchedulerKind kind() const { return core_.kind(); }
   /// Pending (non-cancelled) events.
   size_t pending() const { return core_.pending(); }
   /// Total events executed since construction.

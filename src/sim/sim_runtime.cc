@@ -37,11 +37,14 @@ void SimRuntime::Post(rt::TaskFn fn) {
 }
 
 rt::Destination SimRuntime::RegisterDestination() {
-  return sim_->network().RegisterDestination();
+  return next_destination_++;
 }
 
 void SimRuntime::SendTo(rt::Destination destination, rt::TaskFn fn) {
-  sim_->network().SendTo(destination, std::move(fn));
+  // One event per message at its exact sampled latency, whatever the
+  // destination (the fault plane is what tells destinations apart).
+  (void)destination;
+  sim_->network().Send(std::move(fn));
 }
 
 double SimRuntime::SampleLatency() { return sim_->network().SampleLatency(); }

@@ -20,7 +20,9 @@ namespace sbqa::sim {
 class Simulation;
 
 /// rt::Runtime over a Simulation's scheduler + network. Single-threaded,
-/// like the Simulation itself: Post is Schedule(0, fn).
+/// like the Simulation itself: Post is Schedule(0, fn), destinations are
+/// dense ids handed out in registration order, and SendTo is one
+/// Network::Send.
 class SimRuntime final : public rt::Runtime {
  public:
   /// `sim` must outlive the adapter.
@@ -40,6 +42,7 @@ class SimRuntime final : public rt::Runtime {
 
  private:
   Simulation* sim_;
+  rt::Destination next_destination_ = 0;
 };
 
 }  // namespace sbqa::sim

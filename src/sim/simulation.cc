@@ -19,10 +19,8 @@ std::unique_ptr<LatencyModel> MakeLatency(const SimulationConfig& config) {
 
 Simulation::Simulation(const SimulationConfig& config)
     : config_(config), rng_(config.seed) {
-  NetworkConfig net_config;
-  net_config.batch_tick = config.delivery_batch_tick;
   network_ = std::make_unique<Network>(&scheduler_, rng_.Split(),
-                                       MakeLatency(config), net_config);
+                                       MakeLatency(config));
 }
 
 Simulation::~Simulation() = default;

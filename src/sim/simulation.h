@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/score_kernel.h"
 #include "sim/scheduler.h"
 #include "sim/sim_runtime.h"
 #include "util/rng.h"
@@ -24,21 +23,6 @@ struct SimulationConfig {
   double latency_median = 0.020;  ///< one-way message latency median (s)
   double latency_sigma = 0.35;    ///< log-space spread; 0 = constant latency
   double latency_floor = 0.001;   ///< hard minimum latency (s)
-  /// Delivery quantization tick for batched destination-aware sends
-  /// (see NetworkConfig::batch_tick). 0 = exact per-message delivery —
-  /// the default, and the right one below ~10 same-destination messages
-  /// per tick (see src/sim/README.md for the measured sweep).
-  double delivery_batch_tick = 0.0;
-  /// Priority structure of the event queue: the O(1) ladder queue by
-  /// default, the 4-ary heap (SchedulerKind::kHeap) as the differential-
-  /// testing fallback. Traces are bit-identical either way.
-  SchedulerKind scheduler_kind = SchedulerKind::kLadder;
-  /// Decision-path scoring kernel: the batched SoA planes by default,
-  /// ScoreKernelKind::kExact for the seed's bit-exact per-candidate
-  /// std::pow pipeline. The experiment runner stamps this into both the
-  /// method's kernel and the mediator's normalization/rescore kernel, so
-  /// it is the one master switch for a run.
-  core::ScoreKernelKind scoring_kernel = core::ScoreKernelKind::kBatched;
   /// Collect per-phase decision timings (sample / gather / intentions /
   /// score / rank ns) on the method's kernel; surfaced through
   /// RunResult::decision_phases and the JSON report. Off by default (two
@@ -92,7 +76,7 @@ class Simulation {
  private:
   SimulationConfig config_;
   util::Rng rng_;
-  Scheduler scheduler_{config_.scheduler_kind};
+  Scheduler scheduler_;
   std::unique_ptr<Network> network_;
   SimRuntime runtime_{this};
 };

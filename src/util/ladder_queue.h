@@ -40,13 +40,14 @@
 ///
 /// Ordering contract (what the determinism gates depend on): entries are
 /// popped in strictly increasing (when, key) order — bit-identical to
-/// the 4-ary heap this replaces. Bucket boundaries are computed once per
-/// placement with the same monotone expression (start + k * width) that
-/// defines the consumption threshold, and placements are nudged until
-/// they agree with that expression, so floating-point rounding can never
-/// leave an entry on the wrong side of a boundary. Degenerate spans
-/// (width underflows at the magnitude of `start`) fall back to sorting
-/// into Bottom instead of spawning a rung.
+/// the 4-ary reference heap (util/event_heap.h) that the differential
+/// suite replays every fuzzed trace against. Bucket boundaries are
+/// computed once per placement with the same monotone expression
+/// (start + k * width) that defines the consumption threshold, and
+/// placements are nudged until they agree with that expression, so
+/// floating-point rounding can never leave an entry on the wrong side of
+/// a boundary. Degenerate spans (width underflows at the magnitude of
+/// `start`) fall back to sorting into Bottom instead of spawning a rung.
 ///
 /// Thread-compatibility: single owner context, like the SlotPool it sits
 /// next to.
@@ -67,7 +68,7 @@ class LadderQueue {
     uint64_t key;
   };
 
-  /// Strict (when, key) order shared with the heap fallback: any correct
+  /// Strict (when, key) order shared with the reference heap: any correct
   /// priority structure over it pops the exact same sequence.
   static bool Before(const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when < b.when;

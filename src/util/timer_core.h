@@ -6,9 +6,9 @@
 /// discrete-event scheduler (sim::Scheduler) and the live runtime
 /// (rt::WallClockRuntime) used to carry separate priority structures (a
 /// 4-ary heap and a hashed timer wheel); both now sit on this core, which
-/// pairs the slot-versioned callback pool (util::SlotPool) with a
-/// pluggable priority queue — the O(1) ladder queue by default, the 4-ary
-/// heap kept compilable for differential testing.
+/// pairs the slot-versioned callback pool (util::SlotPool) with the O(1)
+/// ladder queue (util::LadderQueue). The 4-ary heap survives only as the
+/// test and bench reference util::EventHeap.
 ///
 /// Contract highlights, shared by every consumer:
 ///   - A Handle is the pool handle, (generation << 32) | slot, never 0.
@@ -16,19 +16,19 @@
 ///     skipped lazily on pop (the seq recorded in the entry no longer
 ///     matches the slot).
 ///   - Pop order is the strict total order (when, seq): simultaneous
-///     events fire in schedule order, and both queue kinds pop the exact
-///     same sequence — the bit-reproducibility gates depend on it.
+///     events fire in schedule order, the same sequence any correct
+///     priority structure over (when, seq) pops — the bit-reproducibility
+///     gates depend on it.
 ///   - Steady state is allocation-free: callbacks are EventFn
-///     (small-buffer), the pool recycles slots, and both queue kinds
-///     retain their capacity. Provision() reserves everything for a known
-///     in-flight bound, so nothing reallocates below it.
+///     (small-buffer), the pool recycles slots, and the ladder retains its
+///     capacity. Provision() reserves everything for a known in-flight
+///     bound, so nothing reallocates below it.
 ///
 /// Thread-compatibility: single owner context, like the structures it
 /// unifies (the sim event loop, or the wall-clock executor).
 
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "util/check.h"
 #include "util/event_fn.h"
@@ -36,16 +36,6 @@
 #include "util/slot_pool.h"
 
 namespace sbqa::util {
-
-/// Which priority structure orders the queue. Both pop the identical
-/// (when, seq) sequence; the ladder is amortized O(1) per operation and
-/// is the default, the heap is the O(log n) fallback kept for
-/// differential testing (and for callers that want its perfectly flat
-/// per-op latency at small depths).
-enum class TimerQueueKind : uint8_t {
-  kLadder = 0,
-  kHeap = 1,
-};
 
 class TimerCore {
  public:
@@ -55,29 +45,9 @@ class TimerCore {
 
   static constexpr double kNoDeadline = 1e300;
 
-  explicit TimerCore(TimerQueueKind kind = TimerQueueKind::kLadder)
-      : kind_(kind) {}
+  TimerCore() = default;
   TimerCore(const TimerCore&) = delete;
   TimerCore& operator=(const TimerCore&) = delete;
-
-  /// 4-ary min-heap over ladder entries: the O(log n) fallback, popping
-  /// the identical (when, seq) sequence at roughly half a binary heap's
-  /// sift depth. Public so the depth-sweep bench can measure the two raw
-  /// structures against each other without the pool around them.
-  class EventHeap {
-   public:
-    bool empty() const { return entries_.empty(); }
-    size_t size() const { return entries_.size(); }
-    void reserve(size_t n) { entries_.reserve(n); }
-    const LadderQueue::Entry& top() const { return entries_.front(); }
-    void push(LadderQueue::Entry entry);
-    void pop();
-
-   private:
-    std::vector<LadderQueue::Entry> entries_;
-  };
-
-  TimerQueueKind kind() const { return kind_; }
 
   /// Schedules `fn` at absolute time `when` (the caller enforces its own
   /// monotonicity rules against its clock).
@@ -85,11 +55,7 @@ class TimerCore {
     const Handle id = AcquireSlot(std::move(fn));
     const uint32_t slot = SlotPool<Slot>::SlotOf(id);
     const uint64_t key = (pool_.at(slot).seq << kSlotBits) | slot;
-    if (kind_ == TimerQueueKind::kLadder) {
-      ladder_.Push(when, key);
-    } else {
-      heap_.push(LadderQueue::Entry{when, key});
-    }
+    ladder_.Push(when, key);
     return id;
   }
 
@@ -126,19 +92,19 @@ class TimerCore {
   /// regardless of `limit`. False when nothing live is due.
   bool PopDue(double limit, EventFn* fn, double* when) {
     while (true) {
-      const LadderQueue::Entry* e = FrontEntry();
+      const LadderQueue::Entry* e = ladder_.Front();
       if (e == nullptr) return false;
       const uint32_t slot = static_cast<uint32_t>(e->key & kSlotMask);
       // Live iff the slot is live AND still carries the entry's seq — the
       // pool keeps payloads on release, so the slot-live check is what
       // rejects a fired/cancelled event's leftover entry.
       if (!pool_.live(slot) || pool_.at(slot).seq != e->key >> kSlotBits) {
-        PopEntry();
+        ladder_.PopFront();
         continue;
       }
       if (e->when > limit) return false;
       *when = e->when;
-      PopEntry();
+      ladder_.PopFront();
       *fn = std::move(pool_.at(slot).fn);
       pool_.ReleaseSlot(slot);
       return true;
@@ -152,18 +118,13 @@ class TimerCore {
   /// later than the true minimum, so parking and window-skip decisions
   /// on it are safe. Exact (to the front entry) right after a PopDue
   /// returned false.
-  double MinBound() const {
-    if (kind_ == TimerQueueKind::kLadder) return ladder_.MinBound();
-    return heap_.empty() ? kNoDeadline : heap_.top().when;
-  }
+  double MinBound() const { return ladder_.MinBound(); }
 
   /// Live (scheduled or unqueued, not yet fired/cancelled) events.
   size_t pending() const { return pool_.live_count(); }
   /// Queue entries including lazily cancelled ones (unqueued handles are
   /// not counted).
-  size_t queue_size() const {
-    return kind_ == TimerQueueKind::kLadder ? ladder_.size() : heap_.size();
-  }
+  size_t queue_size() const { return ladder_.size(); }
   /// Slots ever created — the high-water mark of concurrent events.
   size_t slot_capacity() const { return pool_.size(); }
 
@@ -173,11 +134,7 @@ class TimerCore {
   /// reallocate.
   void Provision(size_t n) {
     pool_.Provision(n);
-    if (kind_ == TimerQueueKind::kLadder) {
-      ladder_.Reserve(n);
-    } else {
-      heap_.reserve(n);
-    }
+    ladder_.Reserve(n);
   }
 
  private:
@@ -207,22 +164,8 @@ class TimerCore {
     return id;
   }
 
-  const LadderQueue::Entry* FrontEntry() {
-    if (kind_ == TimerQueueKind::kLadder) return ladder_.Front();
-    return heap_.empty() ? nullptr : &heap_.top();
-  }
-  void PopEntry() {
-    if (kind_ == TimerQueueKind::kLadder) {
-      ladder_.PopFront();
-    } else {
-      heap_.pop();
-    }
-  }
-
-  TimerQueueKind kind_;
   util::SlotPool<Slot> pool_;
   LadderQueue ladder_;
-  EventHeap heap_;
   uint64_t next_seq_ = 1;
 };
 

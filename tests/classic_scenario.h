@@ -56,10 +56,7 @@ inline experiments::RunResult RunClassicScenario(
   model::ReputationRegistry reputation(registry.provider_count());
 
   experiments::MethodSpec method = config.method;
-  method.sbqa.scoring_kernel = config.sim.scoring_kernel;
   method.sbqa.decision_timing = config.sim.decision_timing;
-  core::MediatorConfig mediator_config = config.mediator;
-  mediator_config.scoring_kernel = config.sim.scoring_kernel;
 
   // Mediator group, each mediator with its own method instance and, under a
   // fault plan, its own injector (stream m of the plan seed).
@@ -77,7 +74,7 @@ inline experiments::RunResult RunClassicScenario(
     }
     mediators.push_back(std::make_unique<core::Mediator>(
         runtime, &registry, &reputation, experiments::MakeMethod(method),
-        mediator_config));
+        config.mediator));
     mediator_ptrs.push_back(mediators.back().get());
   }
   for (const auto& mediator : mediators) mediator->SetPeers(mediator_ptrs);
@@ -149,7 +146,6 @@ inline experiments::RunResult RunClassicScenario(
   for (const auto& mediator : mediators) {
     auto* sbqa = dynamic_cast<core::SbqaMethod*>(&mediator->method());
     if (sbqa == nullptr) continue;
-    result.scoring_kernel = core::ToString(sbqa->kernel().kind());
     result.decision_phases.Accumulate(sbqa->kernel().phases());
   }
   return result;

@@ -26,7 +26,6 @@ struct AllocHarness {
   AllocHarness(int providers, ScoreKernelKind kind) {
     sim::SimulationConfig sim_config;
     sim_config.seed = 13;
-    sim_config.scoring_kernel = kind;
     simulation = std::make_unique<sim::Simulation>(sim_config);
     ConsumerParams consumer_params;
     consumer_params.policy_kind = model::ConsumerPolicyKind::kReputationTrading;

@@ -39,7 +39,6 @@ struct KernelHarness {
                 bool diversify = true) {
     sim::SimulationConfig sim_config;
     sim_config.seed = seed;
-    sim_config.scoring_kernel = kind;
     simulation = std::make_unique<sim::Simulation>(sim_config);
     util::Rng gen(seed * 7919 + 17);  // population stream, not the sim's
     ConsumerParams consumer_params;
@@ -132,16 +131,9 @@ double ExactScoreOf(const KernelHarness& h, const SbqaParams& params,
   return ProviderScore(pi, ci, omega, params.epsilon);
 }
 
-TEST(ScoreKernelTest, KindNamesRoundTrip) {
+TEST(ScoreKernelTest, KindNames) {
   EXPECT_STREQ(ToString(ScoreKernelKind::kExact), "exact");
   EXPECT_STREQ(ToString(ScoreKernelKind::kBatched), "batched");
-  ScoreKernelKind kind = ScoreKernelKind::kExact;
-  EXPECT_TRUE(ScoreKernelKindFromName("batched", &kind));
-  EXPECT_EQ(kind, ScoreKernelKind::kBatched);
-  EXPECT_TRUE(ScoreKernelKindFromName("exact", &kind));
-  EXPECT_EQ(kind, ScoreKernelKind::kExact);
-  EXPECT_FALSE(ScoreKernelKindFromName("fast", &kind));
-  EXPECT_EQ(kind, ScoreKernelKind::kExact);  // untouched on failure
 }
 
 /// kExact must be bit-identical to the seed pipeline: recompute phase 2 by

@@ -18,8 +18,6 @@
 #include "core/registry.h"
 #include "core/sbqa.h"
 #include "model/reputation.h"
-#include "sim/latency.h"
-#include "sim/network.h"
 #include "sim/scheduler.h"
 #include "sim/simulation.h"
 #include "util/counting_alloc.h"
@@ -83,31 +81,6 @@ TEST(SchedulerAllocTest, SteadyStateScheduleCancelIsAllocationFree) {
   }
   EXPECT_EQ(AllocationCount() - before, 0u)
       << "Cancel must not allocate (no hash set bookkeeping)";
-}
-
-TEST(NetworkAllocTest, SteadyStateBatchedSendIsAllocationFree) {
-  Scheduler scheduler;
-  NetworkConfig config;
-  config.batch_tick = 0.001;
-  Network net(&scheduler, util::Rng(7),
-              std::make_unique<ConstantLatency>(0.0105), config);
-  const Network::Destination inbox = net.RegisterDestination();
-  uint64_t sink = 0;
-  // Warm-up: allocate the batch pool and delivery vectors once.
-  for (int round = 0; round < 32; ++round) {
-    for (int i = 0; i < 8; ++i) net.SendTo(inbox, [&sink] { ++sink; });
-    scheduler.Run();
-  }
-
-  const uint64_t before = AllocationCount();
-  for (int round = 0; round < 1000; ++round) {
-    for (int i = 0; i < 8; ++i) net.SendTo(inbox, [&sink] { ++sink; });
-    scheduler.Run();
-  }
-  EXPECT_EQ(AllocationCount() - before, 0u)
-      << "batched destination sends must recycle their batch pool";
-  EXPECT_EQ(sink, 32u * 8u + 8000u);
-  EXPECT_GT(net.messages_coalesced(), 0u);
 }
 
 TEST(MediationAllocTest, SteadyStateQueryPathIsAllocationFree) {

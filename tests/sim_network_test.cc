@@ -1,6 +1,5 @@
 // Tests for latency models, the network fabric and the simulation bundle.
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -87,123 +86,29 @@ TEST(NetworkTest, CancellableDelivery) {
   EXPECT_FALSE(delivered);
 }
 
-TEST(NetworkTest, BatchingOffDeliversExactly) {
-  // batch_tick == 0 (default): SendTo behaves exactly like SendWithLatency.
-  Scheduler scheduler;
-  Network net(&scheduler, util::Rng(9),
-              std::make_unique<ConstantLatency>(0.1));
-  const Network::Destination inbox = net.RegisterDestination();
-  double delivered_at = -1;
-  net.SendToWithLatency(inbox, 0.25, [&] { delivered_at = scheduler.now(); });
-  scheduler.Run();
-  EXPECT_DOUBLE_EQ(delivered_at, 0.25);
-  EXPECT_EQ(net.batches_dispatched(), 0u);
-  EXPECT_EQ(net.messages_coalesced(), 0u);
-  EXPECT_EQ(net.messages_sent(), 1u);
-}
-
-TEST(NetworkTest, SameTickSameDestinationCoalescesIntoOneEvent) {
-  Scheduler scheduler;
-  NetworkConfig config;
-  config.batch_tick = 0.010;
-  Network net(&scheduler, util::Rng(10),
-              std::make_unique<ConstantLatency>(0.003), config);
-  const Network::Destination inbox = net.RegisterDestination();
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    net.SendTo(inbox, [&order, i] { order.push_back(i); });
-  }
-  EXPECT_EQ(scheduler.pending(), 1u);  // one event for the whole batch
-  scheduler.Run();
-  // FIFO within the batch, delivered at the tick's upper boundary.
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_DOUBLE_EQ(scheduler.now(), 0.010);
-  EXPECT_EQ(net.batches_dispatched(), 1u);
-  EXPECT_EQ(net.messages_coalesced(), 4u);
-  EXPECT_EQ(net.messages_sent(), 5u);
-}
-
-TEST(NetworkTest, DifferentDestinationsDoNotCoalesce) {
-  Scheduler scheduler;
-  NetworkConfig config;
-  config.batch_tick = 0.010;
-  Network net(&scheduler, util::Rng(11),
-              std::make_unique<ConstantLatency>(0.003), config);
-  const Network::Destination a = net.RegisterDestination();
-  const Network::Destination b = net.RegisterDestination();
-  int fired = 0;
-  net.SendTo(a, [&] { ++fired; });
-  net.SendTo(b, [&] { ++fired; });
-  EXPECT_EQ(scheduler.pending(), 2u);
-  scheduler.Run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(net.batches_dispatched(), 2u);
-  EXPECT_EQ(net.messages_coalesced(), 0u);
-}
-
-TEST(NetworkTest, DifferentTicksOpenSeparateBatches) {
-  Scheduler scheduler;
-  NetworkConfig config;
-  config.batch_tick = 0.010;
-  Network net(&scheduler, util::Rng(12),
-              std::make_unique<ConstantLatency>(99.0), config);
-  const Network::Destination inbox = net.RegisterDestination();
-  std::vector<double> delivered_at;
-  net.SendToWithLatency(inbox, 0.003,
-                        [&] { delivered_at.push_back(scheduler.now()); });
-  net.SendToWithLatency(inbox, 0.013,
-                        [&] { delivered_at.push_back(scheduler.now()); });
-  EXPECT_EQ(scheduler.pending(), 2u);
-  scheduler.Run();
-  ASSERT_EQ(delivered_at.size(), 2u);
-  EXPECT_DOUBLE_EQ(delivered_at[0], 0.010);
-  EXPECT_DOUBLE_EQ(delivered_at[1], 0.020);
-}
-
-TEST(NetworkTest, BatchedDeliveryNeverEarlierThanSampledLatency) {
-  Scheduler scheduler;
-  NetworkConfig config;
-  config.batch_tick = 0.004;
-  Network net(&scheduler, util::Rng(13),
-              std::make_unique<UniformLatency>(0.001, 0.02), config);
-  const Network::Destination inbox = net.RegisterDestination();
-  // Spot-check the quantization invariant over many sampled latencies.
-  for (int i = 0; i < 200; ++i) {
-    const double latency = net.SampleLatency();
-    const double sent_at = scheduler.now();
-    double delivered = -1;
-    net.SendToWithLatency(inbox, latency,
-                          [&delivered, &scheduler] { delivered = scheduler.now(); });
-    scheduler.Run();
-    EXPECT_GE(delivered, sent_at + latency - 1e-12);
-    EXPECT_LE(delivered, sent_at + latency + config.batch_tick + 1e-12);
-  }
-}
-
-TEST(NetworkTest, BatchCallbacksMayOpenNewBatches) {
-  // A delivery that sends again (the mediator's dispatch pattern) must not
-  // corrupt the recycled batch pool.
-  Scheduler scheduler;
-  NetworkConfig config;
-  config.batch_tick = 0.010;
-  Network net(&scheduler, util::Rng(14),
-              std::make_unique<ConstantLatency>(0.003), config);
-  const Network::Destination inbox = net.RegisterDestination();
-  int depth = 0;
-  std::function<void()> resend = [&] {
-    if (++depth < 5) net.SendTo(inbox, resend);
-  };
-  net.SendTo(inbox, resend);
-  scheduler.Run();
-  EXPECT_EQ(depth, 5);
-  EXPECT_EQ(net.messages_sent(), 5u);
-}
-
-TEST(SimulationTest, BatchTickPlumbsThroughConfig) {
+TEST(SimRuntimeTest, SendToDeliversAfterExactlyOneLatency) {
+  // The runtime seam's addressed send is one Network::Send: one event per
+  // message, at exactly its sampled latency, counted by the network.
   SimulationConfig config;
-  config.delivery_batch_tick = 0.005;
+  config.latency_sigma = 0;  // constant latency
+  config.latency_median = 0.25;
   Simulation sim(config);
-  EXPECT_DOUBLE_EQ(sim.network().config().batch_tick, 0.005);
+  rt::Runtime& runtime = sim.runtime();
+  const rt::Destination inbox = runtime.RegisterInbox();
+  const rt::Destination provider = runtime.RegisterDestination();
+  EXPECT_EQ(inbox, 0u);  // dense ids, in registration order
+  EXPECT_EQ(provider, 1u);
+  std::vector<double> delivered_at;
+  runtime.SendTo(provider, [&] { delivered_at.push_back(sim.now()); });
+  sim.RunUntil(0.1);
+  runtime.SendTo(inbox, [&] { delivered_at.push_back(sim.now()); });
+  EXPECT_EQ(sim.scheduler().pending(), 2u);
+  sim.RunUntil(10.0);
+  ASSERT_EQ(delivered_at.size(), 2u);
+  EXPECT_DOUBLE_EQ(delivered_at[0], 0.25);
+  EXPECT_DOUBLE_EQ(delivered_at[1], 0.35);
+  EXPECT_EQ(sim.network().messages_sent(), 2u);
+  EXPECT_DOUBLE_EQ(sim.network().total_latency(), 0.5);
 }
 
 TEST(SimulationTest, DeterministicAcrossInstances) {
