@@ -30,14 +30,10 @@
 /// trailing characters, no sign on counts) and --omega must lie in
 /// [0, 1]; anything else prints the usage and exits 2.
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <system_error>
-#include <type_traits>
 
 #include "experiments/demo_scenarios.h"
 #include "experiments/report.h"
@@ -78,22 +74,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
     return true;
   }
   return false;
-}
-
-/// Parses all of `text` as one T: false on an empty string, trailing
-/// characters, a sign on an unsigned type, an out-of-range value or a
-/// non-finite double. *out is untouched on failure.
-template <typename T>
-bool ParseWhole(const std::string& text, T* out) {
-  const char* end = text.data() + text.size();
-  T value{};
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) return false;
-  }
-  *out = value;
-  return true;
 }
 
 int Usage() {
@@ -155,34 +135,34 @@ int main(int argc, char** argv) {
     if (ParseFlag(argv[i], "--method", &value)) {
       flags.method = value;
     } else if (ParseFlag(argv[i], "--volunteers", &value)) {
-      ok = ParseWhole(value, &flags.volunteers);
+      ok = util::ParseWhole(value, &flags.volunteers);
     } else if (ParseFlag(argv[i], "--duration", &value)) {
-      ok = ParseWhole(value, &flags.duration);
+      ok = util::ParseWhole(value, &flags.duration);
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      ok = ParseWhole(value, &flags.seed);
+      ok = util::ParseWhole(value, &flags.seed);
     } else if (ParseFlag(argv[i], "--env", &value)) {
       flags.env = value;
     } else if (ParseFlag(argv[i], "--mediators", &value)) {
-      ok = ParseWhole(value, &flags.mediators);
+      ok = util::ParseWhole(value, &flags.mediators);
     } else if (ParseFlag(argv[i], "--shards", &value)) {
-      ok = ParseWhole(value, &flags.shards);
+      ok = util::ParseWhole(value, &flags.shards);
     } else if (ParseFlag(argv[i], "--k", &value)) {
-      ok = ParseWhole(value, &flags.k);
+      ok = util::ParseWhole(value, &flags.k);
     } else if (ParseFlag(argv[i], "--kn", &value)) {
-      ok = ParseWhole(value, &flags.kn);
+      ok = util::ParseWhole(value, &flags.kn);
     } else if (ParseFlag(argv[i], "--omega", &value)) {
       flags.adaptive_omega = value == "adaptive";
       ok = flags.adaptive_omega ||
-           (ParseWhole(value, &flags.omega) && flags.omega >= 0 &&
+           (util::ParseWhole(value, &flags.omega) && flags.omega >= 0 &&
             flags.omega <= 1);
     } else if (ParseFlag(argv[i], "--fault-profile", &value)) {
       flags.fault_profile = value;
     } else if (ParseFlag(argv[i], "--fault-seed", &value)) {
-      ok = ParseWhole(value, &flags.fault_seed);
+      ok = util::ParseWhole(value, &flags.fault_seed);
     } else if (ParseFlag(argv[i], "--deadline-ms", &value)) {
-      ok = ParseWhole(value, &flags.deadline_ms);
+      ok = util::ParseWhole(value, &flags.deadline_ms);
     } else if (ParseFlag(argv[i], "--max-retries", &value)) {
-      ok = ParseWhole(value, &flags.max_retries);
+      ok = util::ParseWhole(value, &flags.max_retries);
     } else if (std::strcmp(argv[i], "--churn") == 0) {
       flags.churn = true;
     } else if (std::strcmp(argv[i], "--joins") == 0) {

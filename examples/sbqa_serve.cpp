@@ -14,7 +14,10 @@
 ///              [--json]
 ///
 /// --json replaces the human report with a machine-readable summary that
-/// includes the per-phase decision timings of the scoring kernel.
+/// includes the per-phase decision timings of the scoring kernel. A
+/// numeric flag must parse whole (no trailing characters, no sign on
+/// counts) and lie in range (--queries, --rate, --providers and --shards
+/// positive); anything else prints the usage and exits 2.
 ///
 /// The robustness flags exercise the hardened lifecycle under live
 /// traffic: --fault-profile interposes the deterministic fault plane,
@@ -34,7 +37,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -42,6 +44,7 @@
 
 #include "sbqa.h"
 #include "util/counting_alloc.h"
+#include "util/string_util.h"
 
 using namespace sbqa;
 
@@ -51,7 +54,7 @@ struct Flags {
   long queries = 5000;
   double rate = 2000;  // queries per wall second
   int providers = 16;
-  int shards = 1;
+  uint32_t shards = 1;
   std::string method = "sbqa";
   uint64_t seed = 42;
   std::string fault_profile = "none";
@@ -60,6 +63,17 @@ struct Flags {
   long max_pending = 0;
   bool json = false;
 };
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: sbqa_serve [--queries=N] [--rate=Q_PER_S] "
+               "[--providers=N] [--shards=N] [--method=NAME] [--seed=N]\n"
+               "                  [--fault-profile=%s]\n"
+               "                  [--deadline-ms=N] [--max-retries=N] "
+               "[--max-pending=N] [--json]\n",
+               rt::FaultProfileNames().c_str());
+  return 2;
+}
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
   const size_t len = std::strlen(name);
@@ -76,48 +90,43 @@ int main(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    bool ok = true;
     if (ParseFlag(argv[i], "--queries", &value)) {
-      flags.queries = std::atol(value.c_str());
+      ok = util::ParseWhole(value, &flags.queries);
     } else if (ParseFlag(argv[i], "--rate", &value)) {
-      flags.rate = std::atof(value.c_str());
+      ok = util::ParseWhole(value, &flags.rate);
     } else if (ParseFlag(argv[i], "--providers", &value)) {
-      flags.providers = std::atoi(value.c_str());
+      ok = util::ParseWhole(value, &flags.providers);
     } else if (ParseFlag(argv[i], "--shards", &value)) {
-      flags.shards = std::atoi(value.c_str());
+      ok = util::ParseWhole(value, &flags.shards);
     } else if (ParseFlag(argv[i], "--method", &value)) {
       flags.method = value;
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      flags.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = util::ParseWhole(value, &flags.seed);
     } else if (ParseFlag(argv[i], "--fault-profile", &value)) {
       flags.fault_profile = value;
     } else if (ParseFlag(argv[i], "--deadline-ms", &value)) {
-      flags.deadline_ms = std::atof(value.c_str());
+      ok = util::ParseWhole(value, &flags.deadline_ms);
     } else if (ParseFlag(argv[i], "--max-retries", &value)) {
-      flags.max_retries = std::atoi(value.c_str());
+      ok = util::ParseWhole(value, &flags.max_retries);
     } else if (ParseFlag(argv[i], "--max-pending", &value)) {
-      flags.max_pending = std::atol(value.c_str());
+      ok = util::ParseWhole(value, &flags.max_pending);
     } else if (std::strcmp(argv[i], "--json") == 0) {
       flags.json = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: sbqa_serve [--queries=N] [--rate=Q_PER_S] "
-                   "[--providers=N] [--shards=N] [--method=NAME] [--seed=N]\n"
-                   "                  [--fault-profile=%s]\n"
-                   "                  [--deadline-ms=N] [--max-retries=N] "
-                   "[--max-pending=N] [--json]\n",
-                   rt::FaultProfileNames().c_str());
-      return 2;
+      return Usage();
     }
+    if (!ok) return Usage();
   }
   if (flags.queries <= 0 || flags.rate <= 0 || flags.providers <= 0 ||
-      flags.shards <= 0 || flags.deadline_ms < 0 || flags.max_retries < 0 ||
+      flags.shards == 0 || flags.deadline_ms < 0 || flags.max_retries < 0 ||
       flags.max_pending < 0) {
-    return 2;
+    return Usage();
   }
 
   if (!flags.json) {
     std::printf("sbqa_serve: %ld queries at ~%.0f/s over %d providers, "
-                "method %s (wall-clock runtime, %d shard%s)\n\n",
+                "method %s (wall-clock runtime, %u shard%s)\n\n",
                 flags.queries, flags.rate, flags.providers,
                 flags.method.c_str(), flags.shards,
                 flags.shards == 1 ? "" : "s");
@@ -129,7 +138,7 @@ int main(int argc, char** argv) {
   options.method = flags.method;
   // The JSON summary carries the per-phase decision timings.
   options.decision_timing = flags.json;
-  options.shards = static_cast<uint32_t>(flags.shards);
+  options.shards = flags.shards;
   // Short safety-net timeout: the sweep then passes often enough for the
   // FIFO timeout ring to stay compact at steady state.
   options.query_timeout = 2.0;

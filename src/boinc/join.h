@@ -40,7 +40,8 @@ struct VolunteerJoinParams {
   bool enabled = false;
   /// New volunteers per second (Poisson).
   double rate = 0.05;
-  /// Hard cap on runtime joins.
+  /// Hard cap on runtime joins. experiments::RunScenario reserves the
+  /// registry's per-provider tables for the population plus this cap.
   size_t max_joins = 1000;
   double start_time = 0.0;
 };

@@ -57,7 +57,8 @@ BoincSpec DemoBoincSpec(size_t volunteer_count,
 }
 
 BuiltPopulation BuildPopulation(const BoincSpec& spec,
-                                core::Registry* registry, util::Rng* rng) {
+                                core::Registry* registry, util::Rng* rng,
+                                size_t later_joins) {
   SBQA_CHECK(registry != nullptr);
   SBQA_CHECK(rng != nullptr);
   SBQA_CHECK(!spec.projects.empty());
@@ -87,10 +88,11 @@ BuiltPopulation BuildPopulation(const BoincSpec& spec,
 
   const VolunteerPopulationSpec& vols = spec.volunteers;
   SBQA_CHECK_LT(vols.capacity_min, vols.capacity_max + 1e-12);
-  // One reservation for the whole population: windows are sized for the
-  // largest k a volunteer can draw, and no entry is written until a
-  // proposal lands.
-  const size_t providers = registry->provider_count() + vols.count;
+  // One reservation for the whole population and its later joiners:
+  // windows are sized for the largest k a volunteer can draw, and no entry
+  // is written until a proposal lands.
+  const size_t providers =
+      registry->provider_count() + vols.count + later_joins;
   const double k_max = static_cast<double>(vols.memory_k) *
                        (1.0 + std::max(0.0, vols.memory_k_spread));
   registry->ReserveProviders(

@@ -127,9 +127,13 @@ struct BuiltPopulation {
 /// Instantiates the population into `registry`. Volunteer preferences,
 /// capacities and maliciousness are drawn from `rng`; consumer preferences
 /// towards volunteers start mildly positive with small noise (projects are
-/// mostly reputation-driven).
+/// mostly reputation-driven). The registry is reserved once for the
+/// population plus `later_joins` volunteers (the run's join cap, when
+/// joins are enabled), so runtime joins up to the cap grow no
+/// per-provider table by relocation.
 BuiltPopulation BuildPopulation(const BoincSpec& spec,
-                                core::Registry* registry, util::Rng* rng);
+                                core::Registry* registry, util::Rng* rng,
+                                size_t later_joins = 0);
 
 /// Creates one additional volunteer per `spec.volunteers` (used both by
 /// BuildPopulation and by the runtime join process of open systems):

@@ -25,6 +25,14 @@ void CandidateIndex::DenseIdSet::Erase(model::ProviderId id) {
   pos[i] = kAbsent;
 }
 
+void CandidateIndex::Reserve(size_t providers) {
+  reserved_ = std::max(reserved_, providers);
+  members_.reserve(reserved_);
+  alive_.pos.reserve(reserved_);
+  generalists_.pos.reserve(reserved_);
+  for (ClassEntry& entry : by_class_) entry.set.pos.reserve(reserved_);
+}
+
 void CandidateIndex::OnProviderAdded(const Provider& provider) {
   const auto id = static_cast<size_t>(provider.id());
   SBQA_CHECK_GE(provider.id(), 0);
@@ -105,6 +113,7 @@ CandidateIndex::DenseIdSet& CandidateIndex::ClassSetOrInsert(
   if (row == by_class_.size() || by_class_[row].query_class != query_class) {
     by_class_.insert(by_class_.begin() + static_cast<long>(row),
                      ClassEntry{query_class, DenseIdSet{}});
+    by_class_[row].set.pos.reserve(reserved_);
   }
   return by_class_[row].set;
 }

@@ -41,6 +41,11 @@ class CandidateIndex {
   CandidateIndex(const CandidateIndex&) = delete;
   CandidateIndex& operator=(const CandidateIndex&) = delete;
 
+  /// Makes room for provider ids below `providers` in the per-provider
+  /// tables (the membership table and every set's position table,
+  /// including class rows added later) without touching their pages.
+  void Reserve(size_t providers);
+
   /// Registers a provider (id must be dense and new). Indexes it right away
   /// when it is alive.
   void OnProviderAdded(const Provider& provider);
@@ -148,6 +153,8 @@ class CandidateIndex {
   /// whose providers all left keeps an empty row).
   std::vector<ClassEntry> by_class_;
   std::vector<Membership> members_;  ///< by provider id
+  /// Provider ids the tables are reserved for (Reserve).
+  size_t reserved_ = 0;
   double alive_capacity_ = 0;
   /// Mutations since the last exact re-sum of alive_capacity_.
   uint32_t capacity_updates_ = 0;

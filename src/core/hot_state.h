@@ -100,8 +100,8 @@ class ProviderHotState {
     ++instances_performed_[slot];
   }
 
-  /// Drops queued work and bumps the epoch (invalidating scheduled
-  /// completion events of the dropped instances).
+  /// Drops queued work and bumps the epoch (invalidating the pending
+  /// completion of each mediator's service chain on this provider).
   void DropQueue(uint32_t slot, double now) {
     busy_until_[slot] = now;
     outstanding_[slot] = 0;

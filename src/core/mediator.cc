@@ -59,8 +59,15 @@ Mediator::Mediator(rt::Runtime* runtime, Registry* registry,
   if (config_.failure_threshold > 0) SBQA_CHECK_GT(config_.probe_delay, 0);
   inbox_ = rt_->RegisterInbox();
   // Size the dense per-provider tables for the population known at
-  // construction, so the steady-state path never grows them (providers
-  // joining at runtime extend them on first contact).
+  // construction, so the steady-state path never grows them, and reserve
+  // them for the registry's reservation, so the joins it covers extend
+  // them in place.
+  const size_t reserved = registry_->reserved_providers();
+  load_view_.reserve(reserved);
+  health_.reserve(reserved);
+  provider_inflight_.reserve(reserved);
+  chains_.reserve(reserved);
+  provider_dest_.reserve(reserved);
   if (registry_->provider_count() > 0) {
     EnsureProviderTables(
         static_cast<model::ProviderId>(registry_->provider_count() - 1));
@@ -172,6 +179,7 @@ void Mediator::EnsureProviderTables(model::ProviderId provider) {
   if (load_view_.size() < needed) load_view_.resize(needed);
   if (health_.size() < needed) health_.resize(needed);
   if (provider_inflight_.size() < needed) provider_inflight_.resize(needed);
+  if (chains_.size() < needed) chains_.resize(needed);
   while (provider_dest_.size() < needed) {
     provider_dest_.push_back(rt_->RegisterDestination());
   }
@@ -183,6 +191,9 @@ void Mediator::ProvisionInflight(size_t slots) {
   // block, and its pages stay untouched until a query first acquires it.
   inflight_pool_.Provision(slots);
   inflight_cap_ = slots;
+  // A live query queues at most its instances; finalized queries' queued
+  // instances drain at their providers' service rate.
+  queued_.reserve(slots * kInstanceInlineWidth);
   // Floor for the timeout ring; its true high-water is time-based
   // (timeout window x arrival rate), which steady traffic pins during
   // warm-up once the capacity survives compaction (erase/clear keep it).
@@ -522,14 +533,72 @@ void Mediator::OnInstanceArrival(InflightHandle h, model::ProviderId provider,
     return;
   }
   const double finish_at = hot.Enqueue(slot, rt_->now(), cost);
-  const uint64_t epoch = hot.queue_epoch(slot);
-  rt_->ScheduleAt(finish_at, [this, h, provider, cost, epoch] {
-    if (registry_->hot().queue_epoch(static_cast<uint32_t>(provider)) !=
-        epoch) {
-      return;
-    }
-    OnInstanceProcessed(h, provider, cost);
+  uint32_t record = queued_free_;
+  if (record != kNoRecord) {
+    queued_free_ = queued_[record].next;
+    queued_[record] = QueuedInstance{h, cost, finish_at, kNoRecord};
+  } else {
+    record = static_cast<uint32_t>(queued_.size());
+    queued_.push_back(QueuedInstance{h, cost, finish_at, kNoRecord});
+  }
+  ServiceChain& chain = chains_[static_cast<size_t>(provider)];
+  if (chain.tail == kNoRecord) {
+    chain.head = record;
+    ScheduleHeadCompletion(provider, finish_at);
+  } else {
+    queued_[chain.tail].next = record;
+  }
+  chain.tail = record;
+}
+
+size_t Mediator::queued_instance_count() const {
+  size_t free = 0;
+  for (uint32_t r = queued_free_; r != kNoRecord; r = queued_[r].next) ++free;
+  return queued_.size() - free;
+}
+
+void Mediator::ScheduleHeadCompletion(model::ProviderId provider,
+                                      double finish_at) {
+  const uint64_t epoch =
+      registry_->hot().queue_epoch(static_cast<uint32_t>(provider));
+  rt_->ScheduleAt(finish_at, [this, provider, epoch] {
+    OnHeadCompleted(provider, epoch);
   });
+}
+
+void Mediator::OnHeadCompleted(model::ProviderId provider, uint64_t epoch) {
+  if (registry_->hot().queue_epoch(static_cast<uint32_t>(provider)) !=
+      epoch) {
+    return;  // the queue was dropped and the chain freed with it
+  }
+  // A next head whose finish time has already passed (a late wall-clock
+  // timer; in the simulator only a zero-length service) completes here
+  // too instead of taking a timer of its own.
+  bool due = true;
+  while (due) {
+    ServiceChain& chain = chains_[static_cast<size_t>(provider)];
+    const uint32_t record = chain.head;
+    const QueuedInstance done = queued_[record];
+    queued_[record].next = queued_free_;
+    queued_free_ = record;
+    chain.head = done.next;
+    if (chain.head == kNoRecord) {
+      chain.tail = kNoRecord;
+      due = false;
+    } else if (queued_[chain.head].finish_at > rt_->now()) {
+      ScheduleHeadCompletion(provider, queued_[chain.head].finish_at);
+      due = false;
+    }
+    OnInstanceProcessed(done.handle, provider, done.cost);
+  }
+}
+
+void Mediator::DropServiceChain(model::ProviderId provider) {
+  ServiceChain& chain = chains_[static_cast<size_t>(provider)];
+  if (chain.head == kNoRecord) return;
+  queued_[chain.tail].next = queued_free_;
+  queued_free_ = chain.head;
+  chain = ServiceChain{};
 }
 
 void Mediator::OnInstanceProcessed(InflightHandle h,
@@ -926,6 +995,10 @@ void Mediator::RecordConsumerOutcome(QueryOutcome* outcome) {
 
 void Mediator::FailProviderInstances(model::ProviderId provider) {
   if (static_cast<size_t>(provider) >= provider_inflight_.size()) return;
+  // Every caller just dropped the provider's queue. The chain goes first:
+  // with no in-flight link left it can still hold the instances of
+  // finalized queries.
+  DropServiceChain(provider);
   auto& list = provider_inflight_[static_cast<size_t>(provider)];
   if (list.empty()) return;
   // Move the handle list out first: finalizations below unlink entries

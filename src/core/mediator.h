@@ -26,6 +26,14 @@
 /// handle. Together with the dense per-provider load view and inflight
 /// lists, the steady-state simulate-one-query path performs no heap
 /// allocation and no hashing.
+///
+/// Provider service: each provider is a FIFO server, and the mediator
+/// keeps the instances it queued there as a chain of pooled 32-byte
+/// records with ONE pending completion event per busy provider (the
+/// chain's head); each completion schedules the next head at its stored
+/// finish time, or completes it too when that time has passed. Pending
+/// events therefore grow with busy providers, not with queued instances
+/// (src/core/README.md, "Provider service").
 
 #include <cstdint>
 #include <deque>
@@ -252,20 +260,22 @@ class Mediator {
   void ApplyProviderDeparture(model::ProviderId provider);
 
   /// Grows the dense per-provider tables (load view, health, inflight
-  /// lists, delivery destinations) to cover `provider` (inclusive), so a
-  /// join's growth allocations happen at the barrier instead of on first
-  /// contact mid-query. O(population) amortized, independent of the pool
-  /// size. Must run on this mediator's shard context (or with its worker
-  /// parked).
+  /// lists, service chains, delivery destinations) to cover `provider`
+  /// (inclusive), so a join's growth allocations happen at the barrier
+  /// instead of on first contact mid-query. The constructor reserves the
+  /// tables for Registry::reserved_providers(), so joins up to the
+  /// registry's reservation grow them without relocating. Must run on this
+  /// mediator's shard context (or with its worker parked).
   void EnsureProviderTables(model::ProviderId provider);
 
   /// Reserves the in-flight pool for `slots` concurrent queries (one
   /// allocation; a slot is built, and its memory first touched, when it is
-  /// first acquired) plus the timeout ring's floor. With an admission cap
-  /// of `slots` the pool then never reallocates, and a slot holds its
-  /// decision inline, so a recycled slot mediates without allocating. A
-  /// decision wider than kDecisionInlineWidth grows its slot's spill
-  /// buffer once; a provider's inflight list that outgrows
+  /// first acquired), the service-record pool for kInstanceInlineWidth
+  /// queued instances per slot, and the timeout ring's floor. With an
+  /// admission cap of `slots` the pool then never reallocates, and a slot
+  /// holds its decision inline, so a recycled slot mediates without
+  /// allocating. A decision wider than kDecisionInlineWidth grows its
+  /// slot's spill buffer once; a provider's inflight list that outgrows
   /// kProviderInflightInlineWidth reserves `slots` handles, once. Call at
   /// Start.
   void ProvisionInflight(size_t slots);
@@ -328,6 +338,12 @@ class Mediator {
   /// In-flight pool slots ever built (high-water mark of concurrency;
   /// steady-state mediation recycles them without allocating).
   size_t inflight_slot_capacity() const { return inflight_pool_.size(); }
+  /// Service records: instances this mediator has queued on providers and
+  /// not yet completed or dropped (O(pool): walks the free list), and
+  /// records ever built (the pool's high-water mark; freed records are
+  /// recycled).
+  size_t queued_instance_count() const;
+  size_t queued_record_capacity() const { return queued_.size(); }
   /// Timeout-ring introspection: current entry count, consumed (stale or
   /// fired) prefix length, and the backing vector's capacity — the
   /// load-adaptive bound regression test pins these across a rate step.
@@ -448,8 +464,22 @@ class Mediator {
   /// until its high-water mark) and returns the slot index.
   uint32_t AcquireOutboundOutcome(const QueryOutcome& outcome);
   void Dispatch(InflightHandle handle);
+  /// Queues an arrived instance on its provider: the finish time comes
+  /// from ProviderHotState::Enqueue, the record joins the provider's chain,
+  /// and a completion is scheduled only when the chain was empty.
   void OnInstanceArrival(InflightHandle handle, model::ProviderId provider,
                          double cost);
+  /// Schedules the completion of `provider`'s chain head at `finish_at`,
+  /// stamped with the provider's current queue epoch.
+  void ScheduleHeadCompletion(model::ProviderId provider, double finish_at);
+  /// The chain head finished: pops it, schedules the next head, and runs
+  /// OnInstanceProcessed for the popped instance; next heads already due
+  /// are popped and processed in the same call. A head whose queue was
+  /// dropped since (`epoch` is stale) returns at once.
+  void OnHeadCompleted(model::ProviderId provider, uint64_t epoch);
+  /// Returns every record of `provider`'s chain to the pool (its queue was
+  /// dropped; the pending head event goes stale with the epoch).
+  void DropServiceChain(model::ProviderId provider);
   void OnInstanceProcessed(InflightHandle handle, model::ProviderId provider,
                            double cost);
   void OnResultReceived(InflightHandle handle, model::ProviderId provider,
@@ -573,6 +603,32 @@ class Mediator {
   /// what the traffic between two drains really occupies (about rate x
   /// query_timeout); sizes the shrink target.
   size_t timeout_size_high_water_ = 0;
+
+  /// One instance queued on a provider by this mediator: its query, its
+  /// cost and the finish time Enqueue gave it, linked to the next instance
+  /// queued behind it on the same provider (or, while the record is free,
+  /// to the next free record).
+  struct QueuedInstance {
+    InflightHandle handle;
+    double cost;
+    double finish_at;
+    uint32_t next;
+  };
+  static_assert(sizeof(QueuedInstance) <= 32);
+  static constexpr uint32_t kNoRecord = UINT32_MAX;
+  /// A provider's FIFO chain of QueuedInstance records (kNoRecord when
+  /// idle). Only the head has a pending completion event.
+  struct ServiceChain {
+    uint32_t head = kNoRecord;
+    uint32_t tail = kNoRecord;
+  };
+  /// The record pool: grows only past its high-water mark (reserved by
+  /// ProvisionInflight), recycled through the `next` links from
+  /// queued_free_.
+  std::vector<QueuedInstance> queued_;
+  uint32_t queued_free_ = kNoRecord;
+  /// Chains, dense by provider id.
+  std::vector<ServiceChain> chains_;
 
   /// Handles of in-flight queries with a pending instance on each provider
   /// (dense by provider id; consulted on provider departure).

@@ -174,8 +174,9 @@ class Provider {
   /// invalidating any already-scheduled completion events.
   void DropQueue(double now) { hot_->DropQueue(hot_slot_, now); }
 
-  /// Incremented by DropQueue; completion events capture the epoch at
-  /// enqueue time and no-op when it changed (stale events of dropped work).
+  /// Incremented by DropQueue; a service chain's head completion captures
+  /// the epoch when it is scheduled and no-ops when it changed (the stale
+  /// head of dropped work).
   uint64_t queue_epoch() const { return hot_->queue_epoch(hot_slot_); }
 
   /// Normalized utilization in [0, 1): backlog / (backlog + tau).

@@ -35,6 +35,7 @@ void Registry::ReserveProviders(size_t providers, size_t window_entries) {
   providers_.reserve(providers);
   provider_shard_.reserve(providers);
   hot_.Reserve(providers, window_entries);
+  for (const auto& partition : partitions_) partition->Reserve(providers);
 }
 
 void Registry::SetProviderPreference(model::ProviderId provider,
@@ -105,6 +106,7 @@ void Registry::SetShardCount(uint32_t shard_count) {
   partitions_.clear();
   for (uint32_t s = 0; s < shard_count; ++s) {
     partitions_.push_back(std::make_unique<CandidateIndex>());
+    partitions_.back()->Reserve(reserved_providers());
   }
   for (size_t i = 0; i < count; ++i) {
     const uint32_t shard =

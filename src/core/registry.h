@@ -103,9 +103,14 @@ class Registry : private ProviderObserver, private ConsumerObserver {
 
   /// Makes room for `providers` providers in all, whose Definition-2
   /// windows hold `window_entries` proposals in all (vector::reserve
-  /// semantics), so building a population grows the provider table and the
-  /// hot-state planes once instead of at every doubling.
+  /// semantics): the provider table, the hot-state planes and arena, and
+  /// the candidate index's per-provider tables, so building a population
+  /// (and the joins counted in `providers`) grows them once instead of at
+  /// every doubling. Mediators built afterwards reserve their own
+  /// per-provider tables for reserved_providers().
   void ReserveProviders(size_t providers, size_t window_entries);
+  /// Providers the registry has room for without relocating its tables.
+  size_t reserved_providers() const { return providers_.capacity(); }
 
   /// Provider `provider`'s preference towards `consumer` (clamped into
   /// [-1, 1]); written into the hot block's preference column. Quiescent

@@ -50,11 +50,12 @@ RunResult RunScenario(const ScenarioConfig& config) {
 
   // Population: one shared registry, built from shard 0's stream (the
   // population is therefore identical across shard counts and methods),
-  // then partitioned.
+  // reserved for the join cap too, then partitioned.
   core::Registry registry;
   util::Rng population_rng = shards.shard(0).NewRng();
-  const boinc::BuiltPopulation population =
-      boinc::BuildPopulation(config.population, &registry, &population_rng);
+  const boinc::BuiltPopulation population = boinc::BuildPopulation(
+      config.population, &registry, &population_rng,
+      config.joins.enabled ? config.joins.max_joins : 0);
   if (config.population_hook) {
     config.population_hook(&registry, population, &population_rng);
   }

@@ -57,6 +57,27 @@ TEST(FormatDoubleTest, Precision) {
   EXPECT_EQ(FormatDouble(1.0, 0), "1");
 }
 
+TEST(ParseWholeTest, AcceptsOnlyWholeValues) {
+  long count = 7;
+  EXPECT_TRUE(ParseWhole("50", &count));
+  EXPECT_EQ(count, 50);
+  EXPECT_FALSE(ParseWhole("50x", &count));
+  EXPECT_FALSE(ParseWhole("abc", &count));
+  EXPECT_FALSE(ParseWhole("", &count));
+  EXPECT_EQ(count, 50);  // untouched on failure
+  uint32_t shards = 1;
+  EXPECT_FALSE(ParseWhole("-2", &shards));
+  EXPECT_FALSE(ParseWhole("99999999999", &shards));
+  EXPECT_EQ(shards, 1u);
+  double rate = 0;
+  EXPECT_TRUE(ParseWhole("2.5e3", &rate));
+  EXPECT_EQ(rate, 2500.0);
+  EXPECT_FALSE(ParseWhole("inf", &rate));
+  EXPECT_FALSE(ParseWhole("nan", &rate));
+  EXPECT_FALSE(ParseWhole("1.5 ", &rate));
+  EXPECT_EQ(rate, 2500.0);
+}
+
 TEST(TextTableTest, AlignsColumns) {
   TextTable t;
   t.SetHeader({"name", "value"});
