@@ -45,13 +45,12 @@ void VolunteerJoinProcess::Join() {
     // epoch applier handles reputation growth and churn wiring on the
     // owner shard; joined_ids_ is filled at apply time on the driver.
     ++joined_;
-    mediator_->registry().QueueJoin(
-        mediator_->shard(), [this](core::Registry* registry) {
-          const model::ProviderId id =
-              AddVolunteer(spec_, projects_, registry, &rng_);
-          joined_ids_.push_back(id);
-          return id;
-        });
+    mediator_->QueueJoin([this](core::Registry* registry) {
+      const model::ProviderId id =
+          AddVolunteer(spec_, projects_, registry, &rng_);
+      joined_ids_.push_back(id);
+      return id;
+    });
   } else {
     const model::ProviderId id =
         AddVolunteer(spec_, projects_, &mediator_->registry(), &rng_);

@@ -257,6 +257,7 @@ bool Mediator::TryDelegate(const model::Query& query) {
       directory_->FindShardWith(query.query_class, shard_id_);
   if (target == ShardDirectory::kNoShard) return false;
   ++stats_.queries_delegated;
+  ++shard_mediators_[shard_id_]->delegated_out_;
   Mediator* peer = shard_mediators_[target];
   const uint32_t origin = shard_id_;
   shard_set_->PostTo(shard_id_, target, rt_->now() + OneWayLatency(),
@@ -312,6 +313,7 @@ void Mediator::OnDelegatedOutcome(const QueryOutcome& outcome,
   // through) and re-stamp arrival-side timing: the response time the
   // consumer experienced includes the two mailbox hops of the borrow
   // round trip.
+  --delegated_out_;
   outcome_scratch_ = outcome;
   FinalizeOutcome(shard_id_, &outcome_scratch_);
   // Hand the slab slot back to its owner over the mailbox: the free list
@@ -987,6 +989,12 @@ void Mediator::RecordConsumerOutcome(QueryOutcome* outcome) {
       outcome->satisfaction, outcome->adequation,
       outcome->allocation_satisfaction);
   registry_->MarkConsumerSatisfactionChanged(consumer.id());
+  // Donors score this shard's borrowed queries with the barrier-published
+  // copy: while one is out, the change has to reach the next barrier.
+  if (shard_set_ != nullptr &&
+      shard_mediators_[shard_id_]->delegated_out_ > 0) {
+    shard_set_->RequestBarrier(shard_id_);
+  }
   consumer.OnQueryCompleted();
 
   NotifyCompleted(*outcome);
@@ -1030,6 +1038,7 @@ void Mediator::SetProviderAvailability(model::ProviderId provider,
     // them to the right net effect in FIFO order.
     if (registry_->provider(provider).departed()) return;
     registry_->QueueAvailabilityChange(shard_id_, provider, available);
+    shard_set_->RequestBarrier(shard_id_);
     return;
   }
   ApplyProviderAvailability(provider, available);
@@ -1066,9 +1075,16 @@ void Mediator::MaybeDepartProvider(model::ProviderId provider) {
     // The provider keeps serving until the barrier; later mediations this
     // window may queue the same departure again (deduped at apply).
     registry_->QueueDeparture(shard_id_, provider);
+    shard_set_->RequestBarrier(shard_id_);
     return;
   }
   ApplyProviderDeparture(provider);
+}
+
+void Mediator::QueueJoin(Registry::JoinFn join) {
+  SBQA_CHECK(deferred_membership());
+  registry_->QueueJoin(shard_id_, std::move(join));
+  shard_set_->RequestBarrier(shard_id_);
 }
 
 void Mediator::ApplyProviderDeparture(model::ProviderId provider) {
@@ -1091,6 +1107,9 @@ void Mediator::MaybeRetireConsumer(model::ConsumerId consumer) {
   Consumer& c = registry_->consumer(consumer);
   if (!departure_->ShouldConsumerRetire(c, rt_->now())) return;
   c.set_active(false);
+  // A retirement moves this shard's load in the peers' shard directory,
+  // which the barrier refreshes.
+  if (shard_set_ != nullptr) shard_set_->RequestBarrier(shard_id_);
   ++stats_.consumer_retirements;
   for (MediationObserver* obs : observers_) {
     obs->OnConsumerRetired(consumer, rt_->now());

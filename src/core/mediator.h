@@ -244,6 +244,11 @@ class Mediator {
   /// True exactly when the mediator is wired into a shard fabric.
   bool deferred_membership() const { return shard_set_ != nullptr; }
 
+  /// Deferred-membership mode only: queues a provider join into this
+  /// shard's slice of the registry's membership log and requests the
+  /// barrier that applies it. Shard context only, like every Queue* op.
+  void QueueJoin(Registry::JoinFn join);
+
   // --- Epoch-applier entry points (barrier driver, workers parked) ----------
 
   /// Immediate-mode body of an availability change; called by the epoch
@@ -566,6 +571,11 @@ class Mediator {
   const ShardDirectory* directory_ = nullptr;
   std::vector<Mediator*> shard_mediators_;
   uint32_t shard_id_ = 0;
+  /// Gateway only: this shard's queries delegated to a peer whose outcome
+  /// has not come home yet. Only while one is out can a donor read the
+  /// published satisfaction of this shard's consumers, so only then does
+  /// a satisfaction change request a barrier.
+  int64_t delegated_out_ = 0;
 
   /// Outbound outcome slab for the borrow path's re-homing hop: a deque so
   /// entries have stable addresses the home shard can read while this shard

@@ -13,10 +13,12 @@
 ///
 /// Concurrency contract: Refresh() runs only on the barrier driver thread
 /// while every shard worker is parked; shard threads treat the directory
-/// as read-only during a window. The directory is therefore always one
-/// barrier tick stale, which is fine — a stale positive just makes the
-/// target shard route the query onward to nobody and report it
-/// unallocated, exactly as an unsharded dry pool would.
+/// as read-only during a window. The directory is therefore as old as the
+/// last barrier, which is fine — a stale positive just makes the target
+/// shard route the query onward to nobody and report it unallocated,
+/// exactly as an unsharded dry pool would. Everything it snapshots changes
+/// through a barrier want (membership ops, consumer retirements), so under
+/// threaded serving it is still at most one barrier tick stale.
 ///
 /// The snapshot records the registry's membership epoch: with elastic
 /// membership every provider-side change is barrier-applied, so

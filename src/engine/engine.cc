@@ -262,7 +262,6 @@ Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>()) {
     config.shard_count = opts.shards;
     config.seed = opts.seed;
     config.barrier_tick = opts.shard_barrier_tick;
-    config.outbox_fill_threshold = opts.shard_outbox_fill;
     config.runtime = opts.wallclock;
     impl_->shard_set = std::make_unique<rt::WallClockShardSet>(config);
     impl_->runtime = &impl_->shard_set->runtime(0);

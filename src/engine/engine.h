@@ -132,16 +132,15 @@ struct EngineOptions {
   /// exactly like the sharded simulation. shards == 1 is the same shard
   /// set with one worker and no cross-shard wiring.
   uint32_t shards = 1;
-  /// Barrier window width in seconds (kWallClock): cross-shard hops and
-  /// control-plane ops (Stats, post-Start membership) pay at most one
-  /// window of extra latency; every window costs one all-shard rendezvous.
-  /// A threaded one-shard engine has nothing to synchronize and cuts no
-  /// windows: its worker parks until work, a timer or a control op.
+  /// Barrier window width in seconds (kWallClock): how late an exchange
+  /// between shards lands. A cross-shard hop, a queued membership op or a
+  /// consumer-satisfaction change that a donor shard can read waits at
+  /// most one tick (plus a wake) for its barrier. It is not a heartbeat: a
+  /// threaded shard reaching an edge with nothing to exchange keeps
+  /// serving, so shards that exchange nothing (one shard included) meet
+  /// only for control ops (Stats, Snapshot, post-Start membership), which
+  /// pull a barrier at once. Under manual_clock every tick is a barrier.
   double shard_barrier_tick = 0.002;
-  /// Outbox fill count at which a shard pulls the barrier early instead of
-  /// letting buffered cross-shard traffic ripen a whole tick (0 = barriers
-  /// fire on time only).
-  size_t shard_outbox_fill = 64;
 };
 
 /// One query submission.
@@ -219,10 +218,13 @@ struct EngineStats {
   // Cross-shard traffic (zero when shards == 1).
   int64_t queries_delegated = 0;    ///< cross-shard borrows forwarded
   int64_t queries_borrowed = 0;     ///< queries mediated for a peer shard
-  // Barriers of the kWallClock shard set (zero in kSimulated). A threaded
-  // one-shard engine cuts no timed windows, so its count is only the
-  // barriers that control ops (Stats, Snapshot, post-Start membership)
-  // pulled; under manual_clock every shard count cuts windows.
+  // Barriers of the kWallClock shard set (zero in kSimulated). Threaded
+  // shards meet on demand: at a window edge only when a shard has
+  // something to exchange (a cross-shard message, a queued membership op,
+  // a satisfaction change a donor can read), and at once for control ops
+  // (Stats, Snapshot, post-Start membership) and the outbox fill trigger.
+  // A one-shard engine's count is therefore only the control ops'; under
+  // manual_clock every tick is a barrier at every shard count.
   int64_t shard_barriers = 0;       ///< barrier rendezvous performed
   int64_t shard_early_barriers = 0; ///< barriers pulled by outbox fill
   double mean_response_time = 0;    ///< queries with >= 1 result

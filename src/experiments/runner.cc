@@ -31,6 +31,12 @@ double QueryLifetimeBound(const ScenarioConfig& config) {
   return lifetime;
 }
 
+/// Whether a submitted query has not reached its terminal outcome yet.
+bool QueriesInFlight(const Assembly& assembly) {
+  const core::MediatorStats stats = assembly.stats();
+  return stats.queries_finalized < stats.queries_submitted;
+}
+
 /// Stamps the run's decision-timing switch (sim.decision_timing) into the
 /// method spec.
 MethodSpec StampedMethod(const ScenarioConfig& config) {
@@ -211,7 +217,18 @@ RunResult RunScenario(const ScenarioConfig& config) {
   // Drain in-flight queries (and cross-shard mailboxes) so satisfaction /
   // response accounting is complete. The horizon covers the full retry
   // budget when re-mediation is on.
-  shards.RunUntil(config.duration + QueryLifetimeBound(config));
+  const double drain_end = config.duration + QueryLifetimeBound(config);
+  shards.RunUntil(drain_end);
+  // The bound counts query_timeout from issue, but an attempt's deadline is
+  // armed at dispatch, after the submission hop (and any delegation hop),
+  // and a borrowed query's outcome still rides home after it. A query
+  // still in flight gets more windows, one query_timeout at a time, for up
+  // to one more lifetime bound; a run that drained stops here unchanged.
+  const double drain_limit = drain_end + QueryLifetimeBound(config);
+  while (QueriesInFlight(assembly) && shards.now() < drain_limit) {
+    shards.RunUntil(std::min(drain_limit,
+                             shards.now() + config.mediator.query_timeout));
+  }
   collector.FlushSharedObservers();  // settlement-window stragglers
 
   RunResult result;

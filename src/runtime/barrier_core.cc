@@ -61,7 +61,10 @@ bool BarrierCore::Drain(Time at) {
                         // nothing once the per-pair high-water mark is hit
     }
   }
-  for (Outbox& box : out_) box.buffered = 0;
+  for (Outbox& box : out_) {
+    box.buffered = 0;
+    box.wants_barrier = false;
+  }
   return any_due;
 }
 

@@ -54,6 +54,24 @@ class BarrierCore {
     if (++box.buffered == fill_threshold_) OnOutboxFull();
   }
 
+  /// Records that source shard `src` has something for the next barrier
+  /// phase other than a message: a queued membership op, or a change a
+  /// peer reads through the phase (see the wants in src/runtime/README.md,
+  /// "Barrier core"). Same context rule as PostTo; the flag clears at the
+  /// drain.
+  void RequestBarrier(uint32_t src) {
+    SBQA_DCHECK_LT(src, shard_count());
+    out_[src].wants_barrier = true;
+  }
+
+  /// Whether source shard `src` has something to exchange at the next
+  /// barrier: a buffered message, or a RequestBarrier since the last drain.
+  /// src's context, or quiescent.
+  bool WantsBarrier(uint32_t src) const {
+    const Outbox& box = out_[src];
+    return box.buffered > 0 || box.wants_barrier;
+  }
+
   /// Registers a hook run at every barrier, after the membership phase,
   /// with every shard quiescent. Hooks run in registration order and may
   /// read any shard's state (directory refresh, metrics sampling).
@@ -87,7 +105,7 @@ class BarrierCore {
   void Attach(std::vector<Runtime*> runtimes);
 
   /// One shard, no membership phase, no barrier hook: nothing to
-  /// synchronize, so a window need not end before the horizon.
+  /// synchronize, so a lock-step window need not end before the horizon.
   bool lone() const {
     return shard_count() == 1 && hooks_.empty() && membership_hook_ == nullptr;
   }
@@ -123,12 +141,13 @@ class BarrierCore {
   struct alignas(64) Outbox {
     std::vector<std::vector<Pending>> to;
     uint64_t posted = 0;
-    size_t buffered = 0;  ///< since the last drain
+    size_t buffered = 0;         ///< since the last drain
+    bool wants_barrier = false;  ///< RequestBarrier since the last drain
   };
 
   /// Schedules every buffered message on its destination in
-  /// (destination, source, FIFO) order. Returns whether one was due at
-  /// the barrier (clamped to it).
+  /// (destination, source, FIFO) order and clears every source's wants.
+  /// Returns whether a message was due at the barrier (clamped to it).
   bool Drain(Time at);
   bool MailboxesNonEmpty() const;
 

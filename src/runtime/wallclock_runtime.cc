@@ -60,6 +60,7 @@ void WallClockRuntime::Post(TaskFn fn) {
   {
     std::lock_guard<std::mutex> lock(submit_mu_);
     submit_queue_.push_back(std::move(fn));
+    submit_posted_.store(true);
   }
   submit_cv_.notify_one();
 }
@@ -71,6 +72,7 @@ bool WallClockRuntime::TryPost(TaskFn fn) {
       return false;  // reject-newest: fn is destroyed without running
     }
     submit_queue_.push_back(std::move(fn));
+    submit_posted_.store(true);
   }
   submit_cv_.notify_one();
   return true;
@@ -102,10 +104,14 @@ bool WallClockRuntime::idle() const {
 }
 
 size_t WallClockRuntime::DrainSubmitQueue() {
+  // Every pass of AdvanceTo's loop comes here; one with nothing posted
+  // takes no lock. A Post racing past this check is not lost: the next
+  // pass, or WaitForWork's check under the lock, sees it.
+  if (!submit_posted_.load()) return 0;
   {
     std::lock_guard<std::mutex> lock(submit_mu_);
-    if (submit_queue_.empty()) return 0;
     drain_scratch_.swap(submit_queue_);  // capacities circulate
+    submit_posted_.store(false);
   }
   for (TaskFn& fn : drain_scratch_) {
     fn();

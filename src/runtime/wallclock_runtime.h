@@ -175,6 +175,10 @@ class WallClockRuntime final : public Runtime {
   mutable std::mutex submit_mu_;
   std::condition_variable submit_cv_;
   std::vector<TaskFn> submit_queue_;
+  /// Whether submit_queue_ holds tasks: written under submit_mu_ (set by
+  /// Post/TryPost, cleared by the drain's swap) and read by the executor
+  /// without it, so a service pass with nothing posted takes no lock.
+  std::atomic<bool> submit_posted_{false};
   /// A WakeExecutor() not yet consumed by WaitForWork (guarded by
   /// submit_mu_).
   bool wake_pending_ = false;

@@ -34,23 +34,17 @@ double WallClockShardSet::ElapsedSeconds() const {
       .count();
 }
 
-Time WallClockShardSet::WindowEnd(Time from) const {
-  return windowless_ ? WallClockRuntime::kNever : from + options_.barrier_tick;
-}
-
 void WallClockShardSet::Start() {
   if (started_) return;
   started_ = true;
   if (options_.runtime.manual_clock) return;
   epoch_ = std::chrono::steady_clock::now();
-  windowless_ = lone();
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_requested_ = false;
     stopped_ = false;
     arrived_ = 0;
     window_seq_ = 1;
-    window_end_ = WindowEnd(0);
   }
   barrier_now_requested_.store(false, std::memory_order_relaxed);
   workers_.reserve(shard_count());
@@ -72,8 +66,10 @@ void WallClockShardSet::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_requested_ = true;
   }
-  barrier_now_requested_.store(true, std::memory_order_relaxed);
-  WakeAllShards();
+  // A pull already pending needs no second wake: its leader reads the stop
+  // request and clears the pull under mu_ together, so that barrier is
+  // the final one.
+  PullBarrier();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -81,11 +77,17 @@ void WallClockShardSet::Stop() {
   started_ = false;
 }
 
+bool WallClockShardSet::PullBarrier() {
+  if (barrier_now_requested_.exchange(true, std::memory_order_relaxed)) {
+    return false;
+  }
+  WakeAllShards();
+  return true;
+}
+
 void WallClockShardSet::OnOutboxFull() {
-  if (!workers_.empty() &&
-      !barrier_now_requested_.exchange(true, std::memory_order_relaxed)) {
+  if (!workers_.empty() && PullBarrier()) {
     early_barriers_.fetch_add(1, std::memory_order_relaxed);
-    WakeAllShards();
   }
 }
 
@@ -96,12 +98,9 @@ void WallClockShardSet::PostControl(std::function<void()> fn) {
     std::lock_guard<std::mutex> lock(control_mu_);
     control_queue_.push_back(std::move(fn));
   }
-  // Pull the barrier early so control ops (Stats reads, membership) see
-  // bounded latency instead of waiting out the window.
-  if (!workers_.empty() &&
-      !barrier_now_requested_.exchange(true, std::memory_order_relaxed)) {
-    WakeAllShards();
-  }
+  // Pull the barrier at once: control ops (Stats reads, membership) wait
+  // for no window edge.
+  if (!workers_.empty()) PullBarrier();
 }
 
 void WallClockShardSet::RunAtBarrier(std::function<void()> fn) {
@@ -151,27 +150,33 @@ void WallClockShardSet::WakeAllShards() {
 void WallClockShardSet::WorkerLoop(uint32_t s) {
   WallClockRuntime& rt = *shards_[s];
   uint64_t seq;
-  Time window_end;
   {
     std::lock_guard<std::mutex> lock(mu_);
     seq = window_seq_;
-    window_end = window_end_;
   }
+  Time edge = options_.barrier_tick;
   while (true) {
-    // Service the shard until the window closes: advance to wall time
-    // (capped at the window edge), then park until the next deadline, a
-    // Post, or a barrier pull.
+    // Service the shard until a barrier is pulled: advance to wall time,
+    // then park until the next deadline, a Post or a pull. The window edge
+    // closes the window only for a shard with something to exchange (its
+    // outbox holds a message or it requested a barrier): such a shard stops
+    // at the edge and pulls the barrier for everyone. A dead edge moves a
+    // tick on, so a want arising later still waits at most one tick.
     while (true) {
       const double t = ElapsedSeconds();
-      rt.AdvanceTo(std::min(t, window_end));
-      if (t >= window_end ||
-          barrier_now_requested_.load(std::memory_order_relaxed)) {
+      if (t >= edge && !WantsBarrier(s)) edge = t + options_.barrier_tick;
+      rt.AdvanceTo(std::min(t, edge));
+      if (barrier_now_requested_.load(std::memory_order_relaxed)) break;
+      if (t >= edge) {
+        PullBarrier();
         break;
       }
-      // Park up to the window edge or the shard's next timer deadline. A
-      // Post or a barrier pull that lands between the flag check above and
-      // the wait is not lost: WaitForWork returns at once for it.
-      const double horizon = std::min(window_end, rt.next_timer_due());
+      // Park up to the shard's next timer deadline, and up to the edge
+      // once the shard has something to exchange. A Post or a pull that
+      // lands between the flag check above and the wait is not lost:
+      // WaitForWork returns at once for it.
+      double horizon = rt.next_timer_due();
+      if (WantsBarrier(s)) horizon = std::min(horizon, edge);
       rt.WaitForWork(horizon - ElapsedSeconds());
     }
 
@@ -187,22 +192,19 @@ void WallClockShardSet::WorkerLoop(uint32_t s) {
       // Clear the pull BEFORE the phase takes the control queue: a control
       // op queued after that take then sees the flag clear, sets it and
       // wakes the workers again, instead of being stranded until a window
-      // edge that a windowless shard never reaches.
+      // edge that a shard with nothing to exchange never stops at.
       barrier_now_requested_.store(false, std::memory_order_relaxed);
       Barrier(ElapsedSeconds());
       arrived_ = 0;
-      window_end_ = WindowEnd(ElapsedSeconds());
       if (stopping) stopped_ = true;
       ++window_seq_;
       seq = window_seq_;
-      window_end = window_end_;
       lock.unlock();
       cv_.notify_all();
       if (stopping) break;
     } else {
       cv_.wait(lock, [&] { return window_seq_ != seq; });
       seq = window_seq_;
-      window_end = window_end_;
       const bool finished = stopped_;
       lock.unlock();
       if (finished) break;
@@ -213,6 +215,7 @@ void WallClockShardSet::WorkerLoop(uint32_t s) {
       // Stop() in its join — forever). Exit happens only through the
       // barrier that was actually led with the stop flag set.
     }
+    edge = now() + options_.barrier_tick;
   }
   // Final service pass: run what the last barrier delivered plus any
   // still-queued submissions. Cross-shard messages produced here are

@@ -5,10 +5,14 @@
 /// WallClockShardSet: thread-per-shard wall-clock serving. N
 /// WallClockRuntimes, each driven by its own worker thread, joined by the
 /// barrier protocol of rt::BarrierCore (src/runtime/README.md, "Barrier
-/// core"). This class is the wall-clock window policy: a window ends at
-/// the steady-clock edge (every `barrier_tick` seconds), when a shard's
+/// core"). This class is the wall-clock window policy: barriers happen on
+/// demand. A window ends at a steady-clock edge (`barrier_tick` seconds
+/// after the last barrier, or after the last dead edge) only when the
+/// shard reaching it has something to exchange (BarrierCore::WantsBarrier:
+/// a buffered cross-shard message or a RequestBarrier), when a shard's
 /// outbox fills (`outbox_fill_threshold` buffered messages pull the
-/// barrier early), or when a control op arrives.
+/// barrier early), or when a control op arrives. A shard with nothing to
+/// exchange parks until a Post, its next timer or a pull.
 ///
 /// Within a window each shard services only its own runtime: no locks, no
 /// shared mutable state on the hot path. At the rendezvous the LAST
@@ -24,11 +28,11 @@
 /// RunUntil(), and a run is a pure function of the Post sequence.
 ///
 /// One shard is a valid set and the only way a WallClockRuntime is
-/// served. A threaded lone shard (BarrierCore's lone-shard rule) cuts no
-/// windows: its worker parks until a Post, its next timer, a control op
-/// or Stop, so barriers happen only for control ops and Stop. The manual
-/// driver still cuts `barrier_tick` windows, whose edges set the clock
-/// its tasks observe.
+/// served. A lone shard has no peer, so it never has anything to
+/// exchange: barriers happen only for control ops and Stop. The manual
+/// driver cuts every `barrier_tick` window at any shard count, because
+/// its edges set the clock its tasks observe and make a run a pure
+/// function of the Post sequence.
 ///
 /// The steady state is allocation-free per message: outbox vectors,
 /// per-shard timer cores and the control queue all retain their capacity.
@@ -53,10 +57,12 @@ struct WallClockShardOptions {
   uint32_t shard_count = 1;
   /// Root seed: shard s's runtime RNG stream is StreamSeed(seed, s).
   uint64_t seed = 42;
-  /// Barrier window width in wall seconds. Cross-shard hops pay at most
-  /// one window of extra latency, so keep it small relative to the
-  /// latency budget; every barrier costs one rendezvous of all shards.
-  /// A threaded lone shard without hooks cuts no windows.
+  /// Barrier window width in wall seconds: how late an exchange lands. A
+  /// cross-shard hop, a queued membership op or a published change waits
+  /// at most one tick (plus a wake) for its barrier, so keep it small
+  /// relative to the latency budget. Threaded edges are not a heartbeat:
+  /// an edge becomes a barrier only for a shard with something to
+  /// exchange.
   double barrier_tick = 0.002;
   /// Fill trigger: a shard whose buffered outgoing cross-shard messages
   /// reach this count mid-window pulls the barrier early instead of
@@ -126,9 +132,9 @@ class WallClockShardSet final : public BarrierCore {
   void OnOutboxFull() override;
 
   double ElapsedSeconds() const;
-  /// End of a window opened at `from`: one barrier_tick later, or never
-  /// for a lone shard.
-  Time WindowEnd(Time from) const;
+  /// Asks every worker to the rendezvous now. Returns false when a pull
+  /// was already pending (this call then changed nothing).
+  bool PullBarrier();
   /// Wakes every worker that may be parked inside WaitForWork.
   void WakeAllShards();
   void WorkerLoop(uint32_t s);
@@ -149,21 +155,18 @@ class WallClockShardSet final : public BarrierCore {
   std::condition_variable cv_;
   uint64_t window_seq_ = 0;
   uint32_t arrived_ = 0;
-  /// End of the current window in runtime seconds (leader-written).
-  Time window_end_ = 0;
   bool stop_requested_ = false;
   /// Set by the leader of the barrier that observed stop_requested_ — the
   /// one barrier every worker exits through. A stop REQUEST alone never
   /// ends a worker loop: a worker that bailed early would leave the
   /// rendezvous short of shard_count arrivals forever.
   bool stopped_ = false;
-  /// Fill trigger / stop nudge: workers cut their window short when set.
+  /// The pull (a want at an edge, the fill trigger, a control op, Stop):
+  /// workers go to the rendezvous when set.
   std::atomic<bool> barrier_now_requested_{false};
 
   std::vector<std::thread> workers_;
   bool started_ = false;
-  /// lone(), fixed at Start: the worker's window never ends on its own.
-  bool windowless_ = false;
   std::chrono::steady_clock::time_point epoch_;
 };
 

@@ -1,6 +1,8 @@
 // Thread-per-shard wall-clock serving tests: the rt::WallClockShardSet
 // barrier fabric (manual lock-step windows, mailbox FIFO, fill-triggered
-// early barriers, control ops) and the sharded sbqa::Engine built on it —
+// early barriers, control ops), the barrier wants the mediation stack
+// records (what makes a threaded window edge a barrier) and the sharded
+// sbqa::Engine built on the fabric —
 // cross-shard query serving, post-Start membership through the epoch join
 // log, the one-shard fabric, and the counting-allocator gate holding
 // the sharded Submit path to ZERO heap allocations per query at steady
@@ -13,12 +15,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "experiments/assembly.h"
+#include "experiments/methods.h"
 #include "runtime/wallclock_shard_set.h"
 #include "util/counting_alloc.h"
 
@@ -146,6 +152,144 @@ TEST(WallClockShardSetTest, ThreadedRunAtBarrierSeesAllShardsParked) {
   });
   EXPECT_GE(clocks, 0);
   shards.Stop();
+}
+
+// --- Barrier wants of the mediation stack -----------------------------------
+
+/// A manual 2-shard mediation stack. Consumer 0 and providers 0-2 live on
+/// shard 0 and serve every class; consumer 1 and providers 3-5 live on
+/// shard 1 and serve class 1 only, so consumer 1's class-0 queries are
+/// delegated to shard 0. For each finalized query it records whether the
+/// query's home shard wanted a barrier at that moment.
+struct WantsHarness : core::MediationObserver {
+  explicit WantsHarness(const core::DepartureConfig& departure = {})
+      : shards(ManualFabric(2)) {
+    for (int c = 0; c < 2; ++c) registry.AddConsumer(core::ConsumerParams{});
+    for (int i = 0; i < 6; ++i) {
+      core::ProviderParams params;
+      if (i >= 3) params.allowed_classes = {model::QueryClassId{1}};
+      registry.AddProvider(params);
+    }
+    registry.SetShardCount(2);
+    reputation = std::make_unique<model::ReputationRegistry>(
+        registry.provider_count());
+    experiments::AssemblyOptions wiring;
+    wiring.registry = &registry;
+    wiring.reputation = reputation.get();
+    wiring.runtimes = {&shards.runtime(0), &shards.runtime(1)};
+    wiring.fabric = &shards;
+    wiring.make_method = [] {
+      return experiments::MakeMethod(experiments::MethodSpec::RoundRobin());
+    };
+    wiring.mediator.query_timeout = 5.0;
+    wiring.departure = departure;
+    assembly = std::make_unique<experiments::Assembly>(std::move(wiring));
+    for (core::Mediator* m : assembly->mediators()) m->AddObserver(this);
+    assembly->InstallBarrierPhases(&shards);
+    shards.Start();
+  }
+  // Stop runs a last barrier, whose phases reach into the assembly.
+  ~WantsHarness() override { shards.Stop(); }
+
+  void OnQueryCompleted(const core::QueryOutcome& outcome) override {
+    const uint32_t home = registry.ConsumerShard(outcome.query.consumer);
+    wanted[outcome.query.id] = shards.WantsBarrier(home);
+  }
+
+  /// Submits from the driver, which between manual windows is every
+  /// shard's execution context.
+  void Submit(model::QueryId id, model::ConsumerId consumer,
+              model::QueryClassId query_class, double cost) {
+    model::Query query;
+    query.id = id;
+    query.consumer = consumer;
+    query.query_class = query_class;
+    query.cost = cost;
+    assembly->gateway(registry.ConsumerShard(consumer))->SubmitQuery(query);
+  }
+
+  rt::WallClockShardSet shards;
+  core::Registry registry;
+  std::unique_ptr<model::ReputationRegistry> reputation;
+  std::unique_ptr<experiments::Assembly> assembly;
+  std::map<model::QueryId, bool> wanted;
+};
+
+TEST(BarrierWantsTest, FinalizeWantsABarrierOnlyWhileAQueryIsDelegatedOut) {
+  WantsHarness h;
+  // Query 1 (consumer 1, class 0) has no candidate on shard 1: it is
+  // delegated to shard 0, whose provider works on it for a second.
+  h.Submit(1, 1, 0, 1.0);
+  h.shards.RunFor(0.01);
+  ASSERT_EQ(h.assembly->stats().queries_delegated, 1);
+  EXPECT_FALSE(h.shards.WantsBarrier(0));  // the barriers took every want
+  EXPECT_FALSE(h.shards.WantsBarrier(1));
+  // Query 2 finalizes on shard 1 while query 1 is out, so a donor may read
+  // consumer 1's published satisfaction: it wants a barrier. Query 3 is
+  // local to shard 0, which has nothing delegated out.
+  h.Submit(2, 1, 1, 0.001);
+  h.Submit(3, 0, 0, 0.001);
+  h.shards.RunFor(0.01);
+  // Query 1's outcome comes home; after it nothing of shard 1's is out.
+  h.shards.RunFor(2.0);
+  h.Submit(4, 1, 1, 0.001);
+  h.shards.RunFor(0.01);
+  EXPECT_EQ(h.wanted, (std::map<model::QueryId, bool>{
+                          {1, false}, {2, true}, {3, false}, {4, false}}));
+  EXPECT_EQ(h.assembly->stats().queries_finalized, 4);
+}
+
+TEST(BarrierWantsTest, DeferredMembershipOpsWantABarrier) {
+  WantsHarness h;
+  h.shards.RunFor(0.01);
+  ASSERT_FALSE(h.shards.WantsBarrier(0));
+  // An availability change queued by shard 0's mediator.
+  h.assembly->gateway(0)->SetProviderAvailability(1, false);
+  EXPECT_TRUE(h.shards.WantsBarrier(0));
+  EXPECT_FALSE(h.shards.WantsBarrier(1));
+  h.shards.RunFor(0.002);
+  EXPECT_FALSE(h.shards.WantsBarrier(0));
+  EXPECT_FALSE(h.registry.provider(1).alive());
+  // A join queued by shard 1's mediator.
+  h.assembly->gateway(1)->QueueJoin([](core::Registry* registry) {
+    return registry->AddProvider(core::ProviderParams{});
+  });
+  EXPECT_TRUE(h.shards.WantsBarrier(1));
+  h.shards.RunFor(0.002);
+  EXPECT_FALSE(h.shards.WantsBarrier(1));
+  EXPECT_EQ(h.registry.provider_count(), 7u);
+}
+
+TEST(BarrierWantsTest, DepartureSweepWantsABarrier) {
+  // Every provider is dissatisfied once its 0.05 s grace has passed, and
+  // every consumer in the second run: the gateways' first sweep, at
+  // t = 0.1, queues departures or retires consumers. A probe right behind
+  // the sweep sees the want before the window's barrier takes it.
+  for (const bool providers_leave : {true, false}) {
+    SCOPED_TRACE(providers_leave);
+    core::DepartureConfig departure;
+    departure.providers_can_leave = providers_leave;
+    departure.consumers_can_leave = !providers_leave;
+    departure.provider_threshold = 2.0;
+    departure.consumer_threshold = 2.0;
+    departure.grace_period = 0.05;
+    departure.grace_jitter = 0;
+    departure.sweep_interval = 0.1;
+    WantsHarness h(departure);
+    bool wanted = false;
+    h.shards.runtime(0).ScheduleAt(
+        0.1, [&h, &wanted] { wanted = h.shards.WantsBarrier(0); });
+    h.shards.RunFor(0.099);
+    EXPECT_FALSE(h.shards.WantsBarrier(0));
+    h.shards.RunFor(0.002);
+    EXPECT_TRUE(wanted);
+    EXPECT_FALSE(h.shards.WantsBarrier(0));
+    if (providers_leave) {
+      EXPECT_TRUE(h.registry.provider(0).departed());  // applied at the barrier
+    } else {
+      EXPECT_FALSE(h.registry.consumer(0).active());
+    }
+  }
 }
 
 // --- Sharded engine ----------------------------------------------------------

@@ -6,6 +6,7 @@
 #include "experiments/demo_scenarios.h"
 #include "experiments/report.h"
 #include "experiments/runner.h"
+#include "runtime/fault.h"
 
 namespace sbqa::experiments {
 namespace {
@@ -137,6 +138,31 @@ TEST(RunnerTest, AllMethodsRunCleanly) {
     EXPECT_EQ(result.summary.queries_finalized,
               result.summary.queries_submitted)
         << result.summary.method << " left queries unfinalized";
+  }
+}
+
+TEST(RunnerTest, DrainFinalizesQueriesDispatchedNearTheHorizon) {
+  // sbqa_cli --seed=872788 --volunteers=200 --duration=200 --mediators=1
+  // --method=economic --env=autonomous --fault-profile=crashes
+  // --max-retries=0 --deadline-ms=0 --joins. A query issued near the
+  // horizon arms its query_timeout only at dispatch, after the submission
+  // hop; when a crash window eats an instance it times out past
+  // duration + query_timeout. The drain must still finalize it.
+  for (const uint32_t shards : {1u, 2u}) {
+    ScenarioConfig config = WithAutonomousEnvironment(
+        BaseDemoConfig(872788, /*volunteers=*/200, /*duration=*/200.0));
+    config.sim.shard_count = shards;
+    config.method = MethodSpec::Economic();
+    config.joins.enabled = true;
+    config.joins.rate = 0.05;
+    config.joins.max_joins = 200;
+    config.fault_plan.seed = 1;
+    ASSERT_TRUE(rt::FaultProfileByName("crashes", &config.fault_plan));
+    const RunResult result = RunScenario(config);
+    EXPECT_GT(result.summary.queries_timed_out, 0) << shards << " shard(s)";
+    EXPECT_EQ(result.summary.queries_finalized,
+              result.summary.queries_submitted)
+        << shards << " shard(s)";
   }
 }
 

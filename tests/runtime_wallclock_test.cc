@@ -1,10 +1,12 @@
 // WallClockRuntime unit tests, driven by a fake clock (the test is the
-// executor and advances time with AdvanceTo), plus a threaded multi-
-// producer test on a one-shard WallClockShardSet (whose worker is the only
-// loop that drives a runtime) and the counting-allocator gate that holds
-// the engine facade's Submit path to ZERO heap allocations per query at
-// steady state under the wall-clock runtime — the same contract the
-// simulation's event engine is held to.
+// executor and advances time with AdvanceTo), plus threaded tests on
+// WallClockShardSets (whose workers are the only loops that drive a
+// runtime): multi-producer Post, and barriers on demand — shards meet
+// only when one has something to exchange or a control op pulls them.
+// Then the counting-allocator gate that holds the engine facade's Submit
+// path to ZERO heap allocations per query at steady state under the
+// wall-clock runtime — the same contract the simulation's event engine is
+// held to.
 //
 // Lives in its own test binary because it replaces the global operator
 // new/delete (via util/counting_alloc.h; counting only, allocation
@@ -129,36 +131,107 @@ TEST(WallClockRuntimeTest, ThreadedPostFromManyProducers) {
   EXPECT_GT(shards.barriers(), 0u);
 }
 
-TEST(WallClockRuntimeTest, LoneShardParksWithoutWindowEdges) {
-  // A threaded one-shard set with no hooks has nothing to synchronize: its
-  // worker cuts no timed windows and parks until a Post, its next timer, a
-  // control op or Stop. An idle set therefore performs no barrier, a timer
-  // still fires on time, and a control op posted while the worker is
-  // parked runs (a lost wake would hang here, with no edge to rescue it).
-  rt::WallClockShardSet shards((rt::WallClockShardOptions()));
-  rt::WallClockRuntime& runtime = shards.runtime(0);
-  shards.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));  // 20 ticks
-  EXPECT_EQ(shards.barriers(), 0u);
+/// Re-arms a 1 ms timer on its shard `left` times, counting each firing.
+struct Ticker {
+  rt::WallClockRuntime* runtime;
+  std::atomic<int>* fired;
+  int left;
 
-  std::atomic<bool> fired{false};
-  runtime.Post([&runtime, &fired] {
-    runtime.Schedule(0.005, [&fired] { fired.store(true); });
-  });
-  for (int spin = 0; spin < 2000 && !fired.load(); ++spin) {
+  void Arm() {
+    runtime->Schedule(0.001, [this] {
+      fired->fetch_add(1, std::memory_order_relaxed);
+      if (--left > 0) Arm();
+    });
+  }
+};
+
+/// Spins (1 ms sleeps, 2 s at most) until `done` holds.
+template <typename Done>
+void SpinUntil(Done done) {
+  for (int spin = 0; spin < 2000 && !done(); ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_TRUE(fired.load());
-  EXPECT_EQ(shards.barriers(), 0u);
+}
 
-  for (int i = 0; i < 100; ++i) {
-    int ran = 0;
-    shards.RunAtBarrier([&ran] { ++ran; });
-    ASSERT_EQ(ran, 1);
+TEST(WallClockRuntimeTest, ShardsWithNothingToExchangeDoNotMeet) {
+  // Threaded sets with a membership phase and a barrier hook serve
+  // shard-local work and timers for 20 ticks without a single barrier: a
+  // window edge becomes a barrier only for a shard with something to
+  // exchange, and none has. A control op still pulls a barrier at once,
+  // with every shard parked and no edge to rescue a lost wake. One shard
+  // is the set that never has anything to exchange.
+  for (uint32_t n : {1u, 2u}) {
+    SCOPED_TRACE(n);
+    rt::WallClockShardOptions options;
+    options.shard_count = n;
+    rt::WallClockShardSet shards(options);
+    std::atomic<int> phases{0};
+    std::atomic<int> hooks{0};
+    shards.SetMembershipHook([&phases](rt::Time) { ++phases; });
+    shards.AddBarrierHook([&hooks](rt::Time) { ++hooks; });
+    shards.Start();
+    std::atomic<int> fired{0};
+    std::vector<Ticker> tickers;
+    for (uint32_t s = 0; s < n; ++s) {
+      tickers.push_back(Ticker{&shards.runtime(s), &fired, 40});
+    }
+    for (uint32_t s = 0; s < n; ++s) {
+      Ticker* ticker = &tickers[s];
+      shards.runtime(s).Post([ticker] { ticker->Arm(); });
+    }
+    SpinUntil([&] { return fired.load() == static_cast<int>(40 * n); });
+    EXPECT_EQ(fired.load(), static_cast<int>(40 * n));
+    EXPECT_EQ(shards.barriers(), 0u);
+
+    for (int i = 0; i < 100; ++i) {
+      int ran = 0;
+      shards.RunAtBarrier([&ran] { ++ran; });
+      ASSERT_EQ(ran, 1);
+    }
+    shards.Stop();
+    // One barrier per control op, plus Stop's final one, each with its
+    // membership phase and hooks.
+    EXPECT_EQ(shards.barriers(), 101u);
+    EXPECT_EQ(phases.load(), 101);
+    EXPECT_EQ(hooks.load(), 101);
   }
+}
+
+TEST(WallClockRuntimeTest, CrossShardPostReachesAParkedPeerWithinTicks) {
+  // Shard 1 has no timer, so it parks for an hour unless pulled. Shard 0's
+  // buffered message is something to exchange: shard 0 pulls the barrier
+  // at its next edge, and the barrier delivers the message with the
+  // membership phase and the hooks run. No fill trigger is involved.
+  rt::WallClockShardOptions options;
+  options.shard_count = 2;
+  rt::WallClockShardSet shards(options);
+  std::atomic<int> phases{0};
+  std::atomic<int> hooks{0};
+  shards.SetMembershipHook([&phases](rt::Time) { ++phases; });
+  shards.AddBarrierHook([&hooks](rt::Time) { ++hooks; });
+  shards.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // both park
+  ASSERT_EQ(shards.barriers(), 0u);
+
+  const auto posted = std::chrono::steady_clock::now();
+  std::atomic<double> delivered_after{-1};
+  shards.runtime(0).Post([&shards, &delivered_after, posted] {
+    shards.PostTo(0, 1, shards.runtime(0).now(), [&delivered_after, posted] {
+      delivered_after.store(std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - posted)
+                                .count());
+    });
+  });
+  SpinUntil([&] { return delivered_after.load() >= 0; });
+  ASSERT_GE(delivered_after.load(), 0);
+  // A few 2 ms ticks, with room for a slow host: far below the hour the
+  // peer would otherwise stay parked.
+  EXPECT_LT(delivered_after.load(), 0.25);
+  EXPECT_EQ(shards.barriers(), 1u);
+  EXPECT_EQ(shards.early_barriers(), 0u);
+  EXPECT_EQ(phases.load(), 1);
+  EXPECT_EQ(hooks.load(), 1);
   shards.Stop();
-  // One barrier per control op, plus Stop's final one.
-  EXPECT_EQ(shards.barriers(), 101u);
 }
 
 // --- Engine on the wall-clock runtime ---------------------------------------
