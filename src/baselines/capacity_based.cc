@@ -1,7 +1,6 @@
 #include "baselines/capacity_based.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/mediator.h"
 
@@ -11,20 +10,14 @@ void CapacityBasedMethod::Allocate(const core::AllocationContext& ctx,
                                    core::AllocationDecision* decision) {
   const std::vector<model::ProviderId>& candidates = ctx.candidates->All();
   ctx.mediator->BacklogsOf(candidates, &backlogs_);
-
-  order_.resize(candidates.size());
-  std::iota(order_.begin(), order_.end(), 0u);
-  // Randomize first so equal backlogs (e.g. all idle) break randomly.
-  ctx.mediator->rng().Shuffle(&order_);
-  std::stable_sort(order_.begin(), order_.end(), [this](size_t a, size_t b) {
-    return backlogs_[a] < backlogs_[b];
-  });
+  // Equal backlogs (e.g. all idle) break randomly.
+  ranking_.Rank(backlogs_, ctx.mediator->rng());
 
   const size_t n = std::min(candidates.size(),
                             static_cast<size_t>(ctx.query->n_results));
   decision->selected.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    decision->selected.push_back(candidates[order_[i]]);
+    decision->selected.push_back(candidates[ranking_[i]]);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/ranking.h"
 #include "core/allocation_method.h"
 
 namespace sbqa::baselines {
@@ -26,7 +27,7 @@ class CapacityBasedMethod : public core::AllocationMethod {
   /// Reused per-query scratch (full-scan method; allocation-free once
   /// warm).
   std::vector<double> backlogs_;
-  std::vector<size_t> order_;
+  RandomTieRanking ranking_;
 };
 
 }  // namespace sbqa::baselines

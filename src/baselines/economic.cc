@@ -1,7 +1,6 @@
 #include "baselines/economic.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/mediator.h"
 #include "util/check.h"
@@ -45,20 +44,16 @@ void EconomicMethod::Allocate(const core::AllocationContext& ctx,
   bids_.reserve(candidates.size());
   for (model::ProviderId p : candidates) bids_.push_back(BidOf(ctx, p));
 
-  order_.resize(candidates.size());
-  std::iota(order_.begin(), order_.end(), 0u);
-  ctx.mediator->rng().Shuffle(&order_);
-  std::stable_sort(order_.begin(), order_.end(), [this](size_t a, size_t b) {
-    return bids_[a] < bids_[b];
-  });
+  ranking_.Rank(bids_, ctx.mediator->rng());
 
   const size_t n = std::min(candidates.size(),
                             static_cast<size_t>(ctx.query->n_results));
   decision->used_bid_round = true;  // the auction costs one round-trip
-  for (size_t i = 0; i < order_.size() && decision->selected.size() < n;
+  for (size_t i = 0; i < ranking_.size() && decision->selected.size() < n;
        ++i) {
-    if (bids_[order_[i]] > budget) break;  // sorted: everything after is worse
-    decision->selected.push_back(candidates[order_[i]]);
+    const uint32_t c = ranking_[i];
+    if (bids_[c] > budget) break;  // sorted: everything after is worse
+    decision->selected.push_back(candidates[c]);
   }
   // Bids are prices, not expressed intentions: only the winners are
   // "proposed" a query in the Definition-2 sense, so `consulted` is left to

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/ranking.h"
 #include "core/allocation_method.h"
 
 namespace sbqa::baselines {
@@ -54,7 +55,7 @@ class EconomicMethod : public core::AllocationMethod {
   /// Reused per-query scratch (full-scan method; allocation-free once
   /// warm).
   std::vector<double> bids_;
-  std::vector<size_t> order_;
+  RandomTieRanking ranking_;
 };
 
 }  // namespace sbqa::baselines

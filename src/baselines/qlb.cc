@@ -1,7 +1,6 @@
 #include "baselines/qlb.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/mediator.h"
 
@@ -12,19 +11,13 @@ void QlbMethod::Allocate(const core::AllocationContext& ctx,
   const std::vector<model::ProviderId>& candidates = ctx.candidates->All();
   // Expected completion through the mediator's (possibly stale) load view.
   ctx.mediator->ExpectedCompletionsOf(*ctx.query, candidates, &ect_);
-
-  order_.resize(candidates.size());
-  std::iota(order_.begin(), order_.end(), 0u);
-  ctx.mediator->rng().Shuffle(&order_);
-  std::stable_sort(order_.begin(), order_.end(), [this](size_t a, size_t b) {
-    return ect_[a] < ect_[b];
-  });
+  ranking_.Rank(ect_, ctx.mediator->rng());
 
   const size_t n = std::min(candidates.size(),
                             static_cast<size_t>(ctx.query->n_results));
   decision->selected.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    decision->selected.push_back(candidates[order_[i]]);
+    decision->selected.push_back(candidates[ranking_[i]]);
   }
 }
 

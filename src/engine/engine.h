@@ -100,7 +100,12 @@ struct EngineOptions {
   /// Seconds a suspected provider stays out before being probed back in.
   double probe_delay = 30.0;
   /// Admission bound: Submit sheds (rejects newest, synchronously) once
-  /// this many queries are in flight. 0 = unbounded.
+  /// this many queries are in flight. 0 = unbounded. An admitted query
+  /// waiting for its shard's worker costs its ticket plus one submit-queue
+  /// entry; it takes an in-flight slot and timers only when a service pass
+  /// mediates it, and a pass mediates at most
+  /// rt::WallClockRuntime::kPassBatch queries, so only about a batch per
+  /// shard is being mediated at once.
   int64_t max_pending = 0;
   /// Deterministic fault injection interposed at the runtime seam (between
   /// the mediation stack and its executor). Disabled by default; see

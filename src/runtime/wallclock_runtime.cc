@@ -14,15 +14,16 @@ WallClockRuntime::WallClockRuntime(const WallClockOptions& options)
   // steady-state service pass never grows them.
   immediate_.reserve(256);
   immediate_scratch_.reserve(256);
+  pass_immediate_.reserve(256);
   drain_scratch_.reserve(256);
   submit_queue_.reserve(256);
   if (options_.reserve_timers > 0) {
     timers_.Provision(options_.reserve_timers);
-    // The zero-delay queue scales with the same in-flight bound as the
-    // pool itself: a saturated pass can have every provisioned timer
-    // chained at once.
+    // The zero-delay lanes scale with the same in-flight bound as the
+    // pool itself: a pass can find every provisioned timer due at once.
     immediate_.reserve(options_.reserve_timers);
     immediate_scratch_.reserve(options_.reserve_timers);
+    pass_immediate_.reserve(options_.reserve_timers);
   }
 }
 
@@ -37,9 +38,9 @@ TaskId WallClockRuntime::ScheduleAt(Time when, TaskFn fn) {
   if (when < now()) when = now();
   TaskId id;
   if (when <= now()) {
-    // Zero-delay fast path: already due, runs this pass right after the
-    // queued due timers (its seq is necessarily the newest). The slot is
-    // unqueued — the immediate_ FIFO owns the ordering.
+    // Zero-delay fast path: already due, at the time of the task that
+    // scheduled it (see FireDueTimers). The slot is unqueued — the
+    // immediate_ FIFO owns the ordering.
     id = timers_.AcquireUnqueued(std::move(fn));
     immediate_.push_back(id);
   } else {
@@ -95,86 +96,94 @@ util::Rng WallClockRuntime::SplitRng() { return rng_.Split(); }
 
 bool WallClockRuntime::idle() const {
   // All three checks run under the mutex: acquiring it synchronizes with
-  // DrainSubmitQueue's release after the swap, so a pass still executing
-  // drained tasks is reliably visible through mid_pass_.
+  // RunSubmissions' release after the swap, so a pass still executing
+  // drained tasks is reliably visible through busy_. A pass that ends
+  // publishes busy_ with release, so reading it clear also shows the
+  // timers that pass left (a left-over batch runs without the mutex).
   std::lock_guard<std::mutex> lock(submit_mu_);
   if (!submit_queue_.empty()) return false;
-  if (mid_pass_.load(std::memory_order_relaxed)) return false;
+  if (busy_.load(std::memory_order_acquire)) return false;
   return live_timers_.load(std::memory_order_relaxed) == 0;
 }
 
-size_t WallClockRuntime::DrainSubmitQueue() {
-  // Every pass of AdvanceTo's loop comes here; one with nothing posted
-  // takes no lock. A Post racing past this check is not lost: the next
-  // pass, or WaitForWork's check under the lock, sees it.
-  if (!submit_posted_.load()) return 0;
-  {
+void WallClockRuntime::RunSubmissions() {
+  if (!batch_left()) {
+    // A pass with nothing posted takes no lock. A Post racing past this
+    // check is not lost: the next pass, or WaitForWork's check under the
+    // lock, sees it.
+    if (!submit_posted_.load()) return;
     std::lock_guard<std::mutex> lock(submit_mu_);
     drain_scratch_.swap(submit_queue_);  // capacities circulate
     submit_posted_.store(false);
   }
-  for (TaskFn& fn : drain_scratch_) {
-    fn();
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+  const size_t end = std::min(drain_scratch_.size(), drain_next_ + kPassBatch);
+  while (drain_next_ < end) RunTask(drain_scratch_[drain_next_++]);
+  if (drain_next_ == drain_scratch_.size()) {  // used up: release closures
+    drain_scratch_.clear();
+    drain_next_ = 0;
   }
-  const size_t ran = drain_scratch_.size();
-  drain_scratch_.clear();
-  return ran;
 }
 
-size_t WallClockRuntime::FireDueTimers(Time t) {
-  // The core pops due timers in (when, seq) order directly — no per-pass
-  // bucket sweep or sort like the old hashed wheel. PopDue releases each
+void WallClockRuntime::FireDueTimers(Time t) {
+  // Zero-delay work queued before the timers fire (the submissions'
+  // hops, deliveries made between passes) is due at the pass clock, after
+  // every due timer, so it waits aside. A timer's own zero-delay
+  // follow-ups are due at its deadline: they run after the timers due at
+  // that same instant (older seqs) and before any later one. The core
+  // pops due timers in (when, seq) order directly; PopDue releases each
   // slot before the callback runs, so tasks may freely reschedule, and
   // discards lazily cancelled entries on the way.
-  size_t fired = 0;
+  pass_immediate_.swap(immediate_);
   TaskFn fn;
-  double when;
+  double when = 0;
   while (timers_.PopDue(t, &fn, &when)) {
     SyncTimerGauges();
-    fn();
-    ++fired;
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+    RunTask(fn);
+    double tie = 0;
+    while (timers_.PopDue(when, &fn, &tie)) {
+      SyncTimerGauges();
+      RunTask(fn);
+    }
+    RunImmediate();
   }
-  if (fired == 0) SyncTimerGauges();  // stale entries may have been dropped
-  return fired;
+  immediate_.swap(pass_immediate_);  // immediate_ was left empty
+  RunImmediate();
+  SyncTimerGauges();  // stale entries may have been dropped
 }
 
-size_t WallClockRuntime::RunImmediate() {
-  if (immediate_.empty()) return 0;
-  immediate_scratch_.swap(immediate_);  // capacities circulate
-  size_t ran = 0;
+void WallClockRuntime::RunImmediate() {
   TaskFn fn;
-  for (TaskId id : immediate_scratch_) {
-    if (!timers_.Take(id, &fn)) continue;  // cancelled before it ran
-    SyncTimerGauges();
-    fn();
-    ++ran;
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+  while (!immediate_.empty()) {
+    immediate_scratch_.swap(immediate_);  // capacities circulate
+    for (TaskId id : immediate_scratch_) {
+      if (!timers_.Take(id, &fn)) continue;  // cancelled before it ran
+      SyncTimerGauges();
+      RunTask(fn);
+    }
+    immediate_scratch_.clear();
   }
-  immediate_scratch_.clear();
-  return ran;
 }
 
-void WallClockRuntime::AdvanceTo(Time t) {
+bool WallClockRuntime::RunPass(Time t) {
   if (t < now()) t = now();
-  mid_pass_.store(true, std::memory_order_relaxed);
+  busy_.store(true, std::memory_order_relaxed);
   now_.store(t, std::memory_order_relaxed);
-  // Loop until quiescent at t: fired timers and drained submissions may
-  // schedule zero-delay work due within this same pass (the mediation
-  // pipeline's After(0) chains), exactly like the simulator's RunUntil.
-  while (DrainSubmitQueue() + FireDueTimers(t) + RunImmediate() > 0) {
-  }
+  RunSubmissions();
+  FireDueTimers(t);
   // Re-anchor the parking horizon. The pass consumed everything due at
   // <= t (including stale entries), so the core's bound now reflects the
   // earliest remaining timer — exact after a PopDue miss, and in any case
   // never later than the true deadline (stale-low only costs one empty
   // pass).
   next_due_ = timers_.MinBound();
-  mid_pass_.store(false, std::memory_order_relaxed);
+  const bool left = batch_left();
+  busy_.store(left, std::memory_order_release);
+  // Posts made while the pass ran wait in the queue for the next pass.
+  return left || submit_posted_.load(std::memory_order_relaxed);
 }
 
 void WallClockRuntime::WaitForWork(double max_wait_seconds) {
+  if (batch_left()) return;  // never park with submissions in hand
   std::unique_lock<std::mutex> lock(submit_mu_);
   if (!submit_queue_.empty() || wake_pending_) {
     wake_pending_ = false;

@@ -3,10 +3,10 @@
 
 /// \file
 /// WallClockRuntime: the live-traffic implementation of the runtime seam.
-/// Time is whatever its executor advances it to with AdvanceTo — a shard
-/// worker of rt::WallClockShardSet feeding it steady-clock seconds since
-/// the shard set started, or a test / replay driver feeding it a fake
-/// clock. Timers live in the unified timer core (util::TimerCore — the
+/// Time is whatever its executor advances it to with RunPass / AdvanceTo —
+/// a shard worker of rt::WallClockShardSet feeding it steady-clock seconds
+/// since the shard set started, or a test / replay driver feeding it a
+/// fake clock. Timers live in the unified timer core (util::TimerCore — the
 /// same O(1) ladder queue the simulator runs on); external driver threads
 /// inject work through a mutex-guarded MPSC submit queue (Post), which is
 /// the only thread-safe entry point. Message latency is zero — real
@@ -19,9 +19,13 @@
 /// engine-facade Submit path is held to 0 heap allocations per query under
 /// this runtime by the same counting-allocator gates as the simulation.
 ///
-/// The runtime owns no thread: whoever calls AdvanceTo is the executor,
-/// and a pass is deterministic given the submissions it finds, because
-/// task order is (due time, submission seq) per pass.
+/// The runtime owns no thread: whoever calls RunPass or AdvanceTo is the
+/// executor. A service pass runs at most kPassBatch submissions, so a
+/// burst waits in the submit queue as submissions, not as half-run work,
+/// and a pass is deterministic given the submissions it finds: timers
+/// fire in (due time, submission seq) order, each one's zero-delay
+/// follow-ups before any later timer, and the submissions' zero-delay
+/// chains settle last, at the pass clock.
 
 #include <atomic>
 #include <condition_variable>
@@ -42,11 +46,12 @@ struct WallClockOptions {
   /// Test/replay seam, read by rt::WallClockShardSet: no worker threads,
   /// no steady clock — the caller drives lock-step windows and time.
   bool manual_clock = false;
-  /// Bound on queued-but-undrained submissions: TryPost rejects (returns
-  /// false) once this many tasks are waiting for the executor, giving
-  /// callers a deterministic overload signal instead of an unbounded
-  /// queue. 0 = unbounded. Post itself is never bounded (internal
-  /// control-plane traffic must not be droppable).
+  /// Bound on the submit queue: TryPost rejects (returns false) once this
+  /// many tasks are queued, giving callers a deterministic overload signal
+  /// instead of an unbounded queue. Submissions the executor already took
+  /// from the queue but has not run yet (at most one earlier queue's worth)
+  /// are not counted. 0 = unbounded. Post itself is never bounded
+  /// (internal control-plane traffic must not be droppable).
   size_t max_queue = 0;
   /// Reserves the timer pool for this many slots at construction (slots
   /// are built on first use). Callers with a hard in-flight bound (the
@@ -56,7 +61,8 @@ struct WallClockOptions {
 };
 
 /// rt::Runtime serving wall-clock traffic. One executor at a time (the
-/// thread calling AdvanceTo); Post is the MPSC entry for everything else.
+/// thread calling RunPass / AdvanceTo); Post is the MPSC entry for
+/// everything else.
 class WallClockRuntime final : public Runtime {
  public:
   explicit WallClockRuntime(const WallClockOptions& options = {});
@@ -79,28 +85,51 @@ class WallClockRuntime final : public Runtime {
   /// arrival order at the lock.
   bool TryPost(TaskFn fn);
   Destination RegisterDestination() override;
-  /// Zero-latency deferred delivery: runs on the next service pass (never
-  /// re-entrantly), preserving send order per pass.
+  /// Zero-latency deferred delivery: runs later in the current service
+  /// pass (never re-entrantly), preserving send order.
   void SendTo(Destination destination, TaskFn fn) override;
   double SampleLatency() override { return 0.0; }
   util::Rng SplitRng() override;
 
-  // --- Manual-mode driver ----------------------------------------------------
+  // --- Executor --------------------------------------------------------------
 
-  /// Advances the executor to time `t` (monotonic; earlier values clamp to
-  /// now): drains the submit queue and fires every timer due at <= t, in
-  /// (due time, submission seq) order, looping until quiescent — zero-delay
-  /// chains settle within one call, like the simulator's RunUntil. Shard
-  /// workers call this with the steady clock; manual-clock callers drive
-  /// it directly.
-  void AdvanceTo(Time t);
+  /// Submissions one service pass runs at most. A pass also fires every
+  /// timer due at its clock, so a query dispatched in one pass completes in
+  /// the next instead of behind a whole burst. The bound keeps a pass well
+  /// under one 2 ms barrier tick: at saturation a served query costs
+  /// ~1.6 us of CPU, its driver's Submit included (perfbench serve_small's
+  /// warm-up blast, every thread on one core of a 4-core VM), so a full
+  /// batch settles in ~0.4 ms, and a barrier pull or a due completion
+  /// waits at most that. It is still large enough that the per-pass clock
+  /// read and park check stay a small share of a pass under load.
+  static constexpr size_t kPassBatch = 256;
+
+  /// One service pass at time `t` (monotonic; earlier values clamp to now):
+  /// runs at most kPassBatch submissions in post order, fires every timer
+  /// due at <= t in (due time, submission seq) order, then settles the
+  /// zero-delay chains the submissions started. Zero-delay work is due at
+  /// the time of the task that scheduled it: a timer's follow-ups run
+  /// before any later timer pops, as in the simulator, and a submission's
+  /// hops run at the pass clock, after every due timer. Returns whether
+  /// submissions are left or were posted meanwhile: another pass has work
+  /// in hand. Shard workers call this with the steady clock, one pass per
+  /// clock read.
+  bool RunPass(Time t);
+
+  /// Runs passes at `t` until no submission is left: everything posted
+  /// and everything due at <= t runs, and zero-delay chains settle, like
+  /// the simulator's RunUntil. How manual-clock drivers advance a shard.
+  void AdvanceTo(Time t) {
+    while (RunPass(t)) {
+    }
+  }
 
   /// Parks the calling thread (which must be the executor) until a Post
   /// arrives, WakeExecutor() is called, or `max_wait_seconds` elapsed —
   /// whichever comes first (waits are capped at an hour). Returns
-  /// immediately when submissions are already queued or a wake is pending
-  /// (a wake that lands before the wait is not lost). How
-  /// rt::WallClockShardSet workers idle between barriers.
+  /// immediately when submissions are left from the last pass, are already
+  /// queued, or a wake is pending (a wake that lands before the wait is
+  /// not lost). How rt::WallClockShardSet workers idle between barriers.
   void WaitForWork(double max_wait_seconds);
 
   /// Thread-safe nudge: wakes the executor out of WaitForWork (or makes
@@ -123,7 +152,8 @@ class WallClockRuntime final : public Runtime {
   size_t pending_timers() const {
     return live_timers_.load(std::memory_order_relaxed);
   }
-  /// Whether nothing is pending: no queued submissions, no live timers.
+  /// Whether nothing is pending: no queued or left-over submissions, no
+  /// live timers.
   bool idle() const;
   /// Timer slots ever created (high-water mark of concurrently pending
   /// timers; steady-state scheduling recycles them without allocating).
@@ -139,14 +169,23 @@ class WallClockRuntime final : public Runtime {
     slot_capacity_.store(timers_.slot_capacity(), std::memory_order_relaxed);
   }
 
-  /// Runs queued submissions (FIFO). Returns tasks run.
-  size_t DrainSubmitQueue();
-  /// Fires timers due at <= t in (when, seq) order straight off the core.
-  /// Returns timers fired.
-  size_t FireDueTimers(Time t);
-  /// Runs the zero-delay queue (FIFO == seq order: an immediate task is
-  /// always newer than any due timer of the same pass). Returns tasks run.
-  size_t RunImmediate();
+  /// Whether the drain buffer still holds submissions to run (it is
+  /// emptied as soon as its last one has run).
+  bool batch_left() const { return !drain_scratch_.empty(); }
+  /// Runs at most kPassBatch submissions (FIFO), refilling the drain
+  /// buffer from the submit queue once it is used up.
+  void RunSubmissions();
+  /// Fires timers due at <= t in (when, seq) order straight off the core,
+  /// each followed by its zero-delay chain, then settles the zero-delay
+  /// work queued before them.
+  void FireDueTimers(Time t);
+  /// Runs the zero-delay lane until it is empty (FIFO == seq order).
+  void RunImmediate();
+  /// Runs one task and counts it.
+  void RunTask(TaskFn& fn) {
+    fn();
+    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   WallClockOptions options_;
   util::Rng rng_;
@@ -164,7 +203,14 @@ class WallClockRuntime final : public Runtime {
   /// core handles, redeemed (or skipped, if cancelled) by Take().
   std::vector<TaskId> immediate_;
   std::vector<TaskId> immediate_scratch_;
+  /// The zero-delay work a pass found queued, set aside while the due
+  /// timers fire (see FireDueTimers). Empty between passes.
+  std::vector<TaskId> pass_immediate_;
+  /// Submissions taken from the submit queue in one swap; those from
+  /// drain_next_ on wait for a later pass. Executor-owned, so a batch left
+  /// over costs no lock.
   std::vector<TaskFn> drain_scratch_;
+  size_t drain_next_ = 0;
   Destination next_destination_ = 0;
   /// Lower bound on the earliest pending timer deadline (the executor's
   /// parking horizon). Only ever stale LOW — a too-early wakeup runs an
@@ -187,7 +233,8 @@ class WallClockRuntime final : public Runtime {
   std::atomic<uint64_t> tasks_executed_{0};
   std::atomic<size_t> live_timers_{0};
   std::atomic<size_t> slot_capacity_{0};
-  std::atomic<bool> mid_pass_{false};
+  /// The executor is mid-pass or holds a batch left over (idle() reads it).
+  std::atomic<bool> busy_{false};
 };
 
 }  // namespace sbqa::rt

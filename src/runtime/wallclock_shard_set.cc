@@ -156,21 +156,24 @@ void WallClockShardSet::WorkerLoop(uint32_t s) {
   }
   Time edge = options_.barrier_tick;
   while (true) {
-    // Service the shard until a barrier is pulled: advance to wall time,
-    // then park until the next deadline, a Post or a pull. The window edge
-    // closes the window only for a shard with something to exchange (its
-    // outbox holds a message or it requested a barrier): such a shard stops
-    // at the edge and pulls the barrier for everyone. A dead edge moves a
+    // Service the shard until a barrier is pulled: one bounded pass per
+    // read of the wall clock, then park until the next deadline, a Post or
+    // a pull — unless submissions are left or were posted meanwhile, in
+    // which case the next pass starts at once. The window edge closes the
+    // window only for a shard with something to exchange (its outbox
+    // holds a message or it requested a barrier): such a shard stops at
+    // the edge and pulls the barrier for everyone. A dead edge moves a
     // tick on, so a want arising later still waits at most one tick.
     while (true) {
       const double t = ElapsedSeconds();
       if (t >= edge && !WantsBarrier(s)) edge = t + options_.barrier_tick;
-      rt.AdvanceTo(std::min(t, edge));
+      const bool more = rt.RunPass(std::min(t, edge));
       if (barrier_now_requested_.load(std::memory_order_relaxed)) break;
       if (t >= edge) {
         PullBarrier();
         break;
       }
+      if (more) continue;
       // Park up to the shard's next timer deadline, and up to the edge
       // once the shard has something to exchange. A Post or a pull that
       // lands between the flag check above and the wait is not lost:
@@ -217,9 +220,9 @@ void WallClockShardSet::WorkerLoop(uint32_t s) {
     }
     edge = now() + options_.barrier_tick;
   }
-  // Final service pass: run what the last barrier delivered plus any
-  // still-queued submissions. Cross-shard messages produced here are
-  // dropped (callers WaitIdle before Stop).
+  // Final service passes: run what the last barrier delivered plus every
+  // left-over and still-queued submission. Cross-shard messages produced
+  // here are dropped (callers WaitIdle before Stop).
   rt.AdvanceTo(ElapsedSeconds());
 }
 

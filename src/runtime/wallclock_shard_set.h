@@ -14,9 +14,10 @@
 /// barrier early), or when a control op arrives. A shard with nothing to
 /// exchange parks until a Post, its next timer or a pull.
 ///
-/// Within a window each shard services only its own runtime: no locks, no
-/// shared mutable state on the hot path. At the rendezvous the LAST
-/// arriving worker becomes the barrier leader and, with every other
+/// Within a window each shard services only its own runtime, one bounded
+/// pass (WallClockRuntime::RunPass) per read of the steady clock: no
+/// locks, no shared mutable state on the hot path. At the rendezvous the
+/// LAST arriving worker becomes the barrier leader and, with every other
 /// worker parked on the barrier condition variable, runs the core's
 /// barrier sequence (its control ops are Stats gathering and post-Start
 /// membership), then opens the next window.
@@ -91,9 +92,10 @@ class WallClockShardSet final : public BarrierCore {
   void Start();
 
   /// Final barrier (mailboxes drained, control ops run), then joins the
-  /// workers after one last service pass each. Cross-shard messages
-  /// produced by that final pass are dropped — drain traffic (WaitIdle)
-  /// before stopping. Idempotent; the destructor calls it.
+  /// workers after each has run its shard's remaining submissions.
+  /// Cross-shard messages produced by those final passes are dropped —
+  /// drain traffic (WaitIdle) before stopping. Idempotent; the destructor
+  /// calls it.
   void Stop();
 
   // --- Control plane (thread-safe once started) ------------------------------

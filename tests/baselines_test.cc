@@ -13,67 +13,15 @@
 #include "baselines/qlb.h"
 #include "baselines/random_alloc.h"
 #include "baselines/round_robin.h"
-#include "core/mediator.h"
 #include "core/sbqa.h"
-#include "model/reputation.h"
-#include "sim/simulation.h"
+#include "method_harness.h"
 
 namespace sbqa::baselines {
 namespace {
 
 using core::AllocationContext;
 using core::AllocationDecision;
-
-/// Harness exposing a mediator without running queries through it, so
-/// methods can be called directly with crafted provider states.
-struct MethodHarness {
-  explicit MethodHarness(int providers, uint64_t seed = 1) {
-    sim::SimulationConfig config;
-    config.seed = seed;
-    simulation = std::make_unique<sim::Simulation>(config);
-    core::ConsumerParams consumer_params;
-    consumer_params.policy_kind = model::ConsumerPolicyKind::kPreferenceOnly;
-    registry.AddConsumer(consumer_params);
-    for (int i = 0; i < providers; ++i) {
-      core::ProviderParams params;
-      params.capacity = 1.0;
-      params.policy_kind = model::ProviderPolicyKind::kPreferenceOnly;
-      registry.AddProvider(params);
-    }
-    reputation = std::make_unique<model::ReputationRegistry>(
-        registry.provider_count());
-    // The mediator's method is irrelevant; we call methods directly.
-    mediator = std::make_unique<core::Mediator>(
-        simulation.get(), &registry, reputation.get(),
-        std::make_unique<core::SbqaMethod>(core::SbqaParams{}));
-    for (int i = 0; i < providers; ++i) candidates.push_back(i);
-  }
-
-  AllocationDecision Allocate(core::AllocationMethod& method,
-                              int n_results = 1, double cost = 1.0) {
-    query.id = ++query_id;
-    query.consumer = 0;
-    query.n_results = n_results;
-    query.cost = cost;
-    AllocationContext ctx;
-    ctx.query = &query;
-    ctx.candidates = &candidate_set;
-    ctx.mediator = mediator.get();
-    ctx.now = simulation->now();
-    AllocationDecision decision;
-    method.Allocate(ctx, &decision);
-    return decision;
-  }
-
-  std::unique_ptr<sim::Simulation> simulation;
-  core::Registry registry;
-  std::unique_ptr<model::ReputationRegistry> reputation;
-  std::unique_ptr<core::Mediator> mediator;
-  std::vector<model::ProviderId> candidates;
-  core::CandidateSet candidate_set{&candidates};
-  model::Query query;
-  model::QueryId query_id = 0;
-};
+using harness::MethodHarness;
 
 bool Unique(std::span<const model::ProviderId> ids) {
   return std::set<model::ProviderId>(ids.begin(), ids.end()).size() ==

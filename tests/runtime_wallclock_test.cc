@@ -1,8 +1,9 @@
 // WallClockRuntime unit tests, driven by a fake clock (the test is the
-// executor and advances time with AdvanceTo), plus threaded tests on
-// WallClockShardSets (whose workers are the only loops that drive a
-// runtime): multi-producer Post, and barriers on demand — shards meet
-// only when one has something to exchange or a control op pulls them.
+// executor and advances time with RunPass / AdvanceTo), plus threaded
+// tests on WallClockShardSets (whose workers are the only loops that drive
+// a runtime): multi-producer Post, bounded service passes under a flood
+// and at Stop, and barriers on demand — shards meet only when one has
+// something to exchange or a control op pulls them.
 // Then the counting-allocator gate that holds the engine facade's Submit
 // path to ZERO heap allocations per query at steady state under the
 // wall-clock runtime — the same contract the simulation's event engine is
@@ -103,6 +104,72 @@ TEST(WallClockRuntimeTest, PostedWorkDrainsBeforeTimersOfTheSamePass) {
   EXPECT_EQ(order, (std::vector<std::string>{"posted", "timer"}));
 }
 
+TEST(WallClockRuntimeTest, TimerFollowUpsRunBeforeLaterTimers) {
+  // Timer A at 1 ms hands a zero-delay task on that cancels timer B at
+  // 50 ms, and one pass at 100 ms finds both due. A's follow-up is due at
+  // A's own time, so it runs before B pops, as in the simulator.
+  rt::WallClockRuntime runtime;
+  int b_fired = 0;
+  const rt::TaskId b = runtime.Schedule(0.050, [&b_fired] { ++b_fired; });
+  runtime.Schedule(0.001, [&runtime, b] {
+    runtime.Schedule(0, [&runtime, b] { runtime.Cancel(b); });
+  });
+  runtime.AdvanceTo(0.1);
+  EXPECT_EQ(b_fired, 0);
+  EXPECT_TRUE(runtime.idle());
+}
+
+TEST(WallClockRuntimeTest, SameInstantTimersRunBeforeEachOthersFollowUps) {
+  // The simulator's (time, seq) order: timers due at the same instant were
+  // scheduled before anything either of them hands on.
+  rt::WallClockRuntime runtime;
+  std::vector<std::string> order;
+  runtime.Schedule(0.010, [&runtime, &order] {
+    order.push_back("a");
+    runtime.Schedule(0, [&order] { order.push_back("a-next"); });
+  });
+  runtime.Schedule(0.010, [&order] { order.push_back("b"); });
+  runtime.Schedule(0.020, [&order] { order.push_back("c"); });
+  runtime.AdvanceTo(0.1);
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "a-next", "c"}));
+}
+
+TEST(WallClockRuntimeTest, OnePassRunsOneBatchOfSubmissionsInPostOrder) {
+  rt::WallClockRuntime runtime;
+  constexpr size_t kBatch = rt::WallClockRuntime::kPassBatch;
+  constexpr int kPosted = 1000;
+  std::vector<int> order;
+  for (int i = 0; i < kPosted; ++i) {
+    runtime.Post([&order, i] { order.push_back(i); });
+  }
+  bool timer_fired = false;
+  runtime.Schedule(0.0005, [&timer_fired] { timer_fired = true; });
+
+  // One pass: one batch, in post order, and the due timer is not starved
+  // by the submissions left over.
+  EXPECT_TRUE(runtime.RunPass(0.001));
+  ASSERT_EQ(order.size(), kBatch);
+  for (size_t i = 0; i < kBatch; ++i) ASSERT_EQ(order[i], static_cast<int>(i));
+  EXPECT_TRUE(timer_fired);
+
+  // With a batch left the runtime is not idle, and the executor does not
+  // park.
+  EXPECT_FALSE(runtime.idle());
+  const auto before = std::chrono::steady_clock::now();
+  runtime.WaitForWork(5.0);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          before)
+                .count(),
+            1.0);
+
+  // AdvanceTo settles everything at its time: the rest, in post order.
+  runtime.AdvanceTo(0.002);
+  ASSERT_EQ(order.size(), static_cast<size_t>(kPosted));
+  for (int i = 0; i < kPosted; ++i) ASSERT_EQ(order[i], i);
+  EXPECT_TRUE(runtime.idle());
+  EXPECT_FALSE(runtime.RunPass(0.003));
+}
+
 TEST(WallClockRuntimeTest, ThreadedPostFromManyProducers) {
   // A threaded one-shard set: its worker is the executor, and MPSC
   // submissions from several driver threads all execute on it without
@@ -129,6 +196,84 @@ TEST(WallClockRuntimeTest, ThreadedPostFromManyProducers) {
   shards.Stop();
   EXPECT_EQ(ran.load(), kProducers * kPerProducer);
   EXPECT_GT(shards.barriers(), 0u);
+}
+
+/// Holds a threaded shard's worker inside a posted task until Open(), so
+/// everything posted meanwhile is queued when the worker resumes. Must
+/// outlive the worker's run of that task.
+class WorkerGate {
+ public:
+  explicit WorkerGate(rt::WallClockRuntime& runtime) {
+    runtime.Post([this] {
+      entered_.store(true);
+      while (!open_.load()) std::this_thread::yield();
+    });
+    while (!entered_.load()) std::this_thread::yield();
+  }
+  void Open() { open_.store(true); }
+
+ private:
+  std::atomic<bool> entered_{false};
+  std::atomic<bool> open_{false};
+};
+
+TEST(WallClockRuntimeTest, StopRunsEverySubmissionLeftOver) {
+  // The worker is held while 5,000 tasks are posted and Stop pulls the
+  // final barrier, so it reaches the stop with all of them left: its final
+  // passes must run every one, not one batch.
+  rt::WallClockShardSet shards((rt::WallClockShardOptions()));
+  rt::WallClockRuntime& runtime = shards.runtime(0);
+  shards.Start();
+  WorkerGate gate(runtime);
+  std::atomic<int> ran{0};
+  constexpr int kPosted = 5000;
+  for (int i = 0; i < kPosted; ++i) {
+    runtime.Post([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+  }
+  std::thread opener([&gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.Open();
+  });
+  shards.Stop();
+  opener.join();
+  EXPECT_EQ(ran.load(), kPosted);
+}
+
+TEST(WallClockRuntimeTest, AFloodWaitsAsSubmissionsNotAsTimers) {
+  // A threaded one-shard set is flooded with "queries": each arms a 50 ms
+  // timeout and a 1 us completion whose zero-delay result cancels it. The
+  // worker is held while the flood is posted, so all of it is queued at
+  // once. Each pass takes one batch and fires the previous batch's
+  // completions, so timer slots stay within a small multiple of the batch,
+  // and no timeout fires.
+  rt::WallClockShardSet shards((rt::WallClockShardOptions()));
+  rt::WallClockRuntime& runtime = shards.runtime(0);
+  shards.Start();
+  WorkerGate gate(runtime);
+
+  constexpr int kFlood = 20000;
+  std::atomic<int> completed{0};
+  std::atomic<int> timeouts{0};
+  for (int i = 0; i < kFlood; ++i) {
+    runtime.Post([&runtime, &completed, &timeouts] {
+      const rt::TaskId timeout =
+          runtime.Schedule(0.050, [&timeouts] { timeouts.fetch_add(1); });
+      runtime.Schedule(1e-6, [&runtime, &completed, timeout] {
+        runtime.Schedule(0, [&runtime, &completed, timeout] {
+          runtime.Cancel(timeout);
+          completed.fetch_add(1);
+        });
+      });
+    });
+  }
+  gate.Open();
+  for (int spin = 0; spin < 10000 && completed.load() < kFlood; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  shards.Stop();
+  EXPECT_EQ(completed.load(), kFlood);
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_LE(runtime.slot_capacity(), 8 * rt::WallClockRuntime::kPassBatch);
 }
 
 /// Re-arms a 1 ms timer on its shard `left` times, counting each firing.
