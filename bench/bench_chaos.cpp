@@ -181,7 +181,6 @@ double MeasureRetryAllocations(int64_t* retry_attempts) {
   model::ReputationRegistry reputation(registry.provider_count());
 
   core::MediatorConfig config;
-  config.simulate_network = true;  // faults ride destination sends
   config.query_timeout = 0.5;
   config.max_retries = 2;
   core::Mediator mediator(&injector, &registry, &reputation,
@@ -218,7 +217,6 @@ double MeasureShedAllocations(int64_t* sheds) {
   EngineOptions options;
   options.mode = EngineMode::kSimulated;
   options.seed = 4;
-  options.simulate_network = false;
   options.max_pending = 1;
   Engine engine(std::move(options));
 

@@ -101,6 +101,8 @@ void BM_FullMediationDecision(benchmark::State& state) {
   const int population = static_cast<int>(state.range(0));
   sim::SimulationConfig sim_config;
   sim_config.seed = 42;
+  sim_config.latency_median = 0;  // zero-latency hops
+  sim_config.latency_sigma = 0;
   sim::Simulation simulation(sim_config);
   core::Registry registry;
   core::ConsumerParams consumer_params;
@@ -115,12 +117,9 @@ void BM_FullMediationDecision(benchmark::State& state) {
     registry.consumer(0).preferences().Set(i, rng.Uniform(-1, 1));
   }
   model::ReputationRegistry reputation(registry.provider_count());
-  core::MediatorConfig mediator_config;
-  mediator_config.simulate_network = false;
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           std::make_unique<core::SbqaMethod>(
-                              core::SbqaParams{}),
-                          mediator_config);
+                              core::SbqaParams{}));
 
   std::vector<model::ProviderId> candidates;
   for (int i = 0; i < population; ++i) candidates.push_back(i);

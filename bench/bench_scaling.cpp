@@ -42,7 +42,7 @@ core::SbqaParams DefaultBenchParams() {
 }
 
 /// One population fixture: registry + mediator wired for decision-only
-/// measurements (no network simulation, no event traffic). The kernel
+/// measurements (zero-latency hops, no event traffic). The kernel
 /// sweep passes `trading_policies` so both the consumer- and the
 /// provider-intention math runs its most expensive (blending) branch.
 struct AllocationFixture {
@@ -51,7 +51,8 @@ struct AllocationFixture {
 
   AllocationFixture(size_t providers, const core::SbqaParams& sbqa_params,
                     bool trading_policies)
-      : simulation(sim::SimulationConfig{.seed = 42}) {
+      : simulation(sim::SimulationConfig{
+            .seed = 42, .latency_median = 0, .latency_sigma = 0}) {
     core::ConsumerParams consumer_params;
     consumer_params.policy_kind =
         model::ConsumerPolicyKind::kReputationTrading;
@@ -72,10 +73,9 @@ struct AllocationFixture {
     reputation =
         std::make_unique<model::ReputationRegistry>(registry.provider_count());
     core::MediatorConfig config;
-    config.simulate_network = false;
     config.scoring_kernel = sbqa_params.scoring_kernel;
     mediator = std::make_unique<core::Mediator>(
-        &simulation, &registry, reputation.get(),
+        &simulation.runtime(), &registry, reputation.get(),
         std::make_unique<core::SbqaMethod>(sbqa_params), config);
     method = std::make_unique<core::SbqaMethod>(sbqa_params);
   }

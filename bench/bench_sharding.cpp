@@ -191,15 +191,12 @@ AllocRow MeasureShardedAllocations(uint32_t shard_count, size_t providers,
   experiments::AssemblyOptions wiring;
   wiring.registry = &registry;
   wiring.reputation = &reputation;
-  for (uint32_t s = 0; s < shard_count; ++s) {
-    wiring.runtimes.push_back(&shards.shard(s).runtime());
-  }
-  wiring.fabric = &shards;
+  wiring.shards = &shards;
   wiring.make_method = [sbqa_params] {
     return std::make_unique<core::SbqaMethod>(sbqa_params);
   };
   experiments::Assembly assembly(std::move(wiring));
-  assembly.InstallBarrierPhases(&shards);
+  assembly.InstallBarrierPhases();
   const auto owner = [&](model::ProviderId p) {
     return assembly.gateway(registry.ProviderShard(p));
   };

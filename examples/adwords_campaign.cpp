@@ -77,7 +77,7 @@ int main() {
   }
 
   model::ReputationRegistry reputation(registry.provider_count());
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           std::make_unique<core::SbqaMethod>([] {
                             core::SbqaParams params;
                             params.knbest = core::KnBestParams{12, 6};
@@ -125,10 +125,10 @@ int main() {
   workload::ArrivalParams arrivals;
   arrivals.rate = 2.0;
   arrivals.end_time = kRunEnd;
-  workload::QueryGenerator general_gen(&simulation, &mediator, &ids, general,
+  workload::QueryGenerator general_gen(&simulation.runtime(), &mediator, &ids, general,
                                        arrivals,
                                        workload::CostModel::Constant(2.0));
-  workload::QueryGenerator insect_gen(&simulation, &mediator, &ids, insect,
+  workload::QueryGenerator insect_gen(&simulation.runtime(), &mediator, &ids, insect,
                                       arrivals,
                                       workload::CostModel::Constant(2.0));
   general_gen.Start();

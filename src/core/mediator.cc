@@ -146,13 +146,7 @@ void Mediator::After(double delay, rt::TaskFn fn) {
   rt_->Schedule(delay, std::move(fn));
 }
 
-double Mediator::OneWayLatency() {
-  if (!config_.simulate_network) return 0;
-  return rt_->SampleLatency();
-}
-
 double Mediator::RoundTripLatency(size_t fanout) {
-  if (!config_.simulate_network) return 0;
   double max_latency = 0;
   for (size_t i = 0; i < fanout + 1; ++i) {
     max_latency = std::max(max_latency, rt_->SampleLatency());
@@ -235,11 +229,7 @@ void Mediator::SubmitQuery(model::Query query) {
   ++stats_.queries_submitted;
   registry_->consumer(query.consumer).OnQueryIssued();
   // Consumer -> mediator hop, into the mediator's inbox.
-  if (config_.simulate_network) {
-    rt_->SendTo(inbox_, [this, query] { OnQueryArrival(query); });
-  } else {
-    After(0, [this, query] { OnQueryArrival(query); });
-  }
+  rt_->SendTo(inbox_, [this, query] { OnQueryArrival(query); });
 }
 
 void Mediator::OnQueryArrival(model::Query query) {
@@ -260,7 +250,7 @@ bool Mediator::TryDelegate(const model::Query& query) {
   ++shard_mediators_[shard_id_]->delegated_out_;
   Mediator* peer = shard_mediators_[target];
   const uint32_t origin = shard_id_;
-  shard_set_->PostTo(shard_id_, target, rt_->now() + OneWayLatency(),
+  shard_set_->PostTo(shard_id_, target, rt_->now() + rt_->SampleLatency(),
                      rt::TaskFn([peer, query, origin] {
                        peer->OnDelegatedQuery(query, origin);
                      }));
@@ -281,7 +271,8 @@ void Mediator::RouteOutcomeHome(uint32_t origin_shard,
   const uint32_t slot = AcquireOutboundOutcome(outcome);
   const QueryOutcome* payload = &outbound_outcomes_[slot];
   Mediator* self = this;
-  shard_set_->PostTo(shard_id_, origin_shard, rt_->now() + OneWayLatency(),
+  shard_set_->PostTo(shard_id_, origin_shard,
+                     rt_->now() + rt_->SampleLatency(),
                      rt::TaskFn([home, self, payload, slot] {
                        home->OnDelegatedOutcome(*payload, self, slot);
                      }));
@@ -479,13 +470,8 @@ void Mediator::Dispatch(InflightHandle h) {
       ++stats_.instances_dispatched_dead;
     }
     LinkProviderInflight(p, h);
-    if (config_.simulate_network) {
-      rt_->SendTo(
-          provider_dest_[static_cast<size_t>(p)],
-          [this, h, p, cost] { OnInstanceArrival(h, p, cost); });
-    } else {
-      After(0, [this, h, p, cost] { OnInstanceArrival(h, p, cost); });
-    }
+    rt_->SendTo(provider_dest_[static_cast<size_t>(p)],
+                [this, h, p, cost] { OnInstanceArrival(h, p, cost); });
   }
 
   // Notify all consulted providers of the mediation result: each records
@@ -614,15 +600,9 @@ void Mediator::OnInstanceProcessed(InflightHandle h,
   const bool valid = !rng_.Bernoulli(hot.error_rate(slot));
   reputation_->Record(provider, valid ? 1.0 : 0.0);
   // Provider -> consumer result hop (fans into the mediator inbox).
-  if (config_.simulate_network) {
-    rt_->SendTo(inbox_, [this, h, provider, valid] {
-      OnResultReceived(h, provider, valid);
-    });
-  } else {
-    After(0, [this, h, provider, valid] {
-      OnResultReceived(h, provider, valid);
-    });
-  }
+  rt_->SendTo(inbox_, [this, h, provider, valid] {
+    OnResultReceived(h, provider, valid);
+  });
 }
 
 void Mediator::OnResultReceived(InflightHandle h, model::ProviderId provider,

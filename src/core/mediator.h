@@ -12,7 +12,10 @@
 /// latency sampling, RNG splitting — see runtime/runtime.h), so the
 /// identical pipeline serves the discrete-event harness (sim::SimRuntime,
 /// bit-identical to the pre-seam engine) and live wall-clock traffic
-/// (rt::WallClockRuntime behind the sbqa::Engine facade).
+/// (rt::WallClockRuntime behind the sbqa::Engine facade). Every hop
+/// (submission, dispatch, result, cross-shard) travels at a latency the
+/// runtime samples; zero latency is the runtime's to give (a zero latency
+/// model in the simulator, always on the wall clock).
 ///
 /// The satisfaction model is evaluated identically for every allocation
 /// method (that is Scenario 1's point): the mediator computes the
@@ -56,19 +59,12 @@
 #include "util/small_vec.h"
 #include "util/stats.h"
 
-namespace sbqa::sim {
-class Simulation;
-}  // namespace sbqa::sim
-
 namespace sbqa::core {
 
 class ShardDirectory;
 
 /// Mediator-level configuration.
 struct MediatorConfig {
-  /// When false, all message latencies are zero (useful for unit tests and
-  /// micro-benchmarks; processing time still elapses).
-  bool simulate_network = true;
   /// A query is finalized with whatever results arrived this many seconds
   /// after dispatch (safety net; provider departures already fail fast).
   double query_timeout = 600.0;
@@ -161,14 +157,6 @@ class Mediator {
   /// its RNG stream and registers its inbox at construction, and every
   /// event it schedules runs there.
   Mediator(rt::Runtime* runtime, Registry* registry,
-           model::ReputationRegistry* reputation,
-           std::unique_ptr<AllocationMethod> method,
-           const MediatorConfig& config = {});
-
-  /// Convenience: runs on `sim`'s owned SimRuntime adapter — bit-identical
-  /// to the historical Simulation-coupled mediator. Defined in
-  /// sim/sim_runtime.cc so core translation units stay sim-free.
-  Mediator(sim::Simulation* sim, Registry* registry,
            model::ReputationRegistry* reputation,
            std::unique_ptr<AllocationMethod> method,
            const MediatorConfig& config = {});
@@ -426,10 +414,9 @@ class Mediator {
     int attempt;
   };
 
-  /// Schedules `fn` after `delay` (or a zero-delay event when network
-  /// simulation is off). Not a network message (no latency accounting).
+  /// Schedules `fn` after `delay`. Not a network message (no latency
+  /// accounting).
   void After(double delay, rt::TaskFn fn);
-  double OneWayLatency();
   /// 2 * max over `fanout`+1 sampled one-way latencies (an intention or bid
   /// round-trip to the consumer and the consulted providers in parallel).
   double RoundTripLatency(size_t fanout);

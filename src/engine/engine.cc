@@ -15,7 +15,7 @@
 #include "model/query.h"
 #include "model/reputation.h"
 #include "runtime/wallclock_shard_set.h"
-#include "sim/simulation.h"
+#include "sim/shard_set.h"
 #include "util/check.h"
 #include "util/slot_pool.h"
 
@@ -26,11 +26,12 @@ namespace sbqa {
 struct Engine::Impl final : core::MediationObserver {
   EngineOptions options;
 
-  /// Exactly one of these is the executor: the simulation (kSimulated) or
-  /// an N >= 1 shard set (kWallClock). `runtime` is the simulation's, or
-  /// shard 0's — the facade's clock.
-  std::unique_ptr<sim::Simulation> sim;
-  std::unique_ptr<rt::WallClockShardSet> shard_set;
+  /// The executor: an N >= 1 shard set, sim::ShardSet (kSimulated) or
+  /// rt::WallClockShardSet (kWallClock). `wall` is the same set typed for
+  /// the wall-clock-only calls (null in kSimulated); `runtime` is shard
+  /// 0's, the facade's clock.
+  std::unique_ptr<rt::BarrierCore> shards;
+  rt::WallClockShardSet* wall = nullptr;
   rt::Runtime* runtime = nullptr;
 
   core::Registry registry;
@@ -56,17 +57,24 @@ struct Engine::Impl final : core::MediationObserver {
   /// Queries rejected at admission (max_pending / bounded submit queue).
   std::atomic<int64_t> queries_shed{0};
 
+  /// Whether the caller drives time (kSimulated, manual clock) rather
+  /// than shard workers serving it against the steady clock.
+  bool driven() const {
+    return options.mode == EngineMode::kSimulated ||
+           options.wallclock.manual_clock;
+  }
+
   /// Runs `fn` at a quiescent point of the engine and blocks until it ran:
-  /// at a barrier with every worker parked, or inline when no worker runs
-  /// (manual clock, before Start, after Stop, kSimulated), where the
-  /// caller IS the executor context. Inline calls skip RunAtBarrier's
-  /// std::function, so building a population before Start does not
-  /// allocate per preference. Callers hold lifecycle_mu, which keeps
-  /// Start/Stop from changing threaded() underneath.
+  /// at a barrier with every wall-clock worker parked, or inline when none
+  /// runs (driven engines between windows, before Start, after Stop),
+  /// where the caller IS the executor context. Inline calls skip
+  /// RunAtBarrier's std::function, so building a population before Start
+  /// does not allocate per preference. Callers hold lifecycle_mu, which
+  /// keeps Start/Stop from changing threaded() underneath.
   template <typename Fn>
   void RunQuiescent(Fn&& fn) {
-    if (shard_set != nullptr && shard_set->threaded()) {
-      shard_set->RunAtBarrier(fn);
+    if (wall != nullptr && wall->threaded()) {
+      wall->RunAtBarrier(fn);
     } else {
       fn();
     }
@@ -170,10 +178,9 @@ struct Engine::Impl final : core::MediationObserver {
     out.fault_sends_crashed = faults.sends_crashed;
     out.queries_delegated = s.queries_delegated;
     out.queries_borrowed = s.queries_borrowed;
-    if (shard_set != nullptr) {
-      out.shard_barriers = static_cast<int64_t>(shard_set->barriers());
-      out.shard_early_barriers =
-          static_cast<int64_t>(shard_set->early_barriers());
+    out.shard_barriers = static_cast<int64_t>(shards->barriers());
+    if (wall != nullptr) {
+      out.shard_early_barriers = static_cast<int64_t>(wall->early_barriers());
     }
     out.mean_response_time = s.response_time.mean();
     out.mean_satisfaction = s.query_satisfaction.mean();
@@ -182,8 +189,7 @@ struct Engine::Impl final : core::MediationObserver {
 
   std::vector<EngineShardStats> GatherShardStats() const {
     std::vector<EngineShardStats> rows;
-    if (shard_set == nullptr) return rows;
-    const uint32_t n = shard_set->shard_count();
+    const uint32_t n = shards->shard_count();
     rows.reserve(n);
     for (uint32_t s = 0; s < n; ++s) {
       const core::MediatorStats& m = assembly->gateway(s)->stats();
@@ -193,9 +199,11 @@ struct Engine::Impl final : core::MediationObserver {
       row.queries_finalized = m.queries_finalized;
       row.queries_delegated = m.queries_delegated;
       row.queries_borrowed = m.queries_borrowed;
-      const rt::WallClockRuntime& rt = shard_set->runtime(s);
-      row.pending_timers = static_cast<int64_t>(rt.pending_timers());
-      row.tasks_executed = static_cast<int64_t>(rt.tasks_executed());
+      if (wall != nullptr) {
+        const rt::WallClockRuntime& rt = wall->runtime(s);
+        row.pending_timers = static_cast<int64_t>(rt.pending_timers());
+        row.tasks_executed = static_cast<int64_t>(rt.tasks_executed());
+      }
       rows.push_back(row);
     }
     return rows;
@@ -247,25 +255,22 @@ Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>()) {
         static_cast<size_t>(opts.max_pending) * 4;
   }
   if (opts.mode == EngineMode::kSimulated) {
-    // The simulated engine is one simulation: sharding is a kWallClock
-    // (or experiments::RunScenario) feature.
-    SBQA_CHECK_EQ(opts.shards, 1u);
     sim::SimulationConfig config;
     config.seed = opts.seed;
-    config.latency_median = opts.latency_median;
-    config.latency_sigma = opts.latency_sigma;
-    config.latency_floor = opts.latency_floor;
-    impl_->sim = std::make_unique<sim::Simulation>(config);
-    impl_->runtime = &impl_->sim->runtime();
+    config.shard_count = opts.shards;
+    config.shard_barrier_tick = opts.shard_barrier_tick;
+    impl_->shards = std::make_unique<sim::ShardSet>(config);
   } else {
     rt::WallClockShardOptions config;
     config.shard_count = opts.shards;
     config.seed = opts.seed;
     config.barrier_tick = opts.shard_barrier_tick;
     config.runtime = opts.wallclock;
-    impl_->shard_set = std::make_unique<rt::WallClockShardSet>(config);
-    impl_->runtime = &impl_->shard_set->runtime(0);
+    auto wall = std::make_unique<rt::WallClockShardSet>(config);
+    impl_->wall = wall.get();
+    impl_->shards = std::move(wall);
   }
+  impl_->runtime = &impl_->shards->shard_runtime(0);
 }
 
 Engine::~Engine() { Stop(); }
@@ -323,8 +328,7 @@ void Engine::Start() {
   SBQA_CHECK(!impl.started);
   SBQA_CHECK_GT(impl.registry.provider_count(), 0u);
   SBQA_CHECK_GT(impl.registry.consumer_count(), 0u);
-  const uint32_t n = impl.shard_set != nullptr ? impl.shard_set->shard_count()
-                                               : 1;
+  const uint32_t n = impl.shards->shard_count();
   impl.registry.SetShardCount(n);
   impl.reputation = std::make_unique<model::ReputationRegistry>(
       impl.registry.provider_count());
@@ -332,14 +336,7 @@ void Engine::Start() {
   experiments::AssemblyOptions wiring;
   wiring.registry = &impl.registry;
   wiring.reputation = impl.reputation.get();
-  if (impl.shard_set != nullptr) {
-    for (uint32_t s = 0; s < n; ++s) {
-      wiring.runtimes.push_back(&impl.shard_set->runtime(s));
-    }
-    wiring.fabric = impl.shard_set.get();
-  } else {
-    wiring.runtimes.push_back(impl.runtime);
-  }
+  wiring.shards = impl.shards.get();
   // One allocation-method instance per mediator: a custom instance cannot
   // be replicated, so it requires a single shard.
   if (impl.options.custom_method != nullptr) {
@@ -354,24 +351,14 @@ void Engine::Start() {
     wiring.make_method = [spec] { return experiments::MakeMethod(spec); };
   }
   core::MediatorConfig& config = wiring.mediator;
-  config.simulate_network = impl.options.mode == EngineMode::kSimulated &&
-                            impl.options.simulate_network;
-  // The fault plane interposes on destination sends, so dispatches must
-  // route through them to be faultable. Under the wall-clock runtime this
-  // is behavior-neutral when no fault fires: SendTo is zero-latency
-  // deferred delivery and SampleLatency() is 0.
-  if (impl.options.fault_plan.enabled()) config.simulate_network = true;
   config.query_timeout = impl.options.query_timeout;
-  config.load_view_staleness = impl.options.load_view_staleness;
   config.max_retries = impl.options.max_retries;
   config.failure_threshold = impl.options.failure_threshold;
   config.probe_delay = impl.options.probe_delay;
   wiring.fault_plan = impl.options.fault_plan;
   impl.assembly = std::make_unique<experiments::Assembly>(std::move(wiring));
   for (core::Mediator* m : impl.assembly->mediators()) m->AddObserver(&impl);
-  if (impl.shard_set != nullptr) {
-    impl.assembly->InstallBarrierPhases(impl.shard_set.get());
-  }
+  impl.assembly->InstallBarrierPhases();
 
   // Reserve every per-in-flight pool for the admission cap: max_pending
   // hard-bounds concurrent queries, so the ticket and in-flight pools
@@ -389,12 +376,12 @@ void Engine::Start() {
   }
 
   impl.started = true;
-  if (impl.shard_set != nullptr) impl.shard_set->Start();
+  if (impl.wall != nullptr) impl.wall->Start();
 }
 
 void Engine::Stop() {
   std::lock_guard<std::mutex> lifecycle(impl_->lifecycle_mu);
-  if (impl_->shard_set != nullptr) impl_->shard_set->Stop();
+  if (impl_->wall != nullptr) impl_->wall->Stop();
   impl_->stopped = true;
 }
 
@@ -424,9 +411,7 @@ uint64_t Engine::Submit(const QueryRequest& request,
   const uint32_t shard = impl.registry.ConsumerShard(request.consumer);
   core::Mediator* mediator = impl.assembly->gateway(shard);
   util::EventFn task([mediator, query] { mediator->SubmitQuery(query); });
-  if (impl.shard_set == nullptr) {
-    impl.runtime->Post(std::move(task));
-  } else if (!impl.shard_set->runtime(shard).TryPost(std::move(task))) {
+  if (!impl.shards->shard_runtime(shard).TryPost(std::move(task))) {
     // The shard's bounded submit queue is full: the executor never saw the
     // query, so reclaim its ticket and shed at the door.
     impl.ShedQuery(impl.ReclaimTicket(ticket));
@@ -440,10 +425,8 @@ double Engine::now() const { return impl_->runtime->now(); }
 void Engine::RunFor(double seconds) {
   Impl& impl = *impl_;
   SBQA_CHECK_GE(seconds, 0);
-  if (impl.sim != nullptr) {
-    impl.sim->RunFor(seconds);
-  } else if (impl.options.wallclock.manual_clock) {
-    impl.shard_set->RunFor(seconds);  // lock-step barrier windows
+  if (impl.driven()) {
+    impl.shards->RunUntil(impl.shards->now() + seconds);
   } else {
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
   }
@@ -452,17 +435,15 @@ void Engine::RunFor(double seconds) {
 bool Engine::WaitIdle(double budget_seconds) {
   Impl& impl = *impl_;
   SBQA_CHECK_GE(budget_seconds, 0);
-  if (impl.sim != nullptr) {
-    impl.sim->RunUntil(impl.sim->now() + budget_seconds);
-  } else if (impl.options.wallclock.manual_clock) {
-    // Window-by-window so the drain stops as soon as the outcomes landed
-    // instead of spinning barriers through the whole budget.
-    const double deadline = impl.shard_set->now() + budget_seconds;
+  if (impl.driven()) {
+    // Window by window, so the drain stops as soon as the last outcome
+    // landed instead of running the whole budget.
+    rt::BarrierCore& shards = *impl.shards;
+    const double deadline = shards.now() + budget_seconds;
     const double step = impl.options.shard_barrier_tick;
     while (impl.tickets_live.load(std::memory_order_acquire) > 0 &&
-           impl.shard_set->now() < deadline) {
-      impl.shard_set->RunUntil(
-          std::min(deadline, impl.shard_set->now() + step));
+           shards.now() < deadline) {
+      shards.RunUntil(std::min(deadline, shards.now() + step));
     }
   } else {
     const auto deadline = std::chrono::steady_clock::now() +

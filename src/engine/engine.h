@@ -5,11 +5,13 @@
 /// sbqa::Engine — the library's public embedding API. A builder-style
 /// facade over the whole mediation stack (registry, reputation, allocation
 /// method, mediators — wired by the same experiments::Assembly the
-/// scenario runner uses) that runs the identical pipeline in either of the
-/// two runtime-seam implementations:
+/// scenario runner uses) that runs the identical pipeline on an N >= 1
+/// shard set of either runtime-seam implementation:
 ///
-///   - kSimulated: one discrete-event simulation (virtual time;
-///     deterministic per seed, bit-identical to wiring the stack by hand);
+///   - kSimulated: an N >= 1 shard sim::ShardSet (virtual time, message
+///     hops at sim::SimulationConfig's default latency model;
+///     deterministic per (seed, shards); one shard is bit-identical to
+///     wiring the stack by hand on one simulation);
 ///   - kWallClock: live traffic on an N >= 1 shard rt::WallClockShardSet
 ///     (steady-clock time, one worker thread per shard — shards = 1
 ///     included — thread-safe Submit from any driver thread, zero heap
@@ -83,8 +85,6 @@ struct EngineOptions {
 
   /// Safety-net finalization deadline per query, in runtime seconds.
   double query_timeout = 600.0;
-  /// Age bound (seconds) of the mediator's provider-load view; 0 = fresh.
-  double load_view_staleness = 0.0;
 
   // --- Robustness -------------------------------------------------------------
 
@@ -112,13 +112,25 @@ struct EngineOptions {
   /// rt::FaultPlan / FaultProfileByName.
   rt::FaultPlan fault_plan;
 
-  // --- kSimulated only -------------------------------------------------------
+  // --- Sharding --------------------------------------------------------------
 
-  /// Model message latencies (log-normal) instead of zero-latency hops.
-  bool simulate_network = true;
-  double latency_median = 0.020;  ///< one-way latency median (s)
-  double latency_sigma = 0.35;    ///< log-space spread; 0 = constant
-  double latency_floor = 0.001;   ///< hard minimum (s)
+  /// Shards the mediation stack is partitioned into — one runtime and
+  /// mediator partition each — exchanging traffic through the barrier
+  /// protocol of rt::BarrierCore. kWallClock runs a worker thread per
+  /// shard; kSimulated runs busy shards on worker threads inside each
+  /// window. Submit routes each query to its consumer's owner shard; a
+  /// shard whose candidate pool runs dry borrows from the least-loaded
+  /// peer. shards == 1 is the same shard set with no cross-shard wiring.
+  uint32_t shards = 1;
+  /// Barrier window width in runtime seconds: how late an exchange between
+  /// shards (a cross-shard hop, a queued membership op, a consumer-
+  /// satisfaction change a donor can read) lands, and the step by which a
+  /// driven engine's WaitIdle drains. A driven engine (kSimulated, manual
+  /// clock) cuts every tick, except that a lone simulated shard runs each
+  /// RunFor as one window; threaded kWallClock shards meet only when one
+  /// has something to exchange or a control op (Stats, Snapshot,
+  /// post-Start membership) pulls a barrier.
+  double shard_barrier_tick = 0.002;
 
   // --- kWallClock only -------------------------------------------------------
 
@@ -127,25 +139,6 @@ struct EngineOptions {
   /// RunFor / WaitIdle driving deterministic lock-step barrier windows —
   /// the deterministic-test seam.
   rt::WallClockOptions wallclock;
-
-  /// Thread-per-shard serving (kWallClock only; kSimulated requires 1):
-  /// the mediation stack is partitioned into this many wall-clock shards —
-  /// one worker thread, runtime and mediator partition each — exchanging
-  /// traffic through the barrier mailbox protocol (rt::WallClockShardSet).
-  /// Submit hash-routes each query to its consumer's owner shard; a shard
-  /// whose candidate pool runs dry borrows from the least-loaded peer,
-  /// exactly like the sharded simulation. shards == 1 is the same shard
-  /// set with one worker and no cross-shard wiring.
-  uint32_t shards = 1;
-  /// Barrier window width in seconds (kWallClock): how late an exchange
-  /// between shards lands. A cross-shard hop, a queued membership op or a
-  /// consumer-satisfaction change that a donor shard can read waits at
-  /// most one tick (plus a wake) for its barrier. It is not a heartbeat: a
-  /// threaded shard reaching an edge with nothing to exchange keeps
-  /// serving, so shards that exchange nothing (one shard included) meet
-  /// only for control ops (Stats, Snapshot, post-Start membership), which
-  /// pull a barrier at once. Under manual_clock every tick is a barrier.
-  double shard_barrier_tick = 0.002;
 };
 
 /// One query submission.
@@ -223,27 +216,27 @@ struct EngineStats {
   // Cross-shard traffic (zero when shards == 1).
   int64_t queries_delegated = 0;    ///< cross-shard borrows forwarded
   int64_t queries_borrowed = 0;     ///< queries mediated for a peer shard
-  // Barriers of the kWallClock shard set (zero in kSimulated). Threaded
-  // shards meet on demand: at a window edge only when a shard has
-  // something to exchange (a cross-shard message, a queued membership op,
-  // a satisfaction change a donor can read), and at once for control ops
-  // (Stats, Snapshot, post-Start membership) and the outbox fill trigger.
-  // A one-shard engine's count is therefore only the control ops'; under
-  // manual_clock every tick is a barrier at every shard count.
+  // Barriers of the shard set. A driven engine (kSimulated, manual clock)
+  // counts one per window it runs: every tick of a multi-shard set, each
+  // RunFor or WaitIdle step of a lone simulated shard. Threaded kWallClock
+  // shards meet on demand (something to exchange, a control op, the
+  // outbox fill trigger), so a threaded one-shard engine counts only its
+  // control ops.
   int64_t shard_barriers = 0;       ///< barrier rendezvous performed
-  int64_t shard_early_barriers = 0; ///< barriers pulled by outbox fill
+  int64_t shard_early_barriers = 0; ///< kWallClock: pulled by outbox fill
   double mean_response_time = 0;    ///< queries with >= 1 result
   double mean_satisfaction = 0;     ///< mean per-query Equation 1
 };
 
-/// One shard's live counters (kWallClock engines; see Engine::ShardStats).
-/// Read at a barrier, so the rows are a consistent cross-shard cut.
+/// One shard's live counters (see Engine::ShardStats). Read at a quiescent
+/// point, so the rows are a consistent cross-shard cut.
 struct EngineShardStats {
   uint32_t shard = 0;
   int64_t queries_submitted = 0;
   int64_t queries_finalized = 0;
   int64_t queries_delegated = 0;  ///< borrows this shard sent to peers
   int64_t queries_borrowed = 0;   ///< borrows this shard served for peers
+  // kWallClock only (zero in kSimulated):
   int64_t pending_timers = 0;     ///< live timers on the shard's runtime
   int64_t tasks_executed = 0;     ///< tasks the shard's executor ran
 };
@@ -280,9 +273,13 @@ struct EngineSnapshot {
 ///
 /// Threading: in kWallClock mode Submit / Stats / Snapshot / WaitIdle are
 /// safe from any driver thread once Start() ran (population building is
-/// not — finish it before Start). In kSimulated and manual-clock modes the
-/// engine is single-threaded and the caller drives time with RunFor /
-/// WaitIdle.
+/// not — finish it before Start). In the driven modes (kSimulated, manual
+/// clock) the caller drives time with RunFor / WaitIdle and makes every
+/// call from one thread. A kSimulated engine with shards > 1 runs its busy
+/// shards on worker threads inside each window, so outcome callbacks of
+/// different shards may run at the same time, as in kWallClock; such a
+/// callback may Submit only for the consumer whose outcome it received
+/// (a query's outcome lands on its consumer's shard).
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -295,9 +292,10 @@ class Engine {
   //
   // Before Start() these mutate the registry directly. AFTER Start() they
   // remain valid from any driver thread: the mutation is applied at a
-  // quiescent point of the running engine — the next barrier of the shard
-  // set (every worker parked), or the caller's own context in kSimulated
-  // and manual-clock modes — and the call blocks until it took effect. A
+  // quiescent point of the running engine — the next barrier of a threaded
+  // shard set (every worker parked), or the caller's own context between
+  // the windows of a driven engine — and the call blocks until it took
+  // effect. A
   // provider joins through the registry's epoch JOIN LOG (owner shard
   // assigned by the deterministic join hash). In-flight queries are
   // unaffected. Do not call from an outcome callback (executor context):
@@ -340,22 +338,24 @@ class Engine {
   /// Current runtime time in seconds.
   double now() const;
 
-  /// Advances virtual time by `seconds`, running everything due
-  /// (kSimulated / manual clock); blocks the calling thread that long in
-  /// threaded kWallClock mode.
+  /// Advances virtual time by `seconds` through the shard set's barrier
+  /// windows, running everything due (kSimulated / manual clock); blocks
+  /// the calling thread that long in threaded kWallClock mode.
   void RunFor(double seconds);
 
   /// Waits up to `budget_seconds` of runtime time for every submitted
-  /// query to deliver its outcome. Returns whether everything drained.
+  /// query to deliver its outcome, and returns as soon as they all did: a
+  /// driven engine runs one shard_barrier_tick window at a time, a
+  /// threaded one polls. Returns whether everything drained.
   bool WaitIdle(double budget_seconds);
 
   // --- Introspection ---------------------------------------------------------
 
   EngineStats Stats() const;
   EngineSnapshot Snapshot() const;
-  /// Per-shard counters, one row per shard of a kWallClock engine (one row
-  /// at shards = 1; empty in kSimulated), read at one barrier so the rows
-  /// are a consistent cut. Thread-safe like Stats.
+  /// Per-shard counters, one row per shard in both modes (one row at
+  /// shards = 1), read at one quiescent point so the rows are a consistent
+  /// cut. Thread-safe like Stats.
   std::vector<EngineShardStats> ShardStats() const;
   /// Accumulated per-phase decision timings, aggregated across shard
   /// mediators (zeros unless EngineOptions::decision_timing; `decisions`

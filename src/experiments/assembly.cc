@@ -13,16 +13,15 @@ Assembly::Assembly(AssemblyOptions options) : options_(std::move(options)) {
   SBQA_CHECK(registry != nullptr);
   SBQA_CHECK(options_.reputation != nullptr);
   SBQA_CHECK(options_.make_method != nullptr);
+  SBQA_CHECK(options_.shards != nullptr);
   SBQA_CHECK_GE(options_.group, 1u);
   const uint32_t n = shard_count();
-  SBQA_CHECK_GE(n, 1u);
   SBQA_CHECK_EQ(registry->shard_count(), n);
-  if (n > 1) SBQA_CHECK(options_.fabric != nullptr);
   const size_t group = options_.group;
 
   mediators_.reserve(n * group);
   for (uint32_t s = 0; s < n; ++s) {
-    rt::Runtime* runtime = options_.runtimes[s];
+    rt::Runtime* runtime = &options_.shards->shard_runtime(s);
     if (options_.fault_plan.enabled()) {
       rt::FaultPlan plan = options_.fault_plan;
       plan.seed = util::Rng::StreamSeed(options_.fault_plan.seed, s);
@@ -43,7 +42,7 @@ Assembly::Assembly(AssemblyOptions options) : options_(std::move(options)) {
     // on the gateway list's entry for each shard.
     for (uint32_t s = 0; s < n; ++s) {
       for (size_t m = 0; m < group; ++m) {
-        all_[s * group + m]->ConfigureSharding(options_.fabric, s, &directory_,
+        all_[s * group + m]->ConfigureSharding(options_.shards, s, &directory_,
                                                gateways_);
       }
     }
@@ -71,8 +70,9 @@ Assembly::Assembly(AssemblyOptions options) : options_(std::move(options)) {
 
 Assembly::~Assembly() = default;
 
-void Assembly::InstallBarrierPhases(rt::BarrierCore* shards) {
+void Assembly::InstallBarrierPhases() {
   if (shard_count() == 1) return;
+  rt::BarrierCore* shards = options_.shards;
   shards->SetMembershipHook([this](double) { MembershipPhase(); });
   SettleMembership();
   shards->AddBarrierHook(
@@ -123,7 +123,8 @@ void Assembly::OnProviderJoined(model::ProviderId provider) {
   }
   if (options_.on_join) {
     const uint32_t owner = options_.registry->ProviderShard(provider);
-    options_.on_join(options_.runtimes[owner], gateways_[owner], provider);
+    options_.on_join(&options_.shards->shard_runtime(owner), gateways_[owner],
+                     provider);
   }
 }
 

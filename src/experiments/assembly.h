@@ -2,12 +2,12 @@
 #define SBQA_EXPERIMENTS_ASSEMBLY_H_
 
 /// \file
-/// The one assembly of the mediation stack (paper Fig. 1) onto N >= 1
-/// shard executors. experiments::RunScenario builds it over the shards of a
-/// sim::ShardSet, sbqa::Engine over the shards of an rt::WallClockShardSet
-/// (or the one simulation of a kSimulated engine); no other library code
-/// wires mediators, fault injectors, the cross-shard directory or the
-/// membership epoch.
+/// The one assembly of the mediation stack (paper Fig. 1) onto the N >= 1
+/// shard executors of an rt::BarrierCore. experiments::RunScenario and a
+/// kSimulated sbqa::Engine build it over a sim::ShardSet, a kWallClock
+/// engine over an rt::WallClockShardSet; no other library code wires
+/// mediators, fault injectors, the cross-shard directory or the membership
+/// epoch.
 ///
 /// Per shard: an optional fault injector whose streams derive from
 /// (fault_plan.seed, shard) — stream 0 is the root plan seed — and a group
@@ -15,10 +15,10 @@
 /// is fixed. The first mediator of a group is the shard's gateway: it
 /// receives cross-shard traffic, applies the shard's membership ops and
 /// runs the departure sweep. At more than one shard every mediator is
-/// wired into the fabric (Mediator::ConfigureSharding), membership defers
-/// to the registry's epoch log, and the caller installs the barrier phases
-/// (InstallBarrierPhases). At one shard none of that is wired: membership
-/// applies immediately and there is no barrier work at all.
+/// wired into the shard set (Mediator::ConfigureSharding), membership
+/// defers to the registry's epoch log, and the caller installs the barrier
+/// phases (InstallBarrierPhases). At one shard none of that is wired:
+/// membership applies immediately and there is no barrier work at all.
 
 #include <cstdint>
 #include <functional>
@@ -43,11 +43,9 @@ struct AssemblyOptions {
   /// The population, already partitioned (Registry::SetShardCount).
   core::Registry* registry = nullptr;
   model::ReputationRegistry* reputation = nullptr;
-  /// Shard s's executor; the size is the shard count (>= 1).
-  std::vector<rt::Runtime*> runtimes;
-  /// The cross-shard transport behind `runtimes`; needed only at more than
-  /// one shard.
-  rt::BarrierCore* fabric = nullptr;
+  /// The shard set: shard s's mediators run on its shard_runtime(s), and
+  /// at more than one shard it is the cross-shard transport.
+  rt::BarrierCore* shards = nullptr;
   /// Mediators per shard.
   size_t group = 1;
   /// Builds one allocation-method instance per mediator, shard-major.
@@ -73,22 +71,20 @@ class Assembly final : private core::MembershipApplier {
   Assembly(const Assembly&) = delete;
   Assembly& operator=(const Assembly&) = delete;
 
-  uint32_t shard_count() const {
-    return static_cast<uint32_t>(options_.runtimes.size());
-  }
+  uint32_t shard_count() const { return options_.shards->shard_count(); }
   size_t group() const { return options_.group; }
   /// Every mediator, shard-major: shard s's group is
   /// [s * group(), (s + 1) * group()).
   const std::vector<core::Mediator*>& mediators() const { return all_; }
   core::Mediator* gateway(uint32_t shard) const { return gateways_[shard]; }
 
-  /// Wires the cross-shard barrier phases into `shards` (a sim::ShardSet
-  /// or an rt::WallClockShardSet): the membership phase (apply the epoch
-  /// log, then publish consumer satisfaction) and the directory refresh,
-  /// which runs first among the barrier hooks. Ops already queued (churn
-  /// processes starting offline) are applied here, so the run starts from
-  /// a settled population. Nothing to wire at one shard.
-  void InstallBarrierPhases(rt::BarrierCore* shards);
+  /// Wires the cross-shard barrier phases into the shard set: the
+  /// membership phase (apply the epoch log, then publish consumer
+  /// satisfaction) and the directory refresh, which runs first among the
+  /// barrier hooks. Ops already queued (churn processes starting offline)
+  /// are applied here, so the run starts from a settled population.
+  /// Nothing to wire at one shard.
+  void InstallBarrierPhases();
 
   /// Adds one provider to a running system through the epoch join log and
   /// applies it at once, so the newcomer is wired like any other join.

@@ -77,10 +77,7 @@ RunResult RunScenario(const ScenarioConfig& config) {
   AssemblyOptions wiring;
   wiring.registry = &registry;
   wiring.reputation = &reputation;
-  for (uint32_t s = 0; s < shard_count; ++s) {
-    wiring.runtimes.push_back(&shards.shard(s).runtime());
-  }
-  wiring.fabric = &shards;
+  wiring.shards = &shards;
   wiring.group = std::max<size_t>(config.mediator_count, 1);
   const MethodSpec method = StampedMethod(config);
   wiring.make_method = [&method] { return MakeMethod(method); };
@@ -147,7 +144,7 @@ RunResult RunScenario(const ScenarioConfig& config) {
     core::Mediator* mediator =
         mediators[shard * group + group_cursor[shard]++ % group];
     generators.push_back(std::make_unique<workload::QueryGenerator>(
-        &shards.shard(shard), mediator, ids[shard].get(),
+        &shards.shard_runtime(shard), mediator, ids[shard].get(),
         population.projects[i], arrivals, project.cost));
     generators.back()->Start();
   }
@@ -162,8 +159,9 @@ RunResult RunScenario(const ScenarioConfig& config) {
   }
   std::vector<std::vector<std::unique_ptr<workload::ChurnProcess>>> churn;
   for (uint32_t s = 0; s < shard_count; ++s) {
-    churn.push_back(workload::StartChurn(&shards.shard(s), assembly.gateway(s),
-                                         churn_slices[s], config.churn));
+    churn.push_back(workload::StartChurn(&shards.shard_runtime(s),
+                                         assembly.gateway(s), churn_slices[s],
+                                         config.churn));
   }
 
   // Open-system joins: one process per shard carrying a strided slice of
@@ -181,7 +179,7 @@ RunResult RunScenario(const ScenarioConfig& config) {
                 : 0;
       }
       joins.push_back(std::make_unique<boinc::VolunteerJoinProcess>(
-          &shards.shard(s), assembly.gateway(s), &reputation,
+          &shards.shard_runtime(s), assembly.gateway(s), &reputation,
           config.population, population.projects, join_params, config.churn));
       joins.back()->Start();
     }
@@ -193,7 +191,7 @@ RunResult RunScenario(const ScenarioConfig& config) {
   // hook reads quiescent state; their order matters only for determinism.
   // A lone shard has no barrier work: the collector samples through
   // scheduled events, and the shard set runs the horizon as one window.
-  assembly.InstallBarrierPhases(&shards);
+  assembly.InstallBarrierPhases();
   if (shard_count == 1) {
     collector.Start(config.duration);
   } else {

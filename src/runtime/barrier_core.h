@@ -35,10 +35,18 @@ class BarrierCore {
   uint32_t shard_count() const {
     return static_cast<uint32_t>(runtimes_.size());
   }
+  /// Shard s's executor: the runtime its mediation stack is built on.
+  Runtime& shard_runtime(uint32_t s) const { return *runtimes_[s]; }
 
   /// Barrier clock: the time every shard has reached together. Shard
   /// clocks run ahead of it inside a window. Readable from any thread.
   Time now() const { return barrier_now_.load(std::memory_order_relaxed); }
+
+  /// Driven sets only (the simulator, the manual wall clock): advances
+  /// every shard to `t` through barrier windows, then settles the
+  /// horizon, so no cross-shard message due at or before `t` is left
+  /// unrun. The caller is the driver; on return every shard is quiescent.
+  virtual void RunUntil(Time t) = 0;
 
   /// Buffers `fn` in the (src, dst) outbox; the next barrier schedules it
   /// on shard dst's runtime at max(deliver_at, barrier time). MUST be

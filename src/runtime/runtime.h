@@ -17,11 +17,13 @@
 /// submission order) per service pass for the wall-clock timer core. A
 /// task never runs re-entrantly inside Schedule/SendTo; zero-delay work is
 /// deferred to the next dispatch, exactly like the simulator's zero-delay
-/// events. Every method except Post must be called from the executor
-/// context (setup before the runtime starts also counts); Post is the one
-/// thread-safe entry point and is how external driver threads inject work.
+/// events. Every method except Post and its bounded form TryPost must be
+/// called from the executor context (setup before the runtime starts also
+/// counts); those two are the thread-safe entry points, through which
+/// external driver threads inject work.
 
 #include <cstdint>
+#include <utility>
 
 #include "util/event_fn.h"
 #include "util/rng.h"
@@ -67,10 +69,18 @@ class Runtime {
   /// was cancelled (stale handles are harmless). O(1), no hashing.
   virtual bool Cancel(TaskId id) = 0;
 
-  /// Thread-safe enqueue of `fn` at the current time — the only method
-  /// external threads may call on a running runtime. Single-threaded
-  /// runtimes implement it as Schedule(0, fn).
+  /// Thread-safe enqueue of `fn` at the current time — with TryPost, the
+  /// only method external threads may call on a running runtime.
+  /// Single-threaded runtimes implement it as Schedule(0, fn).
   virtual void Post(TaskFn fn) = 0;
+
+  /// Bounded Post, thread-safe like it: returns false and destroys `fn`
+  /// when the runtime bounds its submit queue and the queue is full.
+  /// Runtimes without a bound post and return true.
+  virtual bool TryPost(TaskFn fn) {
+    Post(std::move(fn));
+    return true;
+  }
 
   /// Registers a delivery endpoint for destination-addressed sends.
   virtual Destination RegisterDestination() = 0;

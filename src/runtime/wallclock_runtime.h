@@ -8,8 +8,8 @@
 /// since the shard set started, or a test / replay driver feeding it a
 /// fake clock. Timers live in the unified timer core (util::TimerCore — the
 /// same O(1) ladder queue the simulator runs on); external driver threads
-/// inject work through a mutex-guarded MPSC submit queue (Post), which is
-/// the only thread-safe entry point. Message latency is zero — real
+/// inject work through a mutex-guarded MPSC submit queue (Post / TryPost),
+/// the only thread-safe entry points. Message latency is zero — real
 /// traffic brings its own.
 ///
 /// Like the discrete-event scheduler it mirrors, the steady state is
@@ -83,7 +83,7 @@ class WallClockRuntime final : public Runtime {
   /// Thread-safe like Post; the reject decision is made atomically under
   /// the queue lock, so concurrent submitters shed deterministically by
   /// arrival order at the lock.
-  bool TryPost(TaskFn fn);
+  bool TryPost(TaskFn fn) override;
   Destination RegisterDestination() override;
   /// Zero-latency deferred delivery: runs later in the current service
   /// pass (never re-entrantly), preserving send order.

@@ -113,7 +113,7 @@ class WallClockShardSet final : public BarrierCore {
   // --- Manual-mode driver ----------------------------------------------------
 
   /// The core's lock-step windows up to `t` (manual_clock only).
-  void RunUntil(Time t) {
+  void RunUntil(Time t) override {
     SBQA_CHECK(workers_.empty());
     RunWindows(t, /*one_window=*/false);
   }

@@ -46,7 +46,7 @@ class ShardSet final : public rt::BarrierCore {
   /// the shard is lone), then settles the horizon: like
   /// Scheduler::RunUntil, leaves no cross-shard message due at or before
   /// `t` unrun.
-  void RunUntil(Time t) { RunWindows(t, lone()); }
+  void RunUntil(Time t) override { RunWindows(t, lone()); }
 
   bool threaded() const { return !workers_.empty(); }
 

@@ -38,8 +38,6 @@ class SimRuntime final : public rt::Runtime {
   double SampleLatency() override;
   util::Rng SplitRng() override;
 
-  Simulation* simulation() { return sim_; }
-
  private:
   Simulation* sim_;
   rt::Destination next_destination_ = 0;

@@ -20,6 +20,10 @@ class Network;
 /// Configuration of the simulation substrate.
 struct SimulationConfig {
   uint64_t seed = 42;         ///< root seed; all streams derive from it
+  /// One-way message latency: log-normal with this median, log-space
+  /// spread and floor; sigma = 0 makes it a constant `latency_median`.
+  /// Zero latency is latency_median = 0 with latency_sigma = 0: every hop
+  /// is then a zero-delay event and draws no random number.
   double latency_median = 0.020;  ///< one-way message latency median (s)
   double latency_sigma = 0.35;    ///< log-space spread; 0 = constant latency
   double latency_floor = 0.001;   ///< hard minimum latency (s)

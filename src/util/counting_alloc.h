@@ -35,6 +35,12 @@ inline void* CountedAlignedAlloc(size_t size, std::align_val_t align) {
   return std::aligned_alloc(a, rounded);
 }
 
+/// Returns a block to malloc. Kept out of line: inlined into a replaced
+/// operator delete, GCC pairs the std::free with the `new` expression
+/// that produced the pointer and reports -Wmismatched-new-delete, although
+/// the replaced operator new took the block from malloc.
+[[gnu::noinline]] inline void CountedFree(void* p) { std::free(p); }
+
 }  // namespace sbqa::util
 
 void* operator new(size_t size) {
@@ -80,29 +86,37 @@ void* operator new[](size_t size, std::align_val_t align,
   return sbqa::util::CountedAlignedAlloc(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { sbqa::util::CountedFree(p); }
+void operator delete[](void* p) noexcept { sbqa::util::CountedFree(p); }
+void operator delete(void* p, size_t) noexcept { sbqa::util::CountedFree(p); }
+void operator delete[](void* p, size_t) noexcept {
+  sbqa::util::CountedFree(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept {
+  sbqa::util::CountedFree(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept {
+  sbqa::util::CountedFree(p);
+}
 void operator delete(void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
+  sbqa::util::CountedFree(p);
 }
 void operator delete[](void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
+  sbqa::util::CountedFree(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  sbqa::util::CountedFree(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  sbqa::util::CountedFree(p);
 }
 void operator delete(void* p, std::align_val_t,
                      const std::nothrow_t&) noexcept {
-  std::free(p);
+  sbqa::util::CountedFree(p);
 }
 void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  sbqa::util::CountedFree(p);
 }
 
 #endif  // SBQA_UTIL_COUNTING_ALLOC_H_

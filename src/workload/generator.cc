@@ -6,18 +6,18 @@
 
 namespace sbqa::workload {
 
-QueryGenerator::QueryGenerator(sim::Simulation* sim, core::Mediator* mediator,
+QueryGenerator::QueryGenerator(rt::Runtime* runtime, core::Mediator* mediator,
                                QueryIdSource* ids, model::ConsumerId consumer,
                                const ArrivalParams& arrivals,
                                const CostModel& cost)
-    : sim_(sim),
+    : rt_(runtime),
       mediator_(mediator),
       ids_(ids),
       consumer_(consumer),
       arrivals_(arrivals),
       cost_(cost),
-      rng_(sim->NewRng()) {
-  SBQA_CHECK(sim_ != nullptr);
+      rng_(runtime->SplitRng()) {
+  SBQA_CHECK(rt_ != nullptr);
   SBQA_CHECK(mediator_ != nullptr);
   SBQA_CHECK(ids_ != nullptr);
   SBQA_CHECK_GT(arrivals.rate, 0);
@@ -25,9 +25,8 @@ QueryGenerator::QueryGenerator(sim::Simulation* sim, core::Mediator* mediator,
 }
 
 void QueryGenerator::Start() {
-  if (arrivals_.start_time > sim_->now()) {
-    sim_->scheduler().ScheduleAt(arrivals_.start_time,
-                                 [this] { ScheduleNext(); });
+  if (arrivals_.start_time > rt_->now()) {
+    rt_->ScheduleAt(arrivals_.start_time, [this] { ScheduleNext(); });
   } else {
     ScheduleNext();
   }
@@ -41,17 +40,17 @@ double QueryGenerator::CurrentRate(double now) const {
 }
 
 void QueryGenerator::ScheduleNext() {
-  const double now = sim_->now();
+  const double now = rt_->now();
   if (now >= arrivals_.end_time) return;
   // Exponential inter-arrival at the current (possibly bursting) rate. A
   // rate change mid-gap slightly smears burst edges, which is acceptable
   // for this workload.
   const double gap = rng_.Exponential(CurrentRate(now));
-  sim_->scheduler().Schedule(gap, [this] { Issue(); });
+  rt_->Schedule(gap, [this] { Issue(); });
 }
 
 void QueryGenerator::Issue() {
-  if (sim_->now() >= arrivals_.end_time) return;
+  if (rt_->now() >= arrivals_.end_time) return;
   const core::Consumer& consumer = mediator_->registry().consumer(consumer_);
   if (!consumer.active()) return;  // retired by dissatisfaction: stop
 

@@ -12,7 +12,7 @@
 
 #include "core/mediator.h"
 #include "model/query.h"
-#include "sim/simulation.h"
+#include "runtime/runtime.h"
 #include "util/rng.h"
 #include "workload/cost_model.h"
 
@@ -62,8 +62,9 @@ struct ArrivalParams {
 /// Drives one consumer's query stream into the mediator.
 class QueryGenerator {
  public:
-  /// All pointers must outlive the generator.
-  QueryGenerator(sim::Simulation* sim, core::Mediator* mediator,
+  /// All pointers must outlive the generator. Runs on `runtime`'s
+  /// executor.
+  QueryGenerator(rt::Runtime* runtime, core::Mediator* mediator,
                  QueryIdSource* ids, model::ConsumerId consumer,
                  const ArrivalParams& arrivals, const CostModel& cost);
 
@@ -78,7 +79,7 @@ class QueryGenerator {
   void ScheduleNext();
   void Issue();
 
-  sim::Simulation* sim_;
+  rt::Runtime* rt_;
   core::Mediator* mediator_;
   QueryIdSource* ids_;
   model::ConsumerId consumer_;

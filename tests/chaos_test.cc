@@ -15,7 +15,9 @@
 //      bit-reproducible per (seed, shard_count), threaded or serial, and
 //      mediator groups lose no query under drops or crashes;
 //   4. graceful degradation: the engine sheds deterministically at
-//      max_pending (and at the wall-clock submit queue bound);
+//      max_pending (and at the wall-clock submit queue bound), and its
+//      fault plane drops dispatches in both modes with every query
+//      terminal;
 //   5. allocation gates: the retry ladder and the shed path perform zero
 //      heap allocations per query at steady state.
 
@@ -217,9 +219,12 @@ struct ChaosObserver : core::MediationObserver {
 struct ChaosSystem {
   explicit ChaosSystem(int providers, const rt::FaultPlan& plan = {},
                        uint64_t seed = 1) {
+    // Faults ride destination sends, which take 1 ms hops under an
+    // enabled plan; fault-free recovery tests keep zero-latency hops for
+    // exact timing.
     sim::SimulationConfig sim_config;
     sim_config.seed = seed;
-    sim_config.latency_median = 0.001;
+    sim_config.latency_median = plan.enabled() ? 0.001 : 0;
     sim_config.latency_sigma = 0;  // constant latency for exact arithmetic
     simulation = std::make_unique<sim::Simulation>(sim_config);
     injector =
@@ -240,10 +245,6 @@ struct ChaosSystem {
   }
 
   void Start(core::MediatorConfig config, bool observe = true) {
-    // Faults ride destination sends: network simulation must be on for the
-    // dispatch path to be faultable. Fault-free recovery tests keep it off
-    // for exact zero-latency timing.
-    config.simulate_network = injector->plan().enabled();
     mediator = std::make_unique<core::Mediator>(
         injector.get(), &registry, reputation.get(),
         std::make_unique<core::SbqaMethod>(core::SbqaParams{}), config);
@@ -617,7 +618,6 @@ EngineOptions SmallEngineOptions() {
   EngineOptions options;
   options.mode = EngineMode::kSimulated;
   options.seed = 4;
-  options.simulate_network = false;
   return options;
 }
 
@@ -712,6 +712,52 @@ TEST(EngineSheddingTest, WallClockSubmitQueueBoundSheds) {
   EXPECT_EQ(done, 2);
   EXPECT_EQ(engine.Stats().queries_shed, 3);
   EXPECT_EQ(engine.Stats().queries_finalized, 2);
+}
+
+// --- Engine fault plane ------------------------------------------------------
+
+/// The facade's fault plane with every provider dispatch dropped: no
+/// instance arrives, so each query ends at its attempt timeout, and
+/// nothing stays in flight.
+void ExpectEngineDropsEveryDispatch(EngineOptions options) {
+  options.seed = 6;
+  options.query_timeout = 1.0;
+  options.fault_plan.drop_send_prob = 1.0;
+  Engine engine(std::move(options));
+  model::ConsumerId consumer = 0;
+  BuildSmallPopulation(&engine, &consumer);
+  engine.Start();
+  constexpr int kQueries = 8;
+  int terminal = 0;
+  for (int i = 0; i < kQueries; ++i) {
+    engine.Submit({consumer, 0, 1, 0.5}, [&terminal](const QueryResult& r) {
+      if (r.outcome == core::OutcomeKind::kTimedOut ||
+          r.outcome == core::OutcomeKind::kFailed) {
+        ++terminal;
+      }
+    });
+    engine.RunFor(0.1);
+  }
+  EXPECT_TRUE(engine.WaitIdle(30.0));
+  EXPECT_EQ(terminal, kQueries);
+  const EngineStats stats = engine.Stats();
+  EXPECT_GT(stats.fault_sends_dropped, 0);
+  EXPECT_EQ(stats.instances_completed, 0);
+  EXPECT_EQ(stats.queries_finalized, kQueries);
+  EXPECT_EQ(stats.queries_in_flight, 0);
+}
+
+TEST(EngineFaultPlaneTest, ManualWallClockEngineDropsDispatches) {
+  EngineOptions options;
+  options.mode = EngineMode::kWallClock;
+  options.wallclock.manual_clock = true;
+  ExpectEngineDropsEveryDispatch(std::move(options));
+}
+
+TEST(EngineFaultPlaneTest, SimulatedEngineDropsDispatches) {
+  EngineOptions options;
+  options.mode = EngineMode::kSimulated;
+  ExpectEngineDropsEveryDispatch(std::move(options));
 }
 
 // --- Allocation gates --------------------------------------------------------

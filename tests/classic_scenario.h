@@ -101,19 +101,19 @@ inline experiments::RunResult RunClassicScenario(
     arrivals.end_time = config.duration;
     arrivals.deadline = config.query_deadline;
     generators.push_back(std::make_unique<workload::QueryGenerator>(
-        &simulation, mediator_ptrs[i % mediator_count], &ids,
+        &simulation.runtime(), mediator_ptrs[i % mediator_count], &ids,
         population.projects[i], arrivals, project.cost));
     generators.back()->Start();
   }
 
   // Open-system dynamics, driven through the first mediator.
   const std::vector<std::unique_ptr<workload::ChurnProcess>> churn =
-      workload::StartChurn(&simulation, mediator_ptrs.front(),
+      workload::StartChurn(&simulation.runtime(), mediator_ptrs.front(),
                            population.volunteers, config.churn);
   std::unique_ptr<boinc::VolunteerJoinProcess> joins;
   if (config.joins.enabled) {
     joins = std::make_unique<boinc::VolunteerJoinProcess>(
-        &simulation, mediator_ptrs.front(), &reputation, config.population,
+        &simulation.runtime(), mediator_ptrs.front(), &reputation, config.population,
         population.projects, config.joins, config.churn);
     joins->Start();
   }

@@ -23,7 +23,7 @@ struct TestSystem {
                       double latency = 0.0) {
     sim::SimulationConfig sim_config;
     sim_config.seed = seed;
-    sim_config.latency_median = latency > 0 ? latency : 0.001;
+    sim_config.latency_median = latency;
     sim_config.latency_sigma = 0;  // constant latency for exact arithmetic
     simulation = std::make_unique<sim::Simulation>(sim_config);
 
@@ -40,14 +40,12 @@ struct TestSystem {
     }
     reputation = std::make_unique<model::ReputationRegistry>(
         registry.provider_count());
-    simulate_network = latency > 0;
   }
 
   /// Builds the mediator with `method`; call after customizing providers.
   void Start(std::unique_ptr<AllocationMethod> method,
              MediatorConfig config = {}) {
-    config.simulate_network = simulate_network;
-    mediator = std::make_unique<Mediator>(simulation.get(), &registry,
+    mediator = std::make_unique<Mediator>(&simulation->runtime(), &registry,
                                           reputation.get(), std::move(method),
                                           config);
   }
@@ -71,7 +69,6 @@ struct TestSystem {
   std::unique_ptr<Mediator> mediator;
   model::ConsumerId consumer = 0;
   model::QueryId next_query_id = 1;
-  bool simulate_network = false;
 };
 
 /// Observer recording completed outcomes.

@@ -104,6 +104,8 @@ struct ServiceSystem {
                 uint64_t seed) {
     sim::SimulationConfig sim_config;
     sim_config.seed = seed;
+    sim_config.latency_median = 0;  // zero-latency hops
+    sim_config.latency_sigma = 0;
     simulation = std::make_unique<sim::Simulation>(sim_config);
     ConsumerParams consumer_params;
     consumer_params.policy_kind = model::ConsumerPolicyKind::kPreferenceOnly;
@@ -119,13 +121,12 @@ struct ServiceSystem {
     reputation = std::make_unique<model::ReputationRegistry>(
         registry.provider_count());
     MediatorConfig config;
-    config.simulate_network = false;
     config.query_timeout = 1e6;
     observer = std::make_unique<TraceObserver>(&plan);
     std::vector<Mediator*> group;
     for (size_t m = 0; m < mediators; ++m) {
       this->mediators.push_back(std::make_unique<Mediator>(
-          simulation.get(), &registry, reputation.get(),
+          &simulation->runtime(), &registry, reputation.get(),
           std::make_unique<PlannedMethod>(&plan), config));
       this->mediators.back()->AddObserver(observer.get());
       group.push_back(this->mediators.back().get());

@@ -267,7 +267,9 @@ void ExpectColumnsMatchProfiles(
               .Get(c),
           expected));
       const double* column = hot.PreferenceColumn(c);
-      if (column != nullptr) EXPECT_TRUE(SameBits(column[slot], expected));
+      if (column != nullptr) {
+        EXPECT_TRUE(SameBits(column[slot], expected));
+      }
     }
   }
 }

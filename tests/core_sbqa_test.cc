@@ -38,7 +38,7 @@ struct SbqaHarness {
     reputation =
         std::make_unique<model::ReputationRegistry>(registry.provider_count());
     mediator = std::make_unique<Mediator>(
-        simulation.get(), &registry, reputation.get(),
+        &simulation->runtime(), &registry, reputation.get(),
         std::make_unique<SbqaMethod>(SbqaParams{}));
   }
 

@@ -44,7 +44,7 @@ struct AllocHarness {
     MediatorConfig config;
     config.scoring_kernel = kind;
     mediator = std::make_unique<Mediator>(
-        simulation.get(), &registry, reputation.get(),
+        &simulation->runtime(), &registry, reputation.get(),
         std::make_unique<SbqaMethod>(SbqaParams{}), config);
   }
 
@@ -152,7 +152,7 @@ TEST(ScoreKernelAllocTest, WarmQueryCycleAllocatesNothing) {
     params.scoring_kernel = kind;
     MediatorConfig config;
     config.scoring_kernel = kind;
-    Mediator mediator(h.simulation.get(), &h.registry, h.reputation.get(),
+    Mediator mediator(&h.simulation->runtime(), &h.registry, h.reputation.get(),
                       std::make_unique<SbqaMethod>(params), config);
     const auto pump = [&](int queries) {
       for (int i = 0; i < queries; ++i) {

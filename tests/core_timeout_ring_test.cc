@@ -60,7 +60,7 @@ struct RingHarness {
     SbqaParams sbqa_params;
     sbqa_params.knbest = KnBestParams{20, 8};
     mediator = std::make_unique<Mediator>(
-        &simulation, &registry, reputation.get(),
+        &simulation.runtime(), &registry, reputation.get(),
         std::make_unique<SbqaMethod>(sbqa_params), config);
   }
 

@@ -22,6 +22,8 @@ struct AvailabilityHarness {
   AvailabilityHarness() {
     sim::SimulationConfig config;
     config.seed = 21;
+    config.latency_median = 0;  // zero-latency hops
+    config.latency_sigma = 0;
     simulation = std::make_unique<sim::Simulation>(config);
     core::ConsumerParams consumer_params;
     consumer_params.policy_kind = model::ConsumerPolicyKind::kPreferenceOnly;
@@ -33,12 +35,9 @@ struct AvailabilityHarness {
       registry.AddProvider(params);
     }
     reputation = std::make_unique<model::ReputationRegistry>(3);
-    core::MediatorConfig mediator_config;
-    mediator_config.simulate_network = false;
     mediator = std::make_unique<core::Mediator>(
-        simulation.get(), &registry, reputation.get(),
-        std::make_unique<core::SbqaMethod>(core::SbqaParams{}),
-        mediator_config);
+        &simulation->runtime(), &registry, reputation.get(),
+        std::make_unique<core::SbqaMethod>(core::SbqaParams{}));
   }
 
   std::unique_ptr<sim::Simulation> simulation;
@@ -131,7 +130,7 @@ TEST(ChurnTest, DisabledChurnStartsNothing) {
   workload::ChurnParams params;
   params.enabled = false;
   const auto processes = workload::StartChurn(
-      h.simulation.get(), h.mediator.get(), {0, 1, 2}, params);
+      &h.simulation->runtime(), h.mediator.get(), {0, 1, 2}, params);
   EXPECT_TRUE(processes.empty());
 }
 
@@ -142,7 +141,7 @@ TEST(ChurnTest, TogglesAvailabilityOverTime) {
   params.mean_online = 5.0;
   params.mean_offline = 5.0;
   const auto processes = workload::StartChurn(
-      h.simulation.get(), h.mediator.get(), {0, 1, 2}, params);
+      &h.simulation->runtime(), h.mediator.get(), {0, 1, 2}, params);
   ASSERT_EQ(processes.size(), 3u);
   h.simulation->RunUntil(200.0);
   // With 5s mean spells over 200s, every provider churned several times.
@@ -155,6 +154,8 @@ TEST(ChurnTest, TogglesAvailabilityOverTime) {
 TEST(ChurnTest, InitialOfflineFractionRespected) {
   sim::SimulationConfig sim_config;
   sim_config.seed = 5;
+  sim_config.latency_median = 0;  // zero-latency hops
+  sim_config.latency_sigma = 0;
   sim::Simulation simulation(sim_config);
   core::Registry registry;
   core::ConsumerParams cp;
@@ -164,17 +165,14 @@ TEST(ChurnTest, InitialOfflineFractionRespected) {
     ids.push_back(registry.AddProvider(core::ProviderParams{}));
   }
   model::ReputationRegistry reputation(200);
-  core::MediatorConfig mc;
-  mc.simulate_network = false;
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           std::make_unique<core::SbqaMethod>(
-                              core::SbqaParams{}),
-                          mc);
+                              core::SbqaParams{}));
   workload::ChurnParams params;
   params.enabled = true;
   params.initial_online_fraction = 0.5;
   const auto processes =
-      workload::StartChurn(&simulation, &mediator, ids, params);
+      workload::StartChurn(&simulation.runtime(), &mediator, ids, params);
   const size_t online = registry.alive_provider_count();
   EXPECT_NEAR(static_cast<double>(online), 100.0, 25.0);
 }
@@ -184,6 +182,8 @@ TEST(ChurnTest, InitialOfflineFractionRespected) {
 TEST(JoinTest, VolunteersJoinAtConfiguredRate) {
   sim::SimulationConfig sim_config;
   sim_config.seed = 31;
+  sim_config.latency_median = 0;  // zero-latency hops
+  sim_config.latency_sigma = 0;
   sim::Simulation simulation(sim_config);
   core::Registry registry;
   util::Rng rng(31);
@@ -191,18 +191,15 @@ TEST(JoinTest, VolunteersJoinAtConfiguredRate) {
   const boinc::BuiltPopulation built =
       boinc::BuildPopulation(spec, &registry, &rng);
   model::ReputationRegistry reputation(registry.provider_count());
-  core::MediatorConfig mc;
-  mc.simulate_network = false;
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           std::make_unique<core::SbqaMethod>(
-                              core::SbqaParams{}),
-                          mc);
+                              core::SbqaParams{}));
 
   boinc::VolunteerJoinParams params;
   params.enabled = true;
   params.rate = 0.5;  // one every 2s
   params.max_joins = 1000;
-  boinc::VolunteerJoinProcess joins(&simulation, &mediator, &reputation,
+  boinc::VolunteerJoinProcess joins(&simulation.runtime(), &mediator, &reputation,
                                     spec, built.projects, params);
   joins.Start();
   simulation.RunUntil(100.0);
@@ -230,6 +227,8 @@ TEST(JoinTest, VolunteersJoinAtConfiguredRate) {
 TEST(JoinTest, MaxJoinsCapRespected) {
   sim::SimulationConfig sim_config;
   sim_config.seed = 32;
+  sim_config.latency_median = 0;  // zero-latency hops
+  sim_config.latency_sigma = 0;
   sim::Simulation simulation(sim_config);
   core::Registry registry;
   util::Rng rng(32);
@@ -237,17 +236,14 @@ TEST(JoinTest, MaxJoinsCapRespected) {
   const boinc::BuiltPopulation built =
       boinc::BuildPopulation(spec, &registry, &rng);
   model::ReputationRegistry reputation(registry.provider_count());
-  core::MediatorConfig mc;
-  mc.simulate_network = false;
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           std::make_unique<core::SbqaMethod>(
-                              core::SbqaParams{}),
-                          mc);
+                              core::SbqaParams{}));
   boinc::VolunteerJoinParams params;
   params.enabled = true;
   params.rate = 10.0;
   params.max_joins = 7;
-  boinc::VolunteerJoinProcess joins(&simulation, &mediator, &reputation,
+  boinc::VolunteerJoinProcess joins(&simulation.runtime(), &mediator, &reputation,
                                     spec, built.projects, params);
   joins.Start();
   simulation.RunUntil(100.0);

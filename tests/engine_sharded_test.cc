@@ -6,17 +6,21 @@
 // cross-shard query serving, post-Start membership through the epoch join
 // log, the one-shard fabric, and the counting-allocator gate holding
 // the sharded Submit path to ZERO heap allocations per query at steady
-// state, membership churn included.
+// state, membership churn included. The sharded kSimulated engine runs
+// on the same facade, over a sim::ShardSet.
 //
 // Lives in its own test binary because it replaces the global operator
 // new/delete (via util/counting_alloc.h; counting only, allocation
 // behavior is unchanged). The threaded tests double as the TSan targets
-// for the rendezvous protocol.
+// for the rendezvous protocol, and the 3-shard simulated engine for the
+// simulated set's worker threads behind the facade.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -176,8 +180,7 @@ struct WantsHarness : core::MediationObserver {
     experiments::AssemblyOptions wiring;
     wiring.registry = &registry;
     wiring.reputation = reputation.get();
-    wiring.runtimes = {&shards.runtime(0), &shards.runtime(1)};
-    wiring.fabric = &shards;
+    wiring.shards = &shards;
     wiring.make_method = [] {
       return experiments::MakeMethod(experiments::MethodSpec::RoundRobin());
     };
@@ -185,7 +188,7 @@ struct WantsHarness : core::MediationObserver {
     wiring.departure = departure;
     assembly = std::make_unique<experiments::Assembly>(std::move(wiring));
     for (core::Mediator* m : assembly->mediators()) m->AddObserver(this);
-    assembly->InstallBarrierPhases(&shards);
+    assembly->InstallBarrierPhases();
     shards.Start();
   }
   // Stop runs a last barrier, whose phases reach into the assembly.
@@ -411,13 +414,83 @@ TEST(EngineShardedTest, ShardsOneRunsOnAOneShardFabric) {
   EXPECT_GT(a.shard_stats[0].tasks_executed, 0);
 }
 
-TEST(EngineShardedDeathTest, SimulatedEngineRejectsShards) {
-  // kSimulated is one simulation; sharding it is a configuration error,
-  // not a silent fallback.
+// --- Sharded simulated engine ------------------------------------------------
+
+/// A kSimulated run of RunManualShardedEngine's workload. Busy shards run
+/// on worker threads inside a window, and a query's outcome lands on its
+/// consumer's shard, so each consumer's tally is written by one thread.
+struct SimulatedRun {
+  std::vector<int64_t> callbacks;
+  std::vector<double> satisfaction;
+  double last_completed_at = 0;
+  double now_after_wait = 0;
+  EngineStats stats;
+  std::vector<EngineShardStats> shard_stats;
+};
+
+SimulatedRun RunSimulatedEngine(uint64_t seed, uint32_t shards, int queries) {
   EngineOptions options;
   options.mode = EngineMode::kSimulated;
-  options.shards = 2;
-  EXPECT_DEATH({ Engine engine(std::move(options)); }, "CHECK failed");
+  options.seed = seed;
+  options.shards = shards;
+  options.query_timeout = 5.0;
+  Engine engine(std::move(options));
+  std::vector<model::ConsumerId> consumers;
+  BuildShardedPopulation(&engine, shards, &consumers);
+  engine.Start();
+  SimulatedRun run;
+  run.callbacks.assign(consumers.size(), 0);
+  run.satisfaction.assign(consumers.size(), 0);
+  std::vector<double> completed_at(consumers.size(), 0);
+  for (int i = 0; i < queries; ++i) {
+    const size_t c = static_cast<size_t>(i) % consumers.size();
+    engine.Submit({consumers[c], 0, 2, 0.1},
+                  [&run, &completed_at, c](const QueryResult& result) {
+                    ++run.callbacks[c];
+                    run.satisfaction[c] += result.satisfaction;
+                    completed_at[c] =
+                        std::max(completed_at[c], result.completed_at);
+                  });
+    engine.RunFor(0.02);
+  }
+  EXPECT_TRUE(engine.WaitIdle(1000.0));
+  run.now_after_wait = engine.now();
+  for (double t : completed_at) {
+    run.last_completed_at = std::max(run.last_completed_at, t);
+  }
+  run.stats = engine.Stats();
+  run.shard_stats = engine.ShardStats();
+  return run;
+}
+
+TEST(EngineShardedTest, SimulatedEngineShardsAndIsReproducible) {
+  const SimulatedRun a = RunSimulatedEngine(13, 3, 90);
+  ASSERT_EQ(a.shard_stats.size(), 3u);
+  for (const EngineShardStats& row : a.shard_stats) {
+    EXPECT_GT(row.queries_submitted, 0) << "shard " << row.shard;
+  }
+  for (int64_t n : a.callbacks) EXPECT_EQ(n, 30);
+  EXPECT_EQ(a.stats.queries_finalized, 90);
+  EXPECT_EQ(a.stats.queries_in_flight, 0);
+  EXPECT_GT(a.stats.shard_barriers, 0);
+  const SimulatedRun b = RunSimulatedEngine(13, 3, 90);
+  // Summed in consumer order, so the sums are bit-comparable.
+  EXPECT_EQ(std::accumulate(a.satisfaction.begin(), a.satisfaction.end(), 0.0),
+            std::accumulate(b.satisfaction.begin(), b.satisfaction.end(), 0.0));
+  EXPECT_EQ(a.stats.mean_response_time, b.stats.mean_response_time);
+  EXPECT_EQ(a.stats.shard_barriers, b.stats.shard_barriers);
+}
+
+TEST(EngineShardedTest, OneShardSimulatedWaitIdleStopsWhenDrained) {
+  // One ShardStats row, and WaitIdle returns within one barrier tick of
+  // the last outcome instead of running its 1000 s budget.
+  const SimulatedRun run = RunSimulatedEngine(17, 1, 20);
+  ASSERT_EQ(run.shard_stats.size(), 1u);
+  EXPECT_EQ(run.shard_stats[0].queries_finalized, 20);
+  EXPECT_EQ(run.callbacks[0], 20);
+  EXPECT_GT(run.last_completed_at, 0);
+  EXPECT_LE(run.now_after_wait,
+            run.last_completed_at + EngineOptions{}.shard_barrier_tick + 1e-9);
 }
 
 TEST(EngineShardedTest, PostStartMembershipJoinsThroughTheEpochLog) {

@@ -21,6 +21,8 @@ struct FederationHarness {
   FederationHarness() {
     sim::SimulationConfig config;
     config.seed = 77;
+    config.latency_median = 0;  // zero-latency hops
+    config.latency_sigma = 0;
     simulation = std::make_unique<sim::Simulation>(config);
     for (int i = 0; i < 2; ++i) {
       core::ConsumerParams params;
@@ -34,13 +36,10 @@ struct FederationHarness {
       registry.AddProvider(params);
     }
     reputation = std::make_unique<model::ReputationRegistry>(3);
-    core::MediatorConfig mediator_config;
-    mediator_config.simulate_network = false;
     for (int m = 0; m < 2; ++m) {
       mediators.push_back(std::make_unique<core::Mediator>(
-          simulation.get(), &registry, reputation.get(),
-          std::make_unique<core::SbqaMethod>(core::SbqaParams{}),
-          mediator_config));
+          &simulation->runtime(), &registry, reputation.get(),
+          std::make_unique<core::SbqaMethod>(core::SbqaParams{})));
     }
     mediators[0]->SetPeers({mediators[0].get(), mediators[1].get()});
     mediators[1]->SetPeers({mediators[0].get(), mediators[1].get()});

@@ -35,7 +35,7 @@ struct MethodHarness {
         registry.provider_count());
     // The mediator's method is irrelevant; we call methods directly.
     mediator = std::make_unique<core::Mediator>(
-        simulation.get(), &registry, reputation.get(),
+        &simulation->runtime(), &registry, reputation.get(),
         std::make_unique<core::SbqaMethod>(core::SbqaParams{}));
     for (int i = 0; i < providers; ++i) candidates.push_back(i);
   }

@@ -29,6 +29,8 @@ struct CollectorHarness {
   CollectorHarness() {
     sim::SimulationConfig config;
     config.seed = 11;
+    config.latency_median = 0;  // zero-latency hops
+    config.latency_sigma = 0;
     simulation = std::make_unique<sim::Simulation>(config);
     core::ConsumerParams consumer_params;
     consumer_params.policy_kind = model::ConsumerPolicyKind::kPreferenceOnly;
@@ -42,12 +44,9 @@ struct CollectorHarness {
       registry.provider(i).preferences().Set(0, 0.5);
     }
     reputation = std::make_unique<model::ReputationRegistry>(4);
-    core::MediatorConfig mediator_config;
-    mediator_config.simulate_network = false;
     mediator = std::make_unique<core::Mediator>(
-        simulation.get(), &registry, reputation.get(),
-        std::make_unique<core::SbqaMethod>(core::SbqaParams{}),
-        mediator_config);
+        &simulation->runtime(), &registry, reputation.get(),
+        std::make_unique<core::SbqaMethod>(core::SbqaParams{}));
   }
 
   void SubmitAt(double when, double cost = 1.0) {

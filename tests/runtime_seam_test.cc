@@ -70,7 +70,7 @@ HandWiredRun RunHandWired(uint64_t seed) {
 
   experiments::MethodSpec spec;
   EXPECT_TRUE(experiments::MethodSpecFromName("sbqa", &spec));
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           experiments::MakeMethod(spec));
 
   for (int i = 0; i < kQueries; ++i) {

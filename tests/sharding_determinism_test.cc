@@ -325,6 +325,8 @@ void RunBorrowedScoring(bool threads, DonorDecision* donor,
   sim_config.shard_count = 2;
   sim_config.shard_use_threads = threads;
   sim_config.shard_barrier_tick = 1.0;
+  sim_config.latency_median = 0;  // zero-latency hops
+  sim_config.latency_sigma = 0;
   sim::ShardSet shards(sim_config);
 
   core::Registry registry;
@@ -350,16 +352,12 @@ void RunBorrowedScoring(bool threads, DonorDecision* donor,
   experiments::AssemblyOptions wiring;
   wiring.registry = &registry;
   wiring.reputation = &reputation;
-  for (uint32_t s = 0; s < 2; ++s) {
-    wiring.runtimes.push_back(&shards.shard(s).runtime());
-  }
-  wiring.fabric = &shards;
+  wiring.shards = &shards;
   wiring.make_method = [sbqa] {
     return std::make_unique<core::SbqaMethod>(sbqa);
   };
-  wiring.mediator.simulate_network = false;
   experiments::Assembly assembly(std::move(wiring));
-  assembly.InstallBarrierPhases(&shards);
+  assembly.InstallBarrierPhases();
   const std::vector<core::Mediator*>& mediators = assembly.mediators();
   donor->registry = &registry;
   home->registry = &registry;

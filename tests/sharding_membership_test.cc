@@ -281,15 +281,12 @@ struct MembershipHarness {
     AssemblyOptions wiring;
     wiring.registry = &registry;
     wiring.reputation = reputation.get();
-    for (uint32_t s = 0; s < kShards; ++s) {
-      wiring.runtimes.push_back(&shards->shard(s).runtime());
-    }
-    wiring.fabric = shards.get();
+    wiring.shards = shards.get();
     wiring.make_method = [sbqa_params] {
       return std::make_unique<core::SbqaMethod>(sbqa_params);
     };
     assembly = std::make_unique<Assembly>(std::move(wiring));
-    assembly->InstallBarrierPhases(shards.get());
+    assembly->InstallBarrierPhases();
   }
 
   core::Mediator* mediator(uint32_t shard) const {

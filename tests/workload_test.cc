@@ -69,6 +69,8 @@ struct GeneratorHarness {
   explicit GeneratorHarness(uint64_t seed = 5) {
     sim::SimulationConfig config;
     config.seed = seed;
+    config.latency_median = 0;  // zero-latency hops
+    config.latency_sigma = 0;
     simulation = std::make_unique<sim::Simulation>(config);
     core::ConsumerParams consumer_params;
     consumer_params.policy_kind = model::ConsumerPolicyKind::kPreferenceOnly;
@@ -81,12 +83,9 @@ struct GeneratorHarness {
     }
     reputation = std::make_unique<model::ReputationRegistry>(
         registry.provider_count());
-    core::MediatorConfig mediator_config;
-    mediator_config.simulate_network = false;
     mediator = std::make_unique<core::Mediator>(
-        simulation.get(), &registry, reputation.get(),
-        std::make_unique<core::SbqaMethod>(core::SbqaParams{}),
-        mediator_config);
+        &simulation->runtime(), &registry, reputation.get(),
+        std::make_unique<core::SbqaMethod>(core::SbqaParams{}));
   }
 
   std::unique_ptr<sim::Simulation> simulation;
@@ -102,7 +101,7 @@ TEST(GeneratorTest, PoissonRateApproximatelyRespected) {
   ArrivalParams arrivals;
   arrivals.rate = 5.0;
   arrivals.end_time = 200.0;
-  QueryGenerator gen(h.simulation.get(), h.mediator.get(), &h.ids, h.consumer,
+  QueryGenerator gen(&h.simulation->runtime(), h.mediator.get(), &h.ids, h.consumer,
                      arrivals, CostModel::Constant(0.1));
   gen.Start();
   h.simulation->RunUntil(200.0);
@@ -116,7 +115,7 @@ TEST(GeneratorTest, StopsAtEndTime) {
   ArrivalParams arrivals;
   arrivals.rate = 10.0;
   arrivals.end_time = 10.0;
-  QueryGenerator gen(h.simulation.get(), h.mediator.get(), &h.ids, h.consumer,
+  QueryGenerator gen(&h.simulation->runtime(), h.mediator.get(), &h.ids, h.consumer,
                      arrivals, CostModel::Constant(0.1));
   gen.Start();
   h.simulation->RunUntil(100.0);
@@ -132,7 +131,7 @@ TEST(GeneratorTest, StartTimeDelaysFirstQuery) {
   arrivals.rate = 50.0;
   arrivals.start_time = 10.0;
   arrivals.end_time = 11.0;
-  QueryGenerator gen(h.simulation.get(), h.mediator.get(), &h.ids, h.consumer,
+  QueryGenerator gen(&h.simulation->runtime(), h.mediator.get(), &h.ids, h.consumer,
                      arrivals, CostModel::Constant(0.1));
   gen.Start();
   h.simulation->RunUntil(9.9);
@@ -146,7 +145,7 @@ TEST(GeneratorTest, InactiveConsumerStopsIssuing) {
   ArrivalParams arrivals;
   arrivals.rate = 10.0;
   arrivals.end_time = 1000.0;
-  QueryGenerator gen(h.simulation.get(), h.mediator.get(), &h.ids, h.consumer,
+  QueryGenerator gen(&h.simulation->runtime(), h.mediator.get(), &h.ids, h.consumer,
                      arrivals, CostModel::Constant(0.1));
   gen.Start();
   h.simulation->RunUntil(10.0);
@@ -163,14 +162,14 @@ TEST(GeneratorTest, BurstFactorRaisesThroughput) {
   ArrivalParams arrivals;
   arrivals.rate = 2.0;
   arrivals.end_time = 300.0;
-  QueryGenerator gen_base(base.simulation.get(), base.mediator.get(),
+  QueryGenerator gen_base(&base.simulation->runtime(), base.mediator.get(),
                           &base.ids, base.consumer, arrivals,
                           CostModel::Constant(0.1));
   ArrivalParams bursty = arrivals;
   bursty.burst_factor = 5.0;
   bursty.burst_period = 30.0;
   bursty.burst_duty = 0.5;
-  QueryGenerator gen_burst(burst.simulation.get(), burst.mediator.get(),
+  QueryGenerator gen_burst(&burst.simulation->runtime(), burst.mediator.get(),
                            &burst.ids, burst.consumer, bursty,
                            CostModel::Constant(0.1));
   gen_base.Start();
@@ -185,7 +184,7 @@ TEST(GeneratorDeathTest, InvalidRateAborts) {
   GeneratorHarness h;
   ArrivalParams arrivals;
   arrivals.rate = 0;
-  EXPECT_DEATH(QueryGenerator(h.simulation.get(), h.mediator.get(), &h.ids,
+  EXPECT_DEATH(QueryGenerator(&h.simulation->runtime(), h.mediator.get(), &h.ids,
                               h.consumer, arrivals,
                               CostModel::Constant(1.0)),
                "CHECK failed");
